@@ -30,6 +30,7 @@ from .curvature import (
     LieBrackets,
     ad_invariance_check,
     diagonal_gram,
+    einstein_residual,
     projected_riemann_norm,
     ricci_tensor,
     riemann_norm,
@@ -359,13 +360,7 @@ def cmd_verify(args) -> int:
     except DegenerateMetricError as exc:
         print(f"error: {exc}")
         return 1
-    res = Fraction(0)
-    for i in range(alg.n):
-        for j in range(alg.n):
-            want = lam if i == j else Fraction(0)
-            dev = abs(op[i][j] - want)
-            if dev > res:
-                res = dev
+    res = einstein_residual(op, lam)
     print("Ricci operator diagonal: ("
           + ", ".join(_fmt_frac(op[i][i]) for i in range(alg.n)) + ")")
     print(f"max |Ric - {_fmt_frac(lam)} id| = {_fmt_frac(res)}")

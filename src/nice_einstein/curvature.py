@@ -3,15 +3,29 @@
 Independent of the root-matrix machinery: given raw structure constants and
 an arbitrary nondegenerate symmetric Gram matrix, computes the Levi-Civita
 connection through the Koszul formula, the full Riemann tensor, the Ricci
-tensor/operator, curvature norms, and ad-invariance.  Exact when the inputs
-are Fractions; the same code runs on floats for numerically recovered
-metrics.
+tensor/operator, curvature norms, and ad-invariance.
+
+The connection and the Ricci tensor visit only nonzero brackets and nonzero
+connection entries, and the Gram matrix is inverted once.  The type of the
+input entries picks the arithmetic, and nothing else differs:
+
+- integer path, when every Gram entry and structure constant is a Fraction
+  or an int: G and the constants are scaled to integers by the lcm of their
+  denominators, det and adjugate of G come from fraction-free (Bareiss)
+  elimination, every sum runs on Python ints, and each result entry is one
+  division into a Fraction at the end.  All-int inputs are exact too.
+- float path, otherwise: the entries are converted to floats, G is inverted
+  by Gauss-Jordan elimination, and the same nonzero terms are summed in the
+  same index order as the dense Koszul and Ricci formulas, so the rounding
+  does not depend on the sparse traversal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -38,18 +52,15 @@ class LieBrackets:
             c[j - 1][i - 1][k - 1] = -cv
         return cls(n, tuple(tuple(tuple(row) for row in plane) for plane in c))
 
-    @classmethod
-    def from_constants(cls, n: int, entries: Sequence[tuple[int, int, int, Fraction]]) -> "LieBrackets":
-        """entries are 1-based (i, j, k, value) for i < j."""
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for (i, j, k, v) in entries:
-            v = Fraction(v)
-            c[i - 1][j - 1][k - 1] += v
-            c[j - 1][i - 1][k - 1] -= v
-        return cls(n, tuple(tuple(tuple(row) for row in plane) for plane in c))
-
-    def bracket(self, a: int, b: int) -> tuple:
-        return self.c[a][b]
+    @cached_property
+    def table(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+        """The nonzero brackets: (a, b) -> ((k, c[a][b][k]), ...), pairs and k ascending."""
+        out = {}
+        for a, plane in enumerate(self.c):
+            for b, row in enumerate(plane):
+                if any(row):
+                    out[(a, b)] = tuple((k, v) for k, v in enumerate(row) if v)
+        return out
 
 
 def diagonal_gram(g: Sequence) -> list[list]:
@@ -83,6 +94,35 @@ def _invert(G: Sequence[Sequence]) -> list[list]:
     return [row[n:] for row in A]
 
 
+def _adjugate(A: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(d, d * A^-1) for a nonsingular integer matrix A, where d = +-det A.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): every division is
+    exact, so all intermediate entries stay integers.
+    """
+    n = len(A)
+    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if M[r][k]), None)
+        if piv is None:
+            raise DegenerateMetricError("metric is degenerate")
+        M[k], M[piv] = M[piv], M[k]
+        Mk = M[k]
+        p = Mk[k]
+        for i in range(n):
+            if i == k:
+                continue
+            Mi = M[i]
+            f = Mi[k]
+            if f:
+                M[i] = [(p * x - f * y) // prev for x, y in zip(Mi, Mk)]
+            elif p != prev:
+                M[i] = [p * x // prev for x in Mi]
+        prev = p
+    return prev, [row[n:] for row in M]
+
+
 def _mat_mul(A, B):
     # zero-skipping pays off: connections on nice algebras are very sparse
     n = len(A)
@@ -113,34 +153,130 @@ def _mat_vec(A, v):
     return out
 
 
-def levi_civita(brackets: LieBrackets, gram: Sequence[Sequence]) -> list:
-    """Connection matrices D[a], with D[a][c][b] the e_c-component of nabla_{e_a} e_b.
+@dataclass(frozen=True)
+class _Scaled:
+    """Gram matrix and nonzero structure constants in the oracle's arithmetic.
 
-    Koszul formula for left-invariant metrics:
-    2<nabla_a b, z> = <[a,b],z> - <[b,z],a> + <[z,a],b>.
+    Integer path: G = L * gram and c = M * constants, with L and M the lcm of
+    their denominators.  Float path: both as floats, and L = M = 1.
     """
-    n = brackets.n
-    G = [list(row) for row in gram]
-    Ginv = _invert(G)
-    c = brackets.c
 
-    def ip_bracket(x: int, y: int, z: int):
-        # <[e_x, e_y], e_z>
-        return sum(c[x][y][k] * G[k][z] for k in range(n) if c[x][y][k] != 0)
+    exact: bool
+    G: list
+    c: dict     # LieBrackets.table with scaled values
+    L: int
+    M: int
 
-    D = []
+    @classmethod
+    def of(cls, brackets: LieBrackets, gram: Sequence[Sequence]) -> "_Scaled":
+        table = brackets.table
+        entries = [x for row in gram for x in row]
+        consts = [v for terms in table.values() for _, v in terms]
+        if all(isinstance(x, (int, Fraction)) for x in entries + consts):
+            L = math.lcm(*(x.denominator for x in entries))
+            M = math.lcm(1, *(v.denominator for v in consts))
+            return cls(True,
+                       [[x.numerator * (L // x.denominator) for x in row] for row in gram],
+                       {ab: tuple((k, v.numerator * (M // v.denominator)) for k, v in terms)
+                        for ab, terms in table.items()},
+                       L, M)
+        return cls(False, [[float(x) for x in row] for row in gram],
+                   {ab: tuple((k, float(v)) for k, v in terms) for ab, terms in table.items()},
+                   1, 1)
+
+    def lowered(self) -> dict[tuple[int, int], list[tuple[int, object]]]:
+        """<[e_x, e_y], e_z> in the scaled arithmetic: (x, y) -> [(z, value), ...] nonzero."""
+        rows = [[(z, g) for z, g in enumerate(row) if g] for row in self.G]
+        out = {}
+        for xy, terms in self.c.items():
+            acc = {}
+            for k, v in terms:
+                for z, g in rows[k]:
+                    acc[z] = acc.get(z, 0) + v * g
+            out[xy] = [(z, w) for z, w in sorted(acc.items()) if w]
+        return out
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """One oracle call: the scaled inputs and the one inverse of G.
+
+    The connection is D = (conn . K) / d_den for the lowered Koszul terms K;
+    Ric = R / d_den^2 with R = sum D~ D~ - kappa * c . D~ over the connection
+    numerators D~; and the Ricci operator is L * (inv . R) / op_den.
+
+    Integer path: conn = inv = adj(G), det = +-det(G), d_den = 2 M det,
+    kappa = 2 det, op_den = det * d_den^2.  Float path: conn = G^-1 / 2,
+    inv = G^-1, and every other factor 1.
+    """
+
+    s: _Scaled
+    conn: list
+    inv: list
+    d_den: int
+    kappa: int
+    op_den: int
+
+    @classmethod
+    def of(cls, brackets: LieBrackets, gram: Sequence[Sequence]) -> "_Frame":
+        s = _Scaled.of(brackets, gram)
+        if s.exact:
+            det, adj = _adjugate(s.G)
+            d_den = 2 * s.M * det
+            return cls(s, adj, adj, d_den, 2 * det, det * d_den * d_den)
+        inv = _invert(s.G)
+        return cls(s, [[x / 2 for x in row] for row in inv], inv, 1, 1, 1)
+
+    def quotient(self, num, den):
+        return Fraction(num, den) if self.s.exact else num
+
+
+def _connection(f: _Frame) -> tuple[list, list]:
+    """Connection numerators D~ and their nonzero entries by row.
+
+    D~[a][c][b] = d_den * (e_c-component of nabla_{e_a} e_b), from the Koszul
+    formula for left-invariant metrics:
+    2<nabla_a b, d> = <[a,b],d> - <[b,d],a> + <[d,a],b>.
+    rows[a][c] lists the nonzero (b, D~[a][c][b]), b ascending.
+    """
+    n = len(f.s.G)
+    by_pair = f.s.lowered()
+    by_first: dict = {}     # (x, z) -> [(y, <[x,y],z>)]
+    by_second: dict = {}    # (y, z) -> [(x, <[x,y],z>)]
+    for (x, y), entries in by_pair.items():
+        for z, w in entries:
+            by_first.setdefault((x, z), []).append((y, w))
+            by_second.setdefault((y, z), []).append((x, w))
+    conn_cols = [[(c, p) for c, p in enumerate(col) if p] for col in zip(*f.conn)]
+    D = [[[0] * n for _ in range(n)] for _ in range(n)]
+    rows = [[[] for _ in range(n)] for _ in range(n)]
     for a in range(n):
-        mat = [[None] * n for _ in range(n)]
+        Da, rows_a = D[a], rows[a]
         for b in range(n):
-            rhs = [
-                ip_bracket(a, b, d) - ip_bracket(b, d, a) + ip_bracket(d, a, b)
-                for d in range(n)
-            ]
-            col = _mat_vec(Ginv, rhs)
-            for cidx in range(n):
-                mat[cidx][b] = col[cidx] / 2 if col[cidx] else col[cidx]
-        D.append(mat)
-    return D
+            # (t1 - t2) + t3 per d, then d ascending: the dense formula's float rounding
+            koszul = dict(by_pair.get((a, b), ()))
+            for d, w in by_first.get((b, a), ()):
+                koszul[d] = koszul.get(d, 0) - w
+            for d, w in by_second.get((a, b), ()):
+                koszul[d] = koszul.get(d, 0) + w
+            col = {}
+            for d in sorted(koszul):
+                kd = koszul[d]
+                if kd:
+                    for c, p in conn_cols[d]:
+                        col[c] = col.get(c, 0) + p * kd
+            for c, v in col.items():
+                Da[c][b] = v
+                if v:
+                    rows_a[c].append((b, v))
+    return D, rows
+
+
+def levi_civita(brackets: LieBrackets, gram: Sequence[Sequence]) -> list:
+    """Connection matrices D[a], with D[a][c][b] the e_c-component of nabla_{e_a} e_b."""
+    f = _Frame.of(brackets, gram)
+    D, _ = _connection(f)
+    return [[[f.quotient(x, f.d_den) for x in row] for row in Da] for Da in D]
 
 
 def riemann_endomorphisms(brackets: LieBrackets, gram: Sequence[Sequence]) -> dict:
@@ -180,41 +316,51 @@ def ricci_tensor(brackets: LieBrackets, gram: Sequence[Sequence]) -> tuple[list,
     """(Ricci tensor matrix, Ricci operator matrix).
 
     Ric(x, y) = trace of z -> R(z, x) y; the operator is G^{-1} Ric.  Only
-    the needed components of R are formed, not the full tensor.
+    the needed components of R are formed, not the full tensor, from the
+    nonzero connection entries.
     """
+    f = _Frame.of(brackets, gram)
     n = brackets.n
-    D = levi_civita(brackets, gram)
-    c = brackets.c
-    zero = 0 * gram[0][0]
-    ric = [[zero for _ in range(n)] for _ in range(n)]
+    D, rows = _connection(f)
+    lin = {ab: tuple((k, f.kappa * v) for k, v in terms) for ab, terms in f.s.c.items()}
+    zero = 0 * f.s.G[0][0]
+    R = []
     for b in range(n):
-        for cc in range(n):
-            s = zero
-            for a in range(n):
-                if a == b:
-                    continue
-                # (D_a D_b - D_b D_a - D_[a,b])[a][cc]
-                for t in range(n):
-                    x = D[a][a][t]
-                    if x and D[b][t][cc]:
-                        s += x * D[b][t][cc]
-                    y = D[b][a][t]
-                    if y and D[a][t][cc]:
-                        s -= y * D[a][t][cc]
-                for k in range(n):
-                    ck = c[a][b][k]
-                    if ck != 0 and D[k][a][cc]:
-                        s -= ck * D[k][a][cc]
-            ric[b][cc] = s
-    Ginv = _invert([list(r) for r in gram])
-    op = _mat_mul(Ginv, ric)
+        # Ric(b, cc) = sum_a (D_a D_b - D_b D_a - D_[a,b])[a][cc]
+        acc = [zero] * n
+        Db, rows_b = D[b], rows[b]
+        for a in range(n):
+            if a == b:     # its two products cancel exactly, but not in floats
+                continue
+            Daa, Dba, rows_a = D[a][a], Db[a], rows[a]
+            for t in range(n):
+                x = Daa[t]
+                if x:
+                    for cc, v in rows_b[t]:
+                        acc[cc] += x * v
+                y = Dba[t]
+                if y:
+                    for cc, v in rows_a[t]:
+                        acc[cc] -= y * v
+            for k, kv in lin.get((a, b), ()):
+                for cc, v in rows[k][a]:
+                    acc[cc] -= kv * v
+        R.append(acc)
+    ric_den = f.d_den * f.d_den
+    ric = [[f.quotient(x, ric_den) for x in row] for row in R]
+    op = [[f.quotient(f.s.L * x, f.op_den) for x in row] for row in _mat_mul(f.inv, R)]
     return ric, op
 
 
-def ricci_operator_diagonal(brackets: LieBrackets, gram: Sequence[Sequence]) -> list:
-    """Diagonal of the Ricci operator, asserting it is diagonal is the caller's job."""
-    _, op = ricci_tensor(brackets, gram)
-    return [op[i][i] for i in range(brackets.n)]
+def einstein_residual(op: Sequence[Sequence], lam):
+    """max |op[i][j] - lam * delta_ij| over all entries, starting from 0 * lam."""
+    res = 0 * lam
+    for i, row in enumerate(op):
+        for j, x in enumerate(row):
+            dev = abs(x - (lam if i == j else 0 * lam))
+            if dev > res:
+                res = dev
+    return res
 
 
 def scalar_curvature(brackets: LieBrackets, gram: Sequence[Sequence]):
@@ -282,7 +428,7 @@ def _norm_of_curvature_map(R: dict, G: list, pair_list: list, rows: Optional[lis
             cols = []
             for j in range(dim):
                 w = _mat_vec(A, rows[j])
-                rhs = [_bilinear_vec(G, rows[i], w) for i in range(dim)]
+                rhs = [_bilinear(G, rows[i], w) for i in range(dim)]
                 cols.append(_mat_vec(metric_inv, rhs))
             return [[cols[j][i] for j in range(dim)] for i in range(dim)]
 
@@ -315,10 +461,6 @@ def _bilinear(G, u, v):
                if u[i] != 0 and G[i][j] != 0)
 
 
-def _bilinear_vec(G, u, w):
-    return _bilinear(G, u, w)
-
-
 def riemann_norm(brackets: LieBrackets, gram: Sequence[Sequence]):
     """Full contraction g(R, R) of the curvature map Lambda^2 g -> End g."""
     n = brackets.n
@@ -341,17 +483,18 @@ def projected_riemann_norm(brackets: LieBrackets, gram: Sequence[Sequence]):
 def ad_invariance_check(
     brackets: LieBrackets, gram: Sequence[Sequence]
 ) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Whether <[x,y],z> + <y,[x,z]> = 0 on all basis triples; witness on failure."""
-    n = brackets.n
-    G = [list(r) for r in gram]
-    c = brackets.c
+    """Whether <[x,y],z> + <y,[x,z]> = 0 on all basis triples; witness on failure.
 
-    def ip_bracket(x, y, z):
-        return sum(c[x][y][k] * G[k][z] for k in range(n) if c[x][y][k] != 0)
-
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if ip_bracket(x, y, z) + ip_bracket(x, z, y) != 0:
-                    return False, (x + 1, y + 1, z + 1)
+    Only triples with a nonzero term can fail; the witness is the first in
+    lexicographic order.
+    """
+    low = {xy: dict(entries) for xy, entries in _Scaled.of(brackets, gram).lowered().items()}
+    triples = set()
+    for (x, y), entries in low.items():
+        for z in entries:
+            triples.add((x, y, z))
+            triples.add((x, z, y))
+    for x, y, z in sorted(triples):
+        if low.get((x, y), {}).get(z, 0) + low.get((x, z), {}).get(y, 0) != 0:
+            return False, (x + 1, y + 1, z + 1)
     return True, None

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import NiceLieAlgebra, tilde_c
-from .curvature import LieBrackets, diagonal_gram, ricci_tensor, sigma_gram
+from .curvature import LieBrackets, diagonal_gram, einstein_residual, ricci_tensor, sigma_gram
 from .diagram import Permutation, is_automorphism, root_matrix, sigma_arrow_action
 from .linalg import (
     AffineSet,
@@ -449,20 +449,9 @@ def _log_solve(rows, X, weights, delta, expand=None):
 def _oracle_residual(a: NiceLieAlgebra, metric, k: Fraction):
     """Max |Ric - (k/2) id| entry straight from the curvature oracle."""
     B = LieBrackets.from_nice(a)
-    G = metric.gram()
     exact = all(isinstance(x, (Fraction, int)) for x in metric.g)
-    if not exact:
-        G = [[float(x) for x in row] for row in G]
-    _, op = ricci_tensor(B, G)
-    half_k = Fraction(k, 2) if exact else float(k) / 2.0
-    res = 0 if exact else 0.0
-    for i in range(a.n):
-        for j in range(a.n):
-            want = half_k if i == j else (Fraction(0) if exact else 0.0)
-            dev = abs(op[i][j] - want)
-            if dev > res:
-                res = dev
-    return res, exact
+    _, op = ricci_tensor(B, metric.gram())
+    return einstein_residual(op, Fraction(k, 2) if exact else float(k) / 2.0), exact
 
 
 def _normalize_ray(X: VecQ, scale_invariant: bool) -> VecQ:

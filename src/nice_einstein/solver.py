@@ -123,7 +123,8 @@ def feasible_orthants(S: AffineSet, cap: int = ORTHANT_CAP) -> list[Orthant]:
             raise EnumerationCapExceeded(f"more than {cap} feasible orthants")
         if r == nreps:
             t = feasible_strict(constraints(nreps), p)
-            assert t is not None
+            if t is None:
+                raise RuntimeError("a feasible orthant lost its strict witness")
             X = S.point(t)
             eps = tuple(1 if x < 0 else 0 for x in X)
             out.append(Orthant(eps, tuple(t), X))
@@ -318,7 +319,7 @@ def decide_condition_p(
 
     `exponents` are integer vectors a_i, `rhs` positive rationals.  Exact
     when the system is constant on the orthant or reduces to one variable;
-    multi-start Newton otherwise.  `scale_gauge` asserts that S is a cone
+    multi-start Newton otherwise.  `scale_gauge` requires S to be a cone
     and the system scale invariant, so one coordinate may be pinned to +-1.
     """
     if not exponents:
@@ -353,8 +354,10 @@ def decide_condition_p(
     # Remove the scale gauge: every solution ray meets |X_pin| = 1 once.
     work_S = S
     if scale_gauge:
-        assert all(x == 0 for x in S.particular)
-        assert all(sum(a_row) == 0 for a_row in exponents)
+        if any(x != 0 for x in S.particular):
+            raise ValueError("scale_gauge needs S to be a cone (zero particular point)")
+        if any(sum(a_row) != 0 for a_row in exponents):
+            raise ValueError("scale_gauge needs scale-invariant exponents (zero row sums)")
         pin = next(j for j in range(m) if any(fc.coeffs[j]))
         target = Fraction(-1 if eps[pin] else 1)
         sliced = _slice_coordinate(S, pin, target)
@@ -393,7 +396,8 @@ def _witness_on(S: AffineSet, eps: Sequence[int]) -> tuple[Fraction, ...]:
             continue
         rows.append((coeffs, const))
     t = feasible_strict(rows, S.dim)
-    assert t is not None
+    if t is None:
+        raise RuntimeError("the gauge slice misses its orthant")
     return tuple(t)
 
 

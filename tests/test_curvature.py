@@ -1,12 +1,18 @@
+import json
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+import sympy
 
 from nice_einstein import parse
+from nice_einstein.cli import main
 from nice_einstein.curvature import (
     DegenerateMetricError,
     LieBrackets,
+    _adjugate,
+    _invert,
     ad_invariance_check,
     diagonal_gram,
     levi_civita,
@@ -177,3 +183,160 @@ def test_scalar_curvature_trace_identity(algebras):
     c = r.certificates[0]
     B = bra(a)
     assert scalar_curvature(B, c.metric.gram()) == 8 * F(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# The sparse, integer/float oracle against dense references
+
+
+def dense_ricci(B, gram):
+    """The dense Koszul and Ricci sums over every index, with G inverted twice."""
+    n = B.n
+    c = B.c
+    G = [list(row) for row in gram]
+    Ginv = _invert(G)
+
+    def ip(x, y, z):
+        return sum(c[x][y][k] * G[k][z] for k in range(n) if c[x][y][k] != 0)
+
+    D = []
+    for a in range(n):
+        mat = [[None] * n for _ in range(n)]
+        for b in range(n):
+            rhs = [ip(a, b, d) - ip(b, d, a) + ip(d, a, b) for d in range(n)]
+            for r in range(n):
+                s = 0
+                for x, y in zip(Ginv[r], rhs):
+                    if x and y:
+                        s += x * y
+                mat[r][b] = s / 2 if s else s
+        D.append(mat)
+    zero = 0 * gram[0][0]
+    ric = [[zero] * n for _ in range(n)]
+    for b in range(n):
+        for cc in range(n):
+            s = zero
+            for a in range(n):
+                if a == b:
+                    continue
+                for t in range(n):
+                    if D[a][a][t] and D[b][t][cc]:
+                        s += D[a][a][t] * D[b][t][cc]
+                    if D[b][a][t] and D[a][t][cc]:
+                        s -= D[b][a][t] * D[a][t][cc]
+                for k in range(n):
+                    if c[a][b][k] != 0 and D[k][a][cc]:
+                        s -= c[a][b][k] * D[k][a][cc]
+            ric[b][cc] = s
+    Ginv = _invert(G)
+    op = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for t in range(n):
+            if Ginv[i][t]:
+                for j in range(n):
+                    if ric[t][j]:
+                        op[i][j] += Ginv[i][t] * ric[t][j]
+    return ric, op
+
+
+def ldlt_gram(rng, n):
+    """A dense nondegenerate rational Gram matrix L D L^T (L unit lower triangular)."""
+    L = [[F(int(i == j)) if j >= i else rng.choice([F(1), F(-1), F(2), F(1, 2)])
+          for j in range(n)] for i in range(n)]
+    d = [rng.choice([F(1), F(-2), F(3), F(1, 3), F(-3, 2)]) for _ in range(n)]
+    return [[sum((L[i][k] * d[k] * L[j][k] for k in range(min(i, j) + 1)), F(0))
+             for j in range(n)] for i in range(n)]
+
+
+def scal_identity(B, G):
+    """-1/4 sum G^{ac} G^{bd} g([e_a,e_b],[e_c,e_d]): scal of a nilpotent metric Lie algebra."""
+    n = B.n
+    Gm = sympy.Matrix(G)
+    Gi = Gm.inv()
+    total = sympy.Integer(0)
+    for a in range(n):
+        for b in range(n):
+            u = sympy.Matrix([B.c[a][b]])
+            if not any(u):
+                continue
+            for cc in range(n):
+                for d in range(n):
+                    w = Gi[a, cc] * Gi[b, d]
+                    if w:
+                        total += w * (u * Gm * sympy.Matrix(B.c[cc][d]))[0, 0]
+    return F(str(-total / 4))
+
+
+@pytest.mark.parametrize("name", ["631:6", "75432:3", "842:117"])
+def test_dense_gram_ricci_symmetric_with_scalar_identity(algebras, name):
+    B = bra(algebras[name])
+    n = B.n
+    G = ldlt_gram(random.Random(name), n)
+    ric, op = ricci_tensor(B, G)
+    assert all(isinstance(x, F) for row in ric + op for x in row)
+    assert all(ric[i][j] == ric[j][i] for i in range(n) for j in range(i))
+    assert sum(op[i][i] for i in range(n)) == scal_identity(B, G)
+    assert (ric, op) == dense_ricci(B, G)
+
+
+def test_float_path_sums_in_dense_order(algebras):
+    """Float metrics, diagonal, sigma and dense: the same floats as the dense sums."""
+    rng = random.Random(3)
+    for name in ("631:6", "75432:3", "842:117", "dim10"):
+        B = bra(algebras[name])
+        n = B.n
+        metrics = [diagonal_gram([rng.uniform(0.5, 2.0) for _ in range(n)]),
+                   [[float(x) for x in row] for row in ldlt_gram(rng, n)]]
+        if name == "842:117":
+            g = [rng.uniform(0.5, 2.0) for _ in range(n)]
+            sigma = (4, 3, 2, 1, 6, 5, 8, 7)
+            metrics.append(sigma_gram([g[min(i, sigma[i] - 1)] for i in range(n)], sigma))
+        for G in metrics:
+            got, want = ricci_tensor(B, G), dense_ricci(B, G)
+            assert repr(got) == repr(want)
+
+
+def test_int_gram_is_exact(algebras):
+    B = bra(algebras["631:6"])
+    g = [1, -2, 3, 1, 5, -1]
+    ric, op = ricci_tensor(B, diagonal_gram(g))
+    assert all(isinstance(x, F) for row in ric + op for x in row)
+    assert (ric, op) == ricci_tensor(B, diagonal_gram([F(x) for x in g]))
+
+
+def test_adjugate_is_det_times_inverse():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        A = [[rng.choice([0, 0, 1, -1, 2, -3, 7]) for _ in range(n)] for _ in range(n)]
+        try:
+            inv = _invert([[F(x) for x in row] for row in A])
+        except DegenerateMetricError:
+            with pytest.raises(DegenerateMetricError):
+                _adjugate(A)
+            continue
+        d, X = _adjugate(A)
+        assert abs(d) == abs(sympy.Matrix(A).det())
+        assert [[F(x, d) for x in row] for row in X] == inv
+
+
+def test_singular_dense_gram_rejected(algebras):
+    B = bra(algebras["heisenberg"])
+    G = [[F(1), F(2), F(0)], [F(2), F(4), F(0)], [F(0), F(0), F(1, 3)]]
+    with pytest.raises(DegenerateMetricError):
+        ricci_tensor(B, G)
+    with pytest.raises(DegenerateMetricError):
+        ricci_tensor(B, [[1, 2, 0], [2, 4, 0], [0, 0, 3]])
+
+
+@pytest.mark.parametrize("argv, residuals", [
+    (["8542:15a", "--param", "a2=2", "--k", "0"],
+     ["3.3827684781511485e-16"] * 4 + ["5.65206098262759e-16"] * 8
+     + ["3.3827684781511485e-16"] * 4),
+    (["8531:60a", "--k", "1"], ["8.104628079763643e-15"] * 2),
+])
+def test_float_certificate_residuals_pinned(capsys, argv, residuals):
+    assert main(["einstein", *argv, "--out", "json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert [c["oracle_residual"] for c in rec["certificates"]] == residuals
+    assert not any(c["exact"] for c in rec["certificates"])
