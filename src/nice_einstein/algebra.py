@@ -302,9 +302,6 @@ class NiceLieAlgebra:
     def indices(self) -> tuple[ArrowIndex, ...]:
         return index_set(self.diagram)
 
-    def constant(self, idx: ArrowIndex) -> Fraction:
-        return self.c[self.indices().index(idx)]
-
     def brackets(self) -> dict[tuple[int, int], tuple[int, Fraction]]:
         """[e_i, e_j] = c e_k for i < j, as {(i, j): (k, c)}."""
         return {(i, j): (k, cv) for (i, j, k), cv in zip(self.indices(), self.c)}

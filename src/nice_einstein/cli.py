@@ -67,10 +67,6 @@ def _tolerance(args) -> float:
     return float(env) if env else DEFAULT_TOL
 
 
-def _frac(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _load_family(args) -> AlgebraFamily:
     text = args.input
     if text.startswith("@"):
@@ -415,17 +411,14 @@ def cmd_catalog(args) -> int:
         print(json.dumps({"schema_version": SCHEMA_VERSION, "checks": payload,
                           "all_ok": all_ok}, indent=2))
     elif args.out == "csv":
-        print(",".join(CSV_COLUMNS))
+        records = []
         seen = set()
         for c in rows:
             if c.result is None or id(c.result) in seen:
                 continue
             seen.add(id(c.result))
-            rec = result_record(c.result, {})
-            rec["name"] = c.entry
-            for row in record_csv_rows(rec):
-                print(",".join('"' + cell + '"' if "," in cell else cell
-                               for cell in row))
+            records.append(dict(result_record(c.result, {}), name=c.entry))
+        _emit_records(records, "csv")
     else:
         for c in rows:
             mark = "ok  " if c.ok else "DIFF"

@@ -12,30 +12,43 @@ independent curvature oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import NiceLieAlgebra, tilde_c
 from .curvature import LieBrackets, diagonal_gram, einstein_residual, ricci_tensor, sigma_gram
-from .diagram import Permutation, is_automorphism, root_matrix, sigma_arrow_action
+from .diagram import Permutation, root_matrix, sigma_arrow_action
 from .linalg import (
     AffineSet,
     MatF2,
     MatQ,
     VecQ,
+    _int_scale,
     f2_rank,
     f2_solve_all,
+    in_orthant,
     kernel_basis,
+    orthant_witness,
     solve_affine,
     symmetric_signature,
     solve_multiplicative,
 )
 from .solver import (
     Orthant,
+    _pick_in_interval,
+    _rational_candidates,
+    abs_monomial,
     classify_functionals,
     decide_condition_p,
     feasible_orthants,
+    gauge_slice,
+    poly_gcd,
+    poly_monomial,
+    poly_mul,
+    poly_sub,
+    real_roots,
+    root_in_open_interval,
 )
 
 DEFAULT_TOL = 1e-9
@@ -99,20 +112,32 @@ def ricci_diagonal(a: NiceLieAlgebra, g) -> tuple:
     """
     gv = _metric_vector(g)
     M, _ = root_matrix(a.diagram)
-    X = _x_vector(a, gv, [cv * cv for cv in a.c], M)
+    X = _x_vector(a, gv, _weights(a, None), M)
     return _half_tm_x(M, X, a.n)
 
 
 def ricci_sigma(a: NiceLieAlgebra, sigma: Permutation, g) -> tuple:
     """Diagonal of the Ricci operator of the sigma-diagonal metric g."""
     gv = _metric_vector(g)
-    for i in range(a.n):
-        if gv[i] != gv[sigma[i] - 1]:
-            raise ValueError("metric coefficients are not sigma-invariant")
+    if not _sigma_invariant(gv, sigma):
+        raise ValueError("metric coefficients are not sigma-invariant")
     M, _ = root_matrix(a.diagram)
-    ct = tilde_c(a, sigma)
-    X = _x_vector(a, gv, [cv * cw for cv, cw in zip(a.c, ct)], M)
+    X = _x_vector(a, gv, _weights(a, sigma), M)
     return _half_tm_x(M, X, a.n)
+
+
+def _weights(a: NiceLieAlgebra, sigma: Optional[Permutation]) -> list:
+    """w_I in X_I = w_I prod_j g_j^(M_Ij): c_I^2, or c_I c~_I for sigma.
+
+    Raises ValueError unless sigma is an involutive diagram automorphism.
+    """
+    if sigma is None:
+        return [cv * cv for cv in a.c]
+    return [cv * cw for cv, cw in zip(a.c, tilde_c(a, sigma))]
+
+
+def _sigma_invariant(v: Sequence, sigma: Permutation) -> bool:
+    return all(v[i] == v[sigma[i] - 1] for i in range(len(sigma)))
 
 
 def _x_vector(a: NiceLieAlgebra, gv, weights, M: MatQ) -> list:
@@ -185,9 +210,6 @@ class SignatureReport:
     half_S: Optional[tuple[SignVec, ...]]
     by_signature: tuple[tuple[tuple[int, int], tuple[SignVec, ...]], ...]
 
-    def half_S_strings(self) -> list[str]:
-        return [format_delta(d) for d in (self.half_S or ())]
-
     def signature_sets(self) -> dict[tuple[int, int], list[str]]:
         return {pq: [format_delta(d) for d in ds] for pq, ds in self.by_signature}
 
@@ -211,21 +233,6 @@ class ClassificationResult:
 # Helper algebra shared by both modes
 
 
-def _int_scale(v: VecQ) -> tuple[int, ...]:
-    from math import gcd
-
-    lcm = 1
-    for x in v:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
 def condition_P_residual(X: Sequence, c: Sequence, alphas: Sequence[Sequence]) -> list[float]:
     """Log-form residuals sum_j a_ij (log|X_j| - 2 log|c_j|), as floats."""
     out = []
@@ -243,13 +250,7 @@ def condition_P_holds_exact(X: Sequence[Fraction], c: Sequence[Fraction],
     """Exact multiplicative test |X|^a = |c|^(2a) for rational X."""
     for a_row in alphas:
         a_int = _int_scale(tuple(Fraction(x) for x in a_row))
-        lhs = Fraction(1)
-        rhs = Fraction(1)
-        for aj, xj, cj in zip(a_int, X, c):
-            if aj:
-                lhs *= abs(Fraction(xj)) ** aj
-                rhs *= abs(Fraction(cj)) ** (2 * aj)
-        if lhs != rhs:
+        if abs_monomial(X, a_int) != abs_monomial(c, a_int) ** 2:
             return False
     return True
 
@@ -297,12 +298,15 @@ def sigma_signature(metric: SigmaMetric) -> tuple[int, int]:
     return p, q
 
 
-def _diag_signature(delta: SignVec) -> tuple[int, int]:
-    w = sum(delta)
-    return (len(delta) - w, w)
+def _signature_of(delta: SignVec, sigma: Optional[Permutation]) -> tuple[int, int]:
+    if sigma is None:
+        w = sum(delta)
+        return (len(delta) - w, w)
+    return sigma_signature(SigmaMetric(
+        sigma, tuple(Fraction(-1 if b else 1) for b in delta), delta))
 
 
-def _build_report(deltas: list[SignVec], pq_of) -> SignatureReport:
+def _build_report(deltas: list[SignVec], sigma: Optional[Permutation]) -> SignatureReport:
     S = tuple(sorted(set(deltas), key=delta_sort_key))
     try:
         half = tuple(halved_signatures(S))
@@ -310,7 +314,7 @@ def _build_report(deltas: list[SignVec], pq_of) -> SignatureReport:
         half = None
     groups: dict[tuple[int, int], list[SignVec]] = {}
     for d in S:
-        groups.setdefault(pq_of(d), []).append(d)
+        groups.setdefault(_signature_of(d, sigma), []).append(d)
     by_sig = tuple(
         (pq, tuple(sorted(ds, key=delta_sort_key)))
         for pq, ds in sorted(groups.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
@@ -335,24 +339,16 @@ def recover_metric(
     fractional powers arise, in log space (floats) otherwise.
     """
     M, M2 = root_matrix(a.diagram)
-    idx = a.indices()
+    if sigma is not None and not _sigma_invariant(delta, sigma):
+        raise ValueError("sign pattern is not sigma-invariant")
     if a.m == 0:
-        if sigma is not None and any(delta[i] != delta[sigma[i] - 1] for i in range(a.n)):
-            raise ValueError("sign pattern is not sigma-invariant")
         g = tuple(Fraction(-1 if d else 1) for d in delta)
         freedom = MetricFreedom(tuple(
             tuple(int(i == j) for j in range(a.n)) for i in range(a.n)))
         metric = DiagonalMetric(g, tuple(delta)) if sigma is None else \
             SigmaMetric(sigma, g, tuple(delta))
         return metric, freedom
-    if sigma is None:
-        weights = [cv * cv for cv in a.c]
-    else:
-        ct = tilde_c(a, sigma)
-        weights = [cv * cw for cv, cw in zip(a.c, ct)]
-        for i in range(a.n):
-            if delta[i] != delta[sigma[i] - 1]:
-                raise ValueError("sign pattern is not sigma-invariant")
+    weights = _weights(a, sigma)
     rows = M.to_int_rows()
     exact_X = all(isinstance(x, (Fraction, int)) for x in X)
     if exact_X:
@@ -362,10 +358,11 @@ def recover_metric(
         if tuple(check) != target:
             raise ValueError("sign pattern violates the mod-2 condition")
     # Free positive directions: rational kernel of M (or its sigma-invariant part).
-    ker = kernel_basis(M)
-    if sigma is not None:
-        stacked = _sigma_invariant_kernel_nodes(M, sigma)
-        ker = stacked
+    if sigma is None:
+        ker = kernel_basis(M)
+    else:
+        ker = kernel_basis(MatQ.from_rows(
+            list(M.data) + _difference_rows(_node_pairs(sigma), a.n)))
     freedom = MetricFreedom(tuple(_int_scale(v) for v in ker))
 
     if sigma is None:
@@ -408,17 +405,19 @@ def _orbits(sigma: Permutation) -> list[tuple[int, ...]]:
     return out
 
 
-def _sigma_invariant_kernel_nodes(M: MatQ, sigma: Permutation) -> list[VecQ]:
-    n = M.cols
-    rows = [list(r) for r in M.data]
-    for v in range(1, n + 1):
-        w = sigma[v - 1]
-        if w > v:
-            extra = [Fraction(0)] * n
-            extra[v - 1] = Fraction(1)
-            extra[w - 1] = Fraction(-1)
-            rows.append(extra)
-    return kernel_basis(MatQ.from_rows(rows))
+def _node_pairs(sigma: Permutation) -> list[tuple[int, int]]:
+    """0-based node pairs (v, sigma(v)) with sigma(v) > v."""
+    return [(v - 1, w - 1) for v, w in enumerate(sigma, 1) if w > v]
+
+
+def _difference_rows(pairs, size: int) -> list[list[Fraction]]:
+    """One row e_p - e_q per pair (p, q): the equations x_p = x_q (mod 2 too)."""
+    rows = []
+    for p, q in pairs:
+        row = [Fraction(0)] * size
+        row[p], row[q] = Fraction(1), Fraction(-1)
+        rows.append(row)
+    return rows
 
 
 def _log_solve(rows, X, weights, delta, expand=None):
@@ -471,30 +470,72 @@ class _Winner:
     scale_gauge: bool
 
 
+@dataclass(frozen=True)
+class _Systems:
+    """The K, L and P systems of one (algebra, sigma, k); see `_build_systems`."""
+
+    k: Fraction
+    k_rows: list                # tM, then X_p - X_q for sigma-paired arrows
+    k_rhs: list                 # [k] * n, then zeros
+    aff: Optional[AffineSet]    # solutions of K; None when inconsistent
+    zero: tuple[int, ...]       # coordinates vanishing identically on aff
+    l_system: MatF2             # M2, then delta_v + delta_w for sigma-paired nodes
+    shift: tuple[int, ...]      # logsign of the weights: M2 delta = eps + shift
+    alphas: list                # P exponents: primitive kernel vectors of K
+    p_rhs: list                 # |c|^(2 alpha) for each exponent row
+
+    def deltas(self, eps: Sequence[int]) -> list[SignVec]:
+        """All metric sign patterns that the L system allows on orthant eps."""
+        target = [e ^ s for e, s in zip(eps, self.shift)]
+        return f2_solve_all(
+            self.l_system, target + [0] * (self.l_system.rows - len(target)))
+
+
+def _build_systems(a: NiceLieAlgebra, k: Fraction,
+                   sigma: Optional[Permutation]) -> Optional[_Systems]:
+    """K, L and P for (a, sigma, k); None for an abelian algebra (no arrows).
+
+    Raises ValueError unless sigma is an involutive diagram automorphism.
+    """
+    weights = _weights(a, sigma)
+    if a.m == 0:
+        return None
+    M, M2 = root_matrix(a.diagram)
+    k_rows = [list(r) for r in M.transpose().data]
+    k_rhs = [k] * a.n
+    l_system = M2
+    if sigma is not None:
+        mapping, _ = sigma_arrow_action(a.diagram, sigma)
+        arrow_rows = _difference_rows(
+            [(p, q) for p, q in enumerate(mapping) if q > p], a.m)
+        k_rows += arrow_rows
+        k_rhs += [Fraction(0)] * len(arrow_rows)
+        node_rows = _difference_rows(_node_pairs(sigma), a.n)
+        if node_rows:
+            l_system = M2.stack(MatF2.from_rows(node_rows))
+    aff = solve_affine(MatQ.from_rows(k_rows), k_rhs)
+    alphas = [] if aff is None else [_int_scale(v) for v in aff.basis]
+    return _Systems(
+        k, k_rows, k_rhs, aff, () if aff is None else aff.zero_coords(),
+        l_system, logsign(weights), alphas,
+        [abs_monomial(a.c, row) ** 2 for row in alphas])
+
+
+def _coord_names(coords) -> str:
+    return ", ".join(f"X_{j + 1}" for j in coords)
+
+
 @dataclass
 class _Search:
     """Shared state of the slice-and-branch exploration of the pipeline."""
 
-    base_rows: list
-    base_rhs: list
-    l_system: MatF2
-    shift: tuple[int, ...]
-    alphas: list
-    p_rhs: list
-    k: Fraction
-    m: int
-    winners: list = None
-    blockers: set = None
-    blocker_notes: dict = None
+    sy: _Systems
+    winners: list = field(default_factory=list)
+    blockers: set = field(default_factory=set)
+    blocker_notes: dict = field(default_factory=dict)
     inexact: bool = False
     seed: int = 0
-    warnings: list = None
-
-    def __post_init__(self):
-        self.winners = []
-        self.blockers = set()
-        self.blocker_notes = {}
-        self.warnings = []
+    warnings: list = field(default_factory=list)
 
     def block(self, cond: str, note: str) -> None:
         self.blockers.add(cond)
@@ -573,24 +614,23 @@ def _rational_root(q: Fraction, d: int) -> Optional[Fraction]:
 
 
 def _explore(ctx: _Search, extra_rows: list, extra_rhs: list,
-             remaining: tuple[int, ...], depth: int) -> None:
-    system = MatQ.from_rows(ctx.base_rows + extra_rows)
-    aff = solve_affine(system, list(ctx.base_rhs) + list(extra_rhs))
+             remaining: tuple[int, ...]) -> None:
+    sy = ctx.sy
+    aff = sy.aff
+    if extra_rows:
+        aff = solve_affine(MatQ.from_rows(sy.k_rows + extra_rows), sy.k_rhs + extra_rhs)
     if aff is None:
         ctx.block("H", "a forced linear slice is inconsistent")
         return
-    dead = [j for j in range(ctx.m)
-            if aff.particular[j] == 0 and all(b[j] == 0 for b in aff.basis)]
-    if dead:
-        names = ", ".join(f"X_{j + 1}" for j in dead)
-        ctx.block("H", f"coordinate(s) {names} vanish identically")
-        return
     fc = classify_functionals(aff)
+    if fc.zero_coords:
+        ctx.block("H", f"coordinate(s) {_coord_names(fc.zero_coords)} vanish identically")
+        return
 
     # Exact reduction: consume constant equations, branch on binomial ones.
     rest = list(remaining)
     for ei in list(rest):
-        pat = _binomial_pattern(fc, ctx.alphas[ei], ctx.p_rhs[ei])
+        pat = _binomial_pattern(fc, sy.alphas[ei], sy.p_rhs[ei])
         if pat is None:
             continue
         kind, payload = pat
@@ -602,24 +642,21 @@ def _explore(ctx: _Search, extra_rows: list, extra_rhs: list,
             continue
         rest.remove(ei)
         for row, rv in payload:
-            _explore(ctx, extra_rows + [row], extra_rhs + [rv],
-                     tuple(rest), depth + 1)
+            _explore(ctx, extra_rows + [row], extra_rhs + [rv], tuple(rest))
         return
 
     # Leaf: enumerate orthants, filter mod 2, then solve what remains.
-    scale_gauge = (ctx.k == 0 and all(x == 0 for x in aff.particular)
-                   and all(sum(ctx.alphas[ei]) == 0 for ei in rest))
+    scale_gauge = (sy.k == 0 and all(x == 0 for x in aff.particular)
+                   and all(sum(sy.alphas[ei]) == 0 for ei in rest))
     for o in feasible_orthants(aff):
-        eps = tuple(e ^ s for e, s in zip(o.eps, ctx.shift))
-        target = list(eps) + [0] * (ctx.l_system.rows - ctx.m)
-        deltas = f2_solve_all(ctx.l_system, target)
+        deltas = sy.deltas(o.eps)
         if not deltas:
             ctx.block("L", "a feasible sign pattern is not attainable mod 2")
             continue
         ctx.seed += 1
         dec = decide_condition_p(
             aff, o.eps, o.witness_t,
-            [ctx.alphas[ei] for ei in rest], [ctx.p_rhs[ei] for ei in rest],
+            [sy.alphas[ei] for ei in rest], [sy.p_rhs[ei] for ei in rest],
             scale_gauge, newton_seed=ctx.seed)
         if dec.solvable:
             ctx.winners.append(_Winner(o.eps, deltas, dec, scale_gauge))
@@ -639,83 +676,28 @@ def _classify(
     tol: float,
 ) -> ClassificationResult:
     mode = "diagonal" if sigma is None else "sigma"
-    M, M2 = root_matrix(a.diagram)
-
-    if sigma is not None:
-        if not is_automorphism(a.diagram, sigma):
-            raise ValueError("sigma is not a diagram automorphism")
-        if any(sigma[sigma[v - 1] - 1] != v for v in range(1, a.n + 1)):
-            raise ValueError("sigma is not an involution")
-
-    if a.m == 0:
+    sy = _build_systems(a, k, sigma)
+    if sy is None:
         return _abelian_result(a, k, sigma, tol)
-
-    # (K): the affine solution set, restricted sigma-invariant when needed.
-    if sigma is None:
-        base_rows = [list(r) for r in M.transpose().data]
-        base_rhs = [k] * a.n
-    else:
-        mapping, _ = sigma_arrow_action(a.diagram, sigma)
-        base_rows = [list(r) for r in M.transpose().data]
-        base_rhs = [k] * a.n
-        for p_i in range(a.m):
-            q_i = mapping[p_i]
-            if q_i > p_i:
-                extra = [Fraction(0)] * a.m
-                extra[p_i] = Fraction(1)
-                extra[q_i] = Fraction(-1)
-                base_rows.append(extra)
-                base_rhs.append(Fraction(0))
-    aff = solve_affine(MatQ.from_rows(base_rows), base_rhs)
+    aff = sy.aff
     if aff is None:
         return ClassificationResult(
             a.name, mode, sigma, k, False, "K",
             "the weight system tM X = [k] has no solution"
             + ("" if sigma is None else " with X sigma-invariant"),
             True, (), None)
-    dead = [j for j in range(a.m)
-            if aff.particular[j] == 0 and all(b[j] == 0 for b in aff.basis)]
-    if dead:
-        names = ", ".join(f"X_{j + 1}" for j in dead)
+    if sy.zero:
         extra_note = ""
         if sigma is not None and aff.dim == 0 and all(x == 0 for x in aff.particular):
             extra_note = " (the sigma-invariant solution space is trivial)"
         return ClassificationResult(
             a.name, mode, sigma, k, False, "H",
-            f"coordinate(s) {names} vanish identically on the solution set"
+            f"coordinate(s) {_coord_names(sy.zero)} vanish identically on the solution set"
             + extra_note,
             True, (), None)
 
-    # (L) data: mod-2 system with sigma-invariance of delta where needed.
-    if sigma is None:
-        l_system = M2
-        shift = tuple([0] * a.m)
-    else:
-        ct = tilde_c(a, sigma)
-        shift = tuple((1 if cv < 0 else 0) ^ (1 if cw < 0 else 0)
-                      for cv, cw in zip(a.c, ct))
-        extra_rows = []
-        for v in range(1, a.n + 1):
-            w = sigma[v - 1]
-            if w > v:
-                row = [0] * a.n
-                row[v - 1] = 1
-                row[w - 1] = 1
-                extra_rows.append(row)
-        l_system = M2.stack(MatF2.from_rows(extra_rows)) if extra_rows else M2
-
-    # (P) data: kernel-exponent equations over the sigma-restricted kernel.
-    alphas = [_int_scale(v) for v in aff.basis]
-    p_rhs = []
-    for a_row in alphas:
-        val = Fraction(1)
-        for aj, cv in zip(a_row, a.c):
-            if aj:
-                val *= abs(cv) ** (2 * aj)
-        p_rhs.append(val)
-
-    ctx = _Search(base_rows, base_rhs, l_system, shift, alphas, p_rhs, k, a.m)
-    _explore(ctx, [], [], tuple(range(len(alphas))), 0)
+    ctx = _Search(sy)
+    _explore(ctx, [], [], tuple(range(len(sy.alphas))))
 
     if ctx.winners:
         certs = []
@@ -732,10 +714,7 @@ def _classify(
                 seen.add(d)
                 certs.append(_certificate(a, X, d, k, sigma, w.dec, tol,
                                           ctx.warnings))
-        pq_of = (lambda d: _diag_signature(d)) if sigma is None else (
-            lambda d: sigma_signature(SigmaMetric(sigma, tuple(
-                Fraction(-1 if b else 1) for b in d), d)))
-        report = _build_report(deltas_all, pq_of)
+        report = _build_report(deltas_all, sigma)
         certs.sort(key=lambda cc: delta_sort_key(cc.delta))
         return ClassificationResult(
             a.name, mode, sigma, k, True, None, "", all(c.exact for c in certs),
@@ -784,23 +763,14 @@ def _abelian_result(a, k, sigma, tol) -> ClassificationResult:
         raise ValueError("abelian signature enumeration capped at n = 12")
     deltas = []
     certs = []
-    for bits in iproduct((0, 1), repeat=a.n):
-        if sigma is not None and any(bits[i] != bits[sigma[i] - 1] for i in range(a.n)):
+    for delta in iproduct((0, 1), repeat=a.n):
+        if sigma is not None and not _sigma_invariant(delta, sigma):
             continue
-        delta = tuple(bits)
         deltas.append(delta)
-        g = tuple(Fraction(-1 if b else 1) for b in delta)
-        metric = (DiagonalMetric(g, delta) if sigma is None
-                  else SigmaMetric(sigma, g, delta))
+        metric, freedom = recover_metric(a, (), delta, sigma)
         certs.append(EinsteinCertificate(
-            (), Fraction(0), delta, metric,
-            MetricFreedom(tuple(tuple(int(i == j) for j in range(a.n))
-                                for i in range(a.n))),
-            Fraction(0), True, "abelian"))
-    pq_of = (lambda d: _diag_signature(d)) if sigma is None else (
-        lambda d: sigma_signature(SigmaMetric(sigma, tuple(
-            Fraction(-1 if b else 1) for b in d), d)))
-    report = _build_report(deltas, pq_of)
+            (), Fraction(0), delta, metric, freedom, Fraction(0), True, "abelian"))
+    report = _build_report(deltas, sigma)
     return ClassificationResult(
         a.name, mode, sigma, Fraction(0), True, None, "flat", True,
         tuple(certs), report)
@@ -826,18 +796,9 @@ def sufficient_condition(a: NiceLieAlgebra, k) -> bool:
     k = Fraction(k)
     if k == 0:
         raise ValueError("the sufficient condition applies to k != 0 only")
-    M, M2 = root_matrix(a.diagram)
-    if a.m == 0:
-        return False
-    if f2_rank(M2) != a.m:
-        return False
-    aff = solve_affine(M.transpose(), [k] * a.n)
-    if aff is None:
-        return False
-    for j in range(a.m):
-        if aff.particular[j] == 0 and all(b[j] == 0 for b in aff.basis):
-            return False
-    return True
+    sy = _build_systems(a, k, None)
+    return (sy is not None and f2_rank(sy.l_system) == a.m
+            and sy.aff is not None and not sy.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -882,19 +843,10 @@ def parameter_solve(
             regions.append((lo, hi))
         regions.append((pts[-1], None))
 
-    def region_sample(lo, hi) -> Fraction:
-        if lo is None and hi is None:
-            return Fraction(1)
-        if lo is None:
-            return hi - 1
-        if hi is None:
-            return lo + 1
-        return (lo + hi) / 2
-
     found: set[Fraction] = set()
     irrational_notes: list[str] = []
     for lo, hi in regions:
-        sample = region_sample(lo, hi)
+        sample = _pick_in_interval(lo, hi)
         try:
             probe = family.substitute({pname: sample})
         except Exception:
@@ -915,95 +867,37 @@ def parameter_solve(
 def _solve_region(probe: NiceLieAlgebra, family, pname, sigma, k,
                   lo, hi, sample) -> list[Fraction]:
     """Candidate parameter values in one sign region (exact where possible)."""
-    from .solver import (
-        _slice_coordinate, classify_functionals, poly_gcd, poly_mul,
-        poly_pow, poly_sub, real_roots, root_in_open_interval,
-    )
-
-    M, M2 = root_matrix(probe.diagram)
-    if probe.m == 0:
+    sy = _build_systems(probe, k, sigma)
+    if sy is None or sy.aff is None or sy.zero:
         return []
-    if sigma is None:
-        system = M.transpose()
-        rhs = [k] * probe.n
-        l_system = M2
-        shift = tuple([0] * probe.m)
-    else:
-        mapping, _ = sigma_arrow_action(probe.diagram, sigma)
-        rows = [list(r) for r in M.transpose().data]
-        rhs = [k] * probe.n
-        for p_i in range(probe.m):
-            q_i = mapping[p_i]
-            if q_i > p_i:
-                extra = [Fraction(0)] * probe.m
-                extra[p_i] = Fraction(1)
-                extra[q_i] = Fraction(-1)
-                rows.append(extra)
-                rhs.append(Fraction(0))
-        system = MatQ.from_rows(rows)
-        ct = tilde_c(probe, sigma)
-        shift = tuple((1 if cv < 0 else 0) ^ (1 if cw < 0 else 0)
-                      for cv, cw in zip(probe.c, ct))
-        extra_rows = []
-        for v in range(1, probe.n + 1):
-            w = sigma[v - 1]
-            if w > v:
-                row = [0] * probe.n
-                row[v - 1] = 1
-                row[w - 1] = 1
-                extra_rows.append(row)
-        l_system = M2.stack(MatF2.from_rows(extra_rows)) if extra_rows else M2
-
-    aff = solve_affine(system, rhs)
-    if aff is None:
-        return []
-    if any(aff.particular[j] == 0 and all(b[j] == 0 for b in aff.basis)
-           for j in range(probe.m)):
-        return []
+    aff, alphas = sy.aff, sy.alphas
     orthants = feasible_orthants(aff)
-    alphas = [_int_scale(v) for v in aff.basis]
     scale_invariant = (k == 0) and all(sum(r) == 0 for r in alphas)
 
     # Coefficients of the family at the arrow order (affine in the parameter).
     order = probe.indices()
     coeff_of = {(i, j, t): coeff for (i, j, t, coeff) in family.terms}
     c_affine = [coeff_of[idxv] for idxv in order]
+    c_polys = [_affine_poly(cf, pname) for cf in c_affine]
 
     out: list[Fraction] = []
     for seed, o in enumerate(orthants):
-        eps = tuple(e ^ s for e, s in zip(o.eps, shift))
-        target = list(eps) + [0] * (l_system.rows - probe.m)
-        if not f2_solve_all(l_system, target):
+        if not sy.deltas(o.eps):
             continue
         # Reduce the X side exactly as in the fixed-parameter pipeline.
         work = aff
         if scale_invariant and aff.dim >= 1:
-            fc = classify_functionals(aff)
-            pin = next(j for j in range(probe.m) if any(fc.coeffs[j]))
-            sliced = _slice_coordinate(aff, pin, Fraction(-1 if o.eps[pin] else 1))
-            if sliced is not None:
-                work = sliced
+            work = gauge_slice(aff, o.eps)
         if work.dim == 0:
             X0 = work.particular
-            if any(x == 0 or (x < 0) != bool(e) for x, e in zip(X0, o.eps)):
+            if not in_orthant(X0, o.eps):
                 continue
             # Univariate polynomial system in the parameter.
             common = None
             sat = True
             for a_row in alphas:
-                lhs = Fraction(1)
-                for aj, xj in zip(a_row, X0):
-                    if aj:
-                        lhs *= abs(xj) ** aj
-                num = [Fraction(1)]
-                den = [Fraction(1)]
-                for aj, cf in zip(a_row, c_affine):
-                    linpoly = _affine_poly(cf, pname)
-                    if aj > 0:
-                        num = poly_mul(num, poly_pow(linpoly, 2 * aj))
-                    elif aj < 0:
-                        den = poly_mul(den, poly_pow(linpoly, -2 * aj))
-                p = poly_sub(poly_mul([lhs], den), num)
+                num, den = poly_monomial(c_polys, [2 * aj for aj in a_row])
+                p = poly_sub(poly_mul([abs_monomial(X0, a_row)], den), num)
                 if not p:
                     continue
                 if len(p) == 1:
@@ -1049,11 +943,9 @@ def _newton_parameter(work: AffineSet, o: Orthant, alphas, c_affine, pname,
     lo_f = -math.inf if lo is None else float(lo)
     hi_f = math.inf if hi is None else float(hi)
 
-    from .solver import _witness_on
-    try:
-        wt = _witness_on(work, o.eps)
-    except AssertionError:
-        return []
+    wt = orthant_witness(work, o.eps)
+    if wt is None:
+        raise RuntimeError("a feasible orthant lost its strict witness")
     w0 = np.array([float(v) for v in wt] + [float(sample)])
 
     def split(z):
@@ -1117,7 +1009,6 @@ def _newton_parameter(work: AffineSet, o: Orthant, alphas, c_affine, pname,
         if not ok(z) or float(np.max(np.abs(F_of(z)))) > 1e-10:
             continue
         u = float(z[p])
-        from .solver import _rational_candidates
         for cand in _rational_candidates(u):
             if lo is not None and not cand > lo:
                 continue

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -71,9 +72,6 @@ class MatQ:
             out.append([int(x) for x in row])
         return out
 
-    def mod2(self) -> "MatF2":
-        return MatF2.from_rows([[int(x.numerator) % 2 for x in row] for row in self.data])
-
 
 @dataclass(frozen=True)
 class MatF2:
@@ -126,6 +124,30 @@ class AffineSet:
                 for j, bj in enumerate(b):
                     out[j] += ti * bj
         return tuple(out)
+
+    def zero_coords(self) -> tuple[int, ...]:
+        """Coordinates that vanish identically on the set."""
+        return tuple(j for j in range(self.ambient_dim)
+                     if self.particular[j] == 0 and all(b[j] == 0 for b in self.basis))
+
+
+def _int_scale(v: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a rational vector."""
+    lcm = 1
+    for x in v:
+        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    ints = [int(x * lcm) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g > 1:
+        ints = [x // g for x in ints]
+    return tuple(ints)
+
+
+def in_orthant(X: Sequence, eps: Sequence[int]) -> bool:
+    """Whether sign(X_j) = (-1)^eps_j for every j (no zero coordinate)."""
+    return all(x != 0 and (x < 0) == bool(e) for x, e in zip(X, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +241,6 @@ def f2_rank(M: MatF2) -> int:
     return len(f2_rref(M)[1])
 
 
-def f2_kernel_basis(M: MatF2) -> list[VecF2]:
-    R, pivots = f2_rref(M)
-    free = [c for c in range(M.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * M.cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = R[r][fc]
-        basis.append(tuple(v))
-    return basis
-
-
 def f2_solve_all(M2: MatF2, e: Sequence[int], cap: int = F2_KERNEL_CAP) -> list[VecF2]:
     """All x with M2 x = e, sorted; empty when e is not in the image.
 
@@ -265,36 +274,8 @@ def f2_solve_all(M2: MatF2, e: Sequence[int], cap: int = F2_KERNEL_CAP) -> list[
     return sols
 
 
-def f2_in_image(M2: MatF2, e: Sequence[int]) -> bool:
-    ev = tuple(int(x) % 2 for x in e)
-    aug = MatF2.from_rows([list(row) + [ev[i]] for i, row in enumerate(M2.data)])
-    _, pivots = f2_rref(aug)
-    return M2.cols not in pivots
-
-
 # ---------------------------------------------------------------------------
 # Exact strict-inequality feasibility (Fourier-Motzkin)
-
-
-def _normalize_ineq(coeffs: Sequence[Fraction], const: Fraction):
-    """Scale coeffs*t + const > 0 to primitive integer form for dedup."""
-    nums = [c for c in coeffs] + [const]
-    denom_lcm = 1
-    for x in nums:
-        denom_lcm = denom_lcm * x.denominator // _gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in nums]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints[:-1]), ints[-1]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def feasible_strict(
@@ -319,7 +300,7 @@ def feasible_strict(
             ck = coeffs[k]
             rest = (coeffs[:k], const)
             if ck == 0:
-                key = _normalize_ineq(rest[0], const)
+                key = _int_scale(rest[0] + (const,))
                 nxt[key] = (rest[0], const)
             elif ck > 0:
                 lowers.append((ck, rest))
@@ -331,7 +312,7 @@ def feasible_strict(
                 # cl*ru - cu*rl > 0 (strict since both strict).
                 coeffs = tuple(cl * b - cu * a for a, b in zip(rl, ru))
                 const = cl * ku - cu * kl
-                key = _normalize_ineq(coeffs, const)
+                key = _int_scale(coeffs + (const,))
                 nxt[key] = (coeffs, const)
         current = list(nxt.values())
     for coeffs, const in current:
@@ -364,6 +345,21 @@ def feasible_strict(
     return witness
 
 
+def orthant_rows(S: AffineSet, eps: Sequence[int]) -> list[tuple[VecQ, Fraction]]:
+    """The orthant eps as strict rows coeffs.t + const > 0 over S's parameters."""
+    rows = []
+    for j in range(S.ambient_dim):
+        s = -1 if eps[j] else 1
+        rows.append((tuple(s * b[j] for b in S.basis), s * S.particular[j]))
+    return rows
+
+
+def orthant_witness(S: AffineSet, eps: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
+    """Parameters t with S.point(t) strictly inside the orthant eps, or None."""
+    t = feasible_strict(orthant_rows(S, eps), S.dim)
+    return None if t is None else tuple(t)
+
+
 def strict_sign_witness(S: AffineSet, eps: Sequence[int]) -> Optional[VecQ]:
     """A point X in S with sign(X_j) = (-1)^eps_j for all j, or None.
 
@@ -371,23 +367,12 @@ def strict_sign_witness(S: AffineSet, eps: Sequence[int]) -> Optional[VecQ]:
     """
     if len(eps) != S.ambient_dim:
         raise ValueError("dimension mismatch")
-    ineqs = []
-    for j in range(S.ambient_dim):
-        s = -1 if eps[j] else 1
-        coeffs = tuple(Fraction(s) * b[j] for b in S.basis)
-        const = Fraction(s) * S.particular[j]
-        if not any(coeffs):
-            if const <= 0:
-                return None
-            continue
-        ineqs.append((coeffs, const))
-    t = feasible_strict(ineqs, S.dim)
+    t = orthant_witness(S, eps)
     if t is None:
         return None
     X = S.point(t)
-    for j, x in enumerate(X):
-        if (x < 0) != bool(eps[j]) or x == 0:
-            raise AssertionError("Fourier-Motzkin witness failed recheck")
+    if not in_orthant(X, eps):
+        raise AssertionError("Fourier-Motzkin witness failed recheck")
     return X
 
 
@@ -528,20 +513,6 @@ def _mat_vec_int(M: list[list[int]], v: Sequence[int]) -> list[int]:
     return [sum(a * b for a, b in zip(row, v)) for row in M]
 
 
-def _factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def solve_multiplicative(
     M: Sequence[Sequence[int]], rhs: Sequence[Fraction]
 ) -> Optional[VecQ]:
@@ -551,6 +522,8 @@ def solve_multiplicative(
     through the Smith form; None means no rational solution exists (either
     inconsistent signs or a fractional power would be required).
     """
+    from sympy import factorint
+
     nr = len(M)
     nc = len(M[0]) if nr else 0
     rhs = [Fraction(r) for r in rhs]
@@ -570,10 +543,8 @@ def solve_multiplicative(
     primes: set[int] = set()
     vals: list[dict[int, int]] = []
     for q in rhs:
-        fac_n = _factor(q.numerator)
-        fac_d = _factor(q.denominator)
-        v = dict(fac_n)
-        for p, e in fac_d.items():
+        v = factorint(abs(q.numerator))
+        for p, e in factorint(q.denominator).items():
             v[p] = v.get(p, 0) - e
         vals.append(v)
         primes.update(v)

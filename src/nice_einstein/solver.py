@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import AffineSet, EnumerationCapExceeded, VecQ, feasible_strict
+from .linalg import (
+    AffineSet,
+    EnumerationCapExceeded,
+    VecQ,
+    feasible_strict,
+    in_orthant,
+    orthant_rows,
+    orthant_witness,
+)
 
 ORTHANT_CAP = 1 << 20
 NEWTON_STARTS = 32
@@ -182,11 +190,16 @@ def poly_pow(p: list[Fraction], e: int) -> list[Fraction]:
     return out
 
 
-def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(p):
-        out = out * x + c
-    return out
+def poly_monomial(polys: Sequence[list[Fraction]], exps: Sequence[int]):
+    """prod_j polys_j^exps_j as (numerator, denominator) polynomials."""
+    num = [Fraction(1)]
+    den = [Fraction(1)]
+    for poly, e in zip(polys, exps):
+        if e > 0:
+            num = poly_mul(num, poly_pow(poly, e))
+        elif e < 0:
+            den = poly_mul(den, poly_pow(poly, -e))
+    return num, den
 
 
 def poly_gcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
@@ -298,6 +311,15 @@ class PDecision:
     note: str = ""
 
 
+def abs_monomial(X: Sequence, a: Sequence[int]) -> Fraction:
+    """prod_j |X_j|^a_j, exactly."""
+    val = Fraction(1)
+    for x, aj in zip(X, a):
+        if aj:
+            val *= abs(Fraction(x)) ** aj
+    return val
+
+
 def _sign_of_exponents(a_row: Sequence[int], eps: Sequence[int]) -> int:
     par = 0
     for aj, e in zip(a_row, eps):
@@ -342,116 +364,69 @@ def decide_condition_p(
                 all_constant = False
     if all_constant:
         X0 = S.point(witness_t)
-        for a_row, r in zip(exponents, rhs):
-            val = Fraction(1)
-            for j in range(m):
-                val *= abs(X0[j]) ** a_row[j]
-            if val != r:
-                return PDecision(False, True, note="constant mismatch")
+        if any(abs_monomial(X0, a_row) != r for a_row, r in zip(exponents, rhs)):
+            return PDecision(False, True, note="constant mismatch")
         return PDecision(True, True, root_X=tuple(X0), root_is_rational=True,
                          note="constant")
 
-    # Remove the scale gauge: every solution ray meets |X_pin| = 1 once.
     work_S = S
     if scale_gauge:
         if any(x != 0 for x in S.particular):
             raise ValueError("scale_gauge needs S to be a cone (zero particular point)")
         if any(sum(a_row) != 0 for a_row in exponents):
             raise ValueError("scale_gauge needs scale-invariant exponents (zero row sums)")
-        pin = next(j for j in range(m) if any(fc.coeffs[j]))
-        target = Fraction(-1 if eps[pin] else 1)
-        sliced = _slice_coordinate(S, pin, target)
-        if sliced is not None:
-            work_S = sliced
+        work_S = gauge_slice(S, eps)
 
     if work_S.dim == 0:
         X = work_S.particular
-        if any((x < 0) != bool(e) or x == 0 for x, e in zip(X, eps)):
+        if not in_orthant(X, eps):
             return PDecision(False, True, note="slice point leaves orthant")
-        for a_row, r in zip(exponents, rhs):
-            val = Fraction(1)
-            for j in range(m):
-                val *= abs(X[j]) ** a_row[j]
-            if val != r:
-                return PDecision(False, True, note="point mismatch")
+        if any(abs_monomial(X, a_row) != r for a_row, r in zip(exponents, rhs)):
+            return PDecision(False, True, note="point mismatch")
         return PDecision(True, True, root_X=tuple(X), root_is_rational=True)
 
     if work_S.dim == 1:
         return _decide_univariate(work_S, eps, exponents, rhs)
 
-    if work_S is S:
-        wt = tuple(witness_t)
-    else:
-        wt = _witness_on(work_S, eps)
+    wt = tuple(witness_t) if work_S is S else orthant_witness(work_S, eps)
+    if wt is None:
+        raise RuntimeError("the gauge slice misses its orthant")
     return _newton_orthant(work_S, eps, exponents, rhs, wt, newton_seed)
 
 
-def _witness_on(S: AffineSet, eps: Sequence[int]) -> tuple[Fraction, ...]:
-    rows = []
-    for j in range(S.ambient_dim):
-        s = -1 if eps[j] else 1
-        coeffs = tuple(Fraction(s) * b[j] for b in S.basis)
-        const = Fraction(s) * S.particular[j]
-        if not any(coeffs):
-            continue
-        rows.append((coeffs, const))
-    t = feasible_strict(rows, S.dim)
-    if t is None:
-        raise RuntimeError("the gauge slice misses its orthant")
-    return tuple(t)
+def gauge_slice(S: AffineSet, eps: Sequence[int]) -> AffineSet:
+    """Remove the scale gauge of the cone S: cut it by |X_pin| = 1 on orthant eps.
 
-
-def _slice_coordinate(S: AffineSet, j: int, value: Fraction) -> Optional[AffineSet]:
-    """Intersect S with the hyperplane X_j = value, reparametrized."""
-    coeffs = [b[j] for b in S.basis]
-    pivot = next((i for i, c in enumerate(coeffs) if c != 0), None)
-    if pivot is None:
-        return None
+    X_pin is the first non-constant coordinate; every solution ray of a
+    scale-invariant system meets the slice once.
+    """
+    pin = next(j for j in range(S.ambient_dim) if any(b[j] for b in S.basis))
+    value = Fraction(-1 if eps[pin] else 1)
+    coeffs = [b[pin] for b in S.basis]
+    pivot = next(i for i, c in enumerate(coeffs) if c != 0)
     # t_pivot = (value - const - sum_{i != pivot} coeffs_i t_i) / coeffs_pivot
-    const = S.particular[j]
     cp = coeffs[pivot]
-    new_particular = list(S.particular)
     bp = S.basis[pivot]
-    f = (value - const) / cp
-    new_particular = [x + f * y for x, y in zip(new_particular, bp)]
-    new_basis = []
-    for i, b in enumerate(S.basis):
-        if i == pivot:
-            continue
-        g = coeffs[i] / cp
-        new_basis.append(tuple(x - g * y for x, y in zip(b, bp)))
-    return AffineSet(tuple(new_particular), tuple(new_basis))
-
-
-def _orthant_rows_1d(S: AffineSet, eps: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
-    rows = []
-    for j in range(S.ambient_dim):
-        s = -1 if eps[j] else 1
-        a = s * S.basis[0][j]
-        b = s * S.particular[j]
-        rows.append((a, b))
-    return rows
+    f = (value - S.particular[pin]) / cp
+    particular = tuple(x + f * y for x, y in zip(S.particular, bp))
+    basis = tuple(tuple(x - (coeffs[i] / cp) * y for x, y in zip(b, bp))
+                  for i, b in enumerate(S.basis) if i != pivot)
+    return AffineSet(particular, basis)
 
 
 def _decide_univariate(
     S: AffineSet, eps: Sequence[int], exponents, rhs
 ) -> PDecision:
-    rows = _orthant_rows_1d(S, eps)
-    interval = interval_of_constraints(rows)
+    interval = interval_of_constraints(
+        [(coeffs[0], const) for coeffs, const in orthant_rows(S, eps)])
     if interval is None:
         return PDecision(False, True, note="orthant misses slice")
     lo, hi = interval
-    # Each coordinate is linear in u: X_j = A_j u + B_j.
-    lin = [(S.basis[0][j], S.particular[j]) for j in range(S.ambient_dim)]
+    # Each coordinate is linear in u: X_j = B_j + A_j u.
+    lin = [[S.particular[j], S.basis[0][j]] for j in range(S.ambient_dim)]
     common: Optional[list[Fraction]] = None
     for a_row, r in zip(exponents, rhs):
-        num = [Fraction(1)]
-        den = [Fraction(1)]
-        for j, aj in enumerate(a_row):
-            if aj > 0:
-                num = poly_mul(num, poly_pow([lin[j][1], lin[j][0]], aj))
-            elif aj < 0:
-                den = poly_mul(den, poly_pow([lin[j][1], lin[j][0]], -aj))
+        num, den = poly_monomial(lin, a_row)
         s = _sign_of_exponents(a_row, eps)
         p = poly_sub(num, poly_mul([s * r], den))
         if not p:
@@ -570,18 +545,8 @@ def _newton_orthant(
     for combo in _product_capped(cands, 243):
         tq = tuple(combo)
         Xq = S.point(tq)
-        if any(x == 0 or (x < 0) != bool(e) for x, e in zip(Xq, eps)):
-            continue
-        good = True
-        for a_row, r in zip(exponents, rhs):
-            val = Fraction(1)
-            for j, aj in enumerate(a_row):
-                if aj:
-                    val *= abs(Xq[j]) ** aj
-            if val != r:
-                good = False
-                break
-        if good:
+        if in_orthant(Xq, eps) and all(
+                abs_monomial(Xq, a_row) == r for a_row, r in zip(exponents, rhs)):
             return PDecision(True, True, root_X=tuple(Xq), root_is_rational=True,
                              note="reconstructed")
     X = tuple(float(v) for v in X_of(t))

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from nice_einstein.cli import main
 
@@ -173,3 +176,20 @@ def test_tolerance_env_override(capsys, monkeypatch):
                         "--metric", "1,1,1,1,-1,1", "--lambda", "0")
     assert code == 0
     assert "tolerance 0.001" in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["631:6", "--k", "0"], "631_6_k0.json"),
+    (["741:6", "--param", "lambda=1/2", "--mode", "sigma", "--sigma", "(23)(45)"],
+     "741_6_sigma.json"),
+    (["93:86", "--k", "0", "--solve-param", "a"], "93_86_solve_a.txt"),
+])
+def test_einstein_json_pinned(capsys, argv, golden):
+    # The whole stdout, byte for byte: verdicts, certificates, float
+    # residuals and the solved parameter values.
+    code, out = run_cli(capsys, "einstein", *argv, "--out", "json")
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")

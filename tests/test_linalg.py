@@ -11,7 +11,6 @@ from nice_einstein.linalg import (
     EnumerationCapExceeded,
     MatF2,
     MatQ,
-    f2_in_image,
     f2_solve_all,
     kernel_basis,
     rank,
@@ -133,10 +132,10 @@ def test_f2_solve_all_cap():
         f2_solve_all(M2, [0])
 
 
-def test_f2_in_image():
+def test_f2_solve_all_image_membership():
     M2 = MatF2.from_rows([[1, 0], [0, 1], [1, 1]])
-    assert f2_in_image(M2, [1, 0, 1])
-    assert not f2_in_image(M2, [1, 0, 0])
+    assert f2_solve_all(M2, [1, 0, 1]) == [(1, 0)]
+    assert f2_solve_all(M2, [1, 0, 0]) == []
 
 
 def test_strict_sign_631_6(algebras):
