@@ -1,7 +1,7 @@
 """Diagonal and sigma-diagonal Einstein metrics on nice nilpotent Lie algebras.
 
-Exact arithmetic throughout the decision pipeline, a float Newton layer for
-the few genuinely nonlinear cases, and an independent curvature oracle that
+Exact arithmetic throughout the decision pipeline (lex Groebner bases for
+the nonlinear exponent condition), and an independent curvature oracle that
 verifies every certificate.
 """
 

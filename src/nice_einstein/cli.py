@@ -48,9 +48,9 @@ from .diagram import (
 from .einstein import (
     DEFAULT_TOL,
     ClassificationResult,
+    _parameter_results,
     diagonal_einstein,
     format_delta,
-    parameter_solve,
     sigma_einstein,
 )
 from .linalg import f2_rank, kernel_basis, rank
@@ -292,13 +292,10 @@ def cmd_einstein(args) -> int:
     if args.solve_param:
         sigma = parse_permutation(args.sigma, fam.n) if args.sigma else None
         work = fam.partial({n: v for n, v in params.items() if n != args.solve_param})
-        sols = parameter_solve(work, sigma=sigma, k=k, tol=tol)
+        sols = _parameter_results(work, sigma, k, tol)
         print(f"solved {args.solve_param}: "
-              + ("{ " + ", ".join(_fmt_frac(s) for s in sols) + " }" if sols else "none"))
-        for s in sols:
-            alg = work.substitute({args.solve_param: s})
-            res = (sigma_einstein(alg, sigma, k, tol) if sigma is not None
-                   else diagonal_einstein(alg, k, tol))
+              + ("{ " + ", ".join(_fmt_frac(s) for s, _ in sols) + " }" if sols else "none"))
+        for s, res in sols:
             records.append(result_record(res, dict(params, **{args.solve_param: s})))
         _emit_records(records, args.out)
         if args.timings:

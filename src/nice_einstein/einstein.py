@@ -3,9 +3,10 @@
 The decision pipeline follows the four conditions: linear solvability of
 the weight system, avoidance of the coordinate hyperplanes, a mod-2 sign
 compatibility, and a multiplicative condition on kernel exponents.  Sign
-patterns are enumerated exactly; the nonlinear condition is decided exactly
-where it degenerates (constant or univariate) and by verified multi-start
-Newton otherwise.  Every certificate carries the residual of the
+patterns are enumerated exactly; the nonlinear condition is decided exactly,
+directly where it degenerates and otherwise by a lex Groebner basis of the
+cleared system (`solver._p_basis`), which also yields the candidate values
+of a family parameter.  Every certificate carries the residual of the
 independent curvature oracle.
 """
 
@@ -29,26 +30,19 @@ from .linalg import (
     f2_solve_all,
     in_orthant,
     kernel_basis,
-    orthant_witness,
     solve_affine,
     symmetric_signature,
     solve_multiplicative,
 )
 from .solver import (
-    Orthant,
-    _pick_in_interval,
-    _rational_candidates,
+    _eliminant_roots,
+    _p_basis,
+    _sign_of_exponents,
     abs_monomial,
     classify_functionals,
     decide_condition_p,
     feasible_orthants,
     gauge_slice,
-    poly_gcd,
-    poly_monomial,
-    poly_mul,
-    poly_sub,
-    real_roots,
-    root_in_open_interval,
 )
 
 DEFAULT_TOL = 1e-9
@@ -534,7 +528,7 @@ class _Search:
     blockers: set = field(default_factory=set)
     blocker_notes: dict = field(default_factory=dict)
     inexact: bool = False
-    seed: int = 0
+    bases: dict = field(default_factory=dict)   # decide_condition_p's memo
     warnings: list = field(default_factory=list)
 
     def block(self, cond: str, note: str) -> None:
@@ -653,11 +647,10 @@ def _explore(ctx: _Search, extra_rows: list, extra_rhs: list,
         if not deltas:
             ctx.block("L", "a feasible sign pattern is not attainable mod 2")
             continue
-        ctx.seed += 1
         dec = decide_condition_p(
             aff, o.eps, o.witness_t,
             [sy.alphas[ei] for ei in rest], [sy.p_rhs[ei] for ei in rest],
-            scale_gauge, newton_seed=ctx.seed)
+            scale_gauge, memo=ctx.bases)
         if dec.solvable:
             ctx.winners.append(_Winner(o.eps, deltas, dec, scale_gauge))
         else:
@@ -813,13 +806,20 @@ def parameter_solve(
 ) -> list[Fraction]:
     """Parameter values at which the family admits the requested metric.
 
-    The family must have exactly one unresolved parameter; it is treated as
-    an extra unknown of the exponent condition, solved per orthant and per
-    sign region of the parameter, and every candidate value is re-validated
+    The family must have exactly one unresolved parameter u.  In each sign
+    region of u (between the roots of the affine coefficients) and on each
+    orthant, u joins the exponent condition as one more variable of its lex
+    Groebner basis; the candidates are the rational roots in the region of
+    the basis's univariate eliminant in u.  Every candidate is re-validated
     by running the exact pipeline on the substituted algebra.  Regions on
     which the condition holds identically (families Einstein for every
     parameter value) contribute no isolated values.
     """
+    return [u for u, _ in _parameter_results(family, sigma, k, tol)]
+
+
+def _parameter_results(family, sigma, k, tol) -> list[tuple[Fraction, ClassificationResult]]:
+    """(value, classification) for each confirmed value of `parameter_solve`."""
     k = Fraction(k)
     params = family.params()
     if len(params) != 1:
@@ -844,15 +844,12 @@ def parameter_solve(
         regions.append((pts[-1], None))
 
     found: set[Fraction] = set()
-    irrational_notes: list[str] = []
     for lo, hi in regions:
-        sample = _pick_in_interval(lo, hi)
         try:
-            probe = family.substitute({pname: sample})
+            probe = family.substitute({pname: _pick_in_interval(lo, hi)})
         except Exception:
             continue
-        for u in _solve_region(probe, family, pname, sigma, k, lo, hi, sample):
-            found.add(u)
+        found.update(_solve_region(probe, family, pname, sigma, k, lo, hi))
 
     confirmed = []
     for u in sorted(found):
@@ -860,159 +857,47 @@ def parameter_solve(
         res = (diagonal_einstein(alg, k, tol) if sigma is None
                else sigma_einstein(alg, sigma, k, tol))
         if res.success:
-            confirmed.append(u)
+            confirmed.append((u, res))
     return confirmed
 
 
+def _pick_in_interval(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
+    if lo is None and hi is None:
+        return Fraction(1)
+    if lo is None:
+        return hi - 1
+    if hi is None:
+        return lo + 1
+    return (lo + hi) / 2
+
+
 def _solve_region(probe: NiceLieAlgebra, family, pname, sigma, k,
-                  lo, hi, sample) -> list[Fraction]:
-    """Candidate parameter values in one sign region (exact where possible)."""
+                  lo, hi) -> list[Fraction]:
+    """Candidate parameter values in one sign region, exactly."""
     sy = _build_systems(probe, k, sigma)
     if sy is None or sy.aff is None or sy.zero:
         return []
     aff, alphas = sy.aff, sy.alphas
-    orthants = feasible_orthants(aff)
     scale_invariant = (k == 0) and all(sum(r) == 0 for r in alphas)
 
     # Coefficients of the family at the arrow order (affine in the parameter).
-    order = probe.indices()
     coeff_of = {(i, j, t): coeff for (i, j, t, coeff) in family.terms}
-    c_affine = [coeff_of[idxv] for idxv in order]
-    c_polys = [_affine_poly(cf, pname) for cf in c_affine]
+    c_affine = tuple((cf.const, dict(cf.linear).get(pname, Fraction(0)))
+                     for cf in (coeff_of[idx] for idx in probe.indices()))
 
-    out: list[Fraction] = []
-    for seed, o in enumerate(orthants):
+    out: set[Fraction] = set()
+    seen = set()
+    for o in feasible_orthants(aff):
         if not sy.deltas(o.eps):
             continue
-        # Reduce the X side exactly as in the fixed-parameter pipeline.
         work = aff
         if scale_invariant and aff.dim >= 1:
             work = gauge_slice(aff, o.eps)
-        if work.dim == 0:
-            X0 = work.particular
-            if not in_orthant(X0, o.eps):
-                continue
-            # Univariate polynomial system in the parameter.
-            common = None
-            sat = True
-            for a_row in alphas:
-                num, den = poly_monomial(c_polys, [2 * aj for aj in a_row])
-                p = poly_sub(poly_mul([abs_monomial(X0, a_row)], den), num)
-                if not p:
-                    continue
-                if len(p) == 1:
-                    sat = False
-                    break
-                common = p if common is None else poly_gcd(common, p)
-                if len(common) == 1:
-                    sat = False
-                    break
-            if not sat:
-                continue
-            if common is None:
-                continue  # satisfied for the whole region: nothing to pin down
-            for rt in real_roots(common):
-                if not root_in_open_interval(rt, lo, hi):
-                    continue
-                if rt.rational is not None:
-                    out.append(rt.rational)
-        else:
-            out.extend(_newton_parameter(work, o, alphas, c_affine, pname,
-                                         lo, hi, sample, seed))
-    return out
-
-
-def _affine_poly(coeff, pname) -> list[Fraction]:
-    lin = dict(coeff.linear)
-    return [coeff.const, lin.get(pname, Fraction(0))]
-
-
-def _newton_parameter(work: AffineSet, o: Orthant, alphas, c_affine, pname,
-                      lo, hi, sample, seed) -> list[Fraction]:
-    """Joint Newton in (t, u); returns exactly reconstructed parameter values."""
-    import numpy as np
-
-    m = work.ambient_dim
-    p = work.dim
-    B = np.array([[float(b[j]) for b in work.basis] for j in range(m)])
-    x0 = np.array([float(x) for x in work.particular])
-    A = np.array([[float(x) for x in row] for row in alphas])
-    sgn = np.array([-1.0 if e else 1.0 for e in o.eps])
-    cp = np.array([float(c.const) for c in c_affine])
-    cq = np.array([float(dict(c.linear).get(pname, 0)) for c in c_affine])
-    lo_f = -math.inf if lo is None else float(lo)
-    hi_f = math.inf if hi is None else float(hi)
-
-    wt = orthant_witness(work, o.eps)
-    if wt is None:
-        raise RuntimeError("a feasible orthant lost its strict witness")
-    w0 = np.array([float(v) for v in wt] + [float(sample)])
-
-    def split(z):
-        return z[:p], z[p]
-
-    def ok(z):
-        t, u = split(z)
-        X = x0 + B @ t
-        if not np.all(sgn * X > 1e-300):
-            return False
-        if not (lo_f < u < hi_f):
-            return False
-        return np.all(np.abs(cp + cq * u) > 1e-300)
-
-    def F_of(z):
-        t, u = split(z)
-        X = x0 + B @ t
-        cvals = cp + cq * u
-        return A @ (np.log(np.abs(X)) - 2 * np.log(np.abs(cvals)))
-
-    def J_of(z):
-        t, u = split(z)
-        X = x0 + B @ t
-        cvals = cp + cq * u
-        Jt = (A / X) @ B
-        Ju = (A @ (-2 * cq / cvals)).reshape(-1, 1)
-        return np.hstack([Jt, Ju])
-
-    rng = np.random.default_rng(77000 + seed)
-    roots = []
-    for trial in range(32):
-        if trial == 0:
-            z = w0.copy()
-        else:
-            z = w0 + rng.normal(size=p + 1) * (10.0 ** rng.uniform(-1, 1)) * (1 + np.abs(w0))
-            mu = 1.0
-            while not ok(z) and mu > 1e-8:
-                mu *= 0.5
-                z = w0 + mu * (z - w0)
-            if not ok(z):
-                continue
-        for _ in range(150):
-            F = F_of(z)
-            res = float(np.max(np.abs(F)))
-            if res < 1e-12:
-                break
-            J = J_of(z)
-            try:
-                step = np.linalg.lstsq(J, -F, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                break
-            lam = 1.0
-            while lam > 1e-12:
-                zn = z + lam * step
-                if ok(zn) and float(np.max(np.abs(F_of(zn)))) < res:
-                    break
-                lam *= 0.5
-            else:
-                break
-            z = zn
-        if not ok(z) or float(np.max(np.abs(F_of(z)))) > 1e-10:
+        if work.dim == 0 and not in_orthant(work.particular, o.eps):
             continue
-        u = float(z[p])
-        for cand in _rational_candidates(u):
-            if lo is not None and not cand > lo:
-                continue
-            if hi is not None and not cand < hi:
-                continue
-            roots.append(cand)
-    return sorted(set(roots))
+        signs = tuple(_sign_of_exponents(a_row, o.eps) for a_row in alphas)
+        if (work, signs) in seen:
+            continue
+        seen.add((work, signs))
+        out.update(_eliminant_roots(_p_basis(work, signs, alphas, c=c_affine), lo, hi))
+    return sorted(out)

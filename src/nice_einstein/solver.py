@@ -1,15 +1,16 @@
 """Orthant enumeration and the nonlinear kernel-exponent condition.
 
 Internal machinery for the Einstein pipeline.  The sign-feasibility layer
-and everything it reports is exact; the polynomial condition is decided
-exactly whenever it reduces to a constant or to one variable (after the
-scale gauge is removed for k = 0), and by seeded multi-start damped Newton
-in log coordinates otherwise.
+and everything it reports is exact.  The polynomial condition is exact too:
+directly when it is constant on the orthant or its slice (the scale gauge
+removed for k = 0) is a point, and otherwise by one lex Groebner basis of
+the system with cleared denominators and a Rabinowitsch variable (sympy),
+whose real points are listed exactly.  The same basis, with the family
+parameter as one more variable, gives the candidate parameter values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -20,14 +21,11 @@ from .linalg import (
     VecQ,
     feasible_strict,
     in_orthant,
-    orthant_rows,
     orthant_witness,
 )
 
 ORTHANT_CAP = 1 << 20
-NEWTON_STARTS = 32
-NEWTON_TOL = 1e-12
-RECONSTRUCT_DENOMINATOR_BOUND = 10**6
+CUT_LIMIT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -152,151 +150,6 @@ def feasible_orthants(S: AffineSet, cap: int = ORTHANT_CAP) -> list[Orthant]:
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials over Q (dense, ascending coefficients)
-
-
-def poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b != 0:
-                out[i + j] += a * b
-    return poly_trim(out)
-
-
-def poly_sub(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] -= b
-    return poly_trim(out)
-
-
-def poly_pow(p: list[Fraction], e: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for _ in range(e):
-        out = poly_mul(out, p)
-    return out
-
-
-def poly_monomial(polys: Sequence[list[Fraction]], exps: Sequence[int]):
-    """prod_j polys_j^exps_j as (numerator, denominator) polynomials."""
-    num = [Fraction(1)]
-    den = [Fraction(1)]
-    for poly, e in zip(polys, exps):
-        if e > 0:
-            num = poly_mul(num, poly_pow(poly, e))
-        elif e < 0:
-            den = poly_mul(den, poly_pow(poly, -e))
-    return num, den
-
-
-def poly_gcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    a, b = [list(p), list(q)]
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def poly_divmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(rem) >= len(q):
-        f = rem[-1] / q[-1]
-        d = len(rem) - len(q)
-        quot[d] = f
-        for i, c in enumerate(q):
-            rem[i + d] -= f * c
-        poly_trim(rem)
-        if not rem:
-            break
-    return poly_trim(quot), rem
-
-
-@dataclass(frozen=True)
-class RealRoot:
-    value_float: float
-    rational: Optional[Fraction]   # exact value when the root is rational
-    sym: object                    # sympy expression for exact comparisons
-
-
-def real_roots(p: Sequence[Fraction]) -> list[RealRoot]:
-    """Distinct real roots of p, exactly (sympy isolation underneath)."""
-    import sympy
-
-    if len(p) <= 1:
-        raise ValueError("constant polynomial has no well-defined root set")
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], x)
-    out = []
-    for r in set(sympy.real_roots(poly)):
-        if r.is_rational:
-            q = Fraction(int(sympy.numer(r)), int(sympy.denom(r)))
-            out.append(RealRoot(float(q), q, r))
-        else:
-            out.append(RealRoot(float(r.evalf(30)), None, r))
-    out.sort(key=lambda rr: rr.value_float)
-    return out
-
-
-def root_in_open_interval(root: RealRoot, lo, hi) -> bool:
-    """Exact comparison of a RealRoot against rational/None (=infinite) bounds."""
-    import sympy
-
-    if root.rational is not None:
-        v = root.rational
-        if lo is not None and not v > lo:
-            return False
-        if hi is not None and not v < hi:
-            return False
-        return True
-    v = root.sym
-    if lo is not None and not bool(v > sympy.Rational(lo.numerator, lo.denominator)):
-        return False
-    if hi is not None and not bool(v < sympy.Rational(hi.numerator, hi.denominator)):
-        return False
-    return True
-
-
-def interval_of_constraints(
-    rows: list[tuple[Fraction, Fraction]]
-) -> Optional[tuple[Optional[Fraction], Optional[Fraction]]]:
-    """Intersection of strict constraints a*u + b > 0; None when empty."""
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    for a, b in rows:
-        if a == 0:
-            if b <= 0:
-                return None
-        elif a > 0:
-            bound = -b / a
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            bound = -b / a
-            hi = bound if hi is None else min(hi, bound)
-    if lo is not None and hi is not None and lo >= hi:
-        return None
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
 # The exponent condition on one orthant
 
 
@@ -335,14 +188,20 @@ def decide_condition_p(
     exponents: Sequence[Sequence[int]],
     rhs: Sequence[Fraction],
     scale_gauge: bool,
-    newton_seed: int = 0,
+    memo: Optional[dict] = None,
 ) -> PDecision:
     """Does some X in S with sign pattern eps satisfy |X|^a_i = rhs_i for all i?
 
     `exponents` are integer vectors a_i, `rhs` positive rationals.  Exact
-    when the system is constant on the orthant or reduces to one variable;
-    multi-start Newton otherwise.  `scale_gauge` requires S to be a cone
-    and the system scale invariant, so one coordinate may be pinned to +-1.
+    when the system is constant on the orthant or its slice is a point;
+    otherwise decided by one lex Groebner basis of the cleared system
+    (`_p_basis`), whose real points are listed exactly.  Only a
+    positive-dimensional variety on which no hyperplane cut through the
+    witness finds a point, or a zero-dimensional basis out of shape
+    position, gives a numeric-grade negative (`exact=False`).
+    `scale_gauge` requires S to be a cone and the system scale invariant,
+    so one coordinate may be pinned to +-1.  `memo` (a dict) shares the
+    bases between the orthants of one search.
     """
     if not exponents:
         X = S.point(witness_t)
@@ -385,13 +244,41 @@ def decide_condition_p(
             return PDecision(False, True, note="point mismatch")
         return PDecision(True, True, root_X=tuple(X), root_is_rational=True)
 
-    if work_S.dim == 1:
-        return _decide_univariate(work_S, eps, exponents, rhs)
-
-    wt = tuple(witness_t) if work_S is S else orthant_witness(work_S, eps)
-    if wt is None:
-        raise RuntimeError("the gauge slice misses its orthant")
-    return _newton_orthant(work_S, eps, exponents, rhs, wt, newton_seed)
+    memo = {} if memo is None else memo
+    signs = tuple(_sign_of_exponents(a_row, eps) for a_row in exponents)
+    key = (work_S, signs, tuple(map(tuple, exponents)), tuple(rhs))
+    if key not in memo:
+        G = _p_basis(work_S, signs, exponents, rhs)
+        memo[key] = (G, _real_points(G, work_S) if G.is_zero_dimensional else None)
+    G, points = memo[key]
+    want = tuple(-1 if e else 1 for e in eps)
+    if G.exprs == [1]:
+        return PDecision(False, True, note="Groebner basis {1}")
+    if G.is_zero_dimensional:
+        if points is None:
+            return PDecision(False, False, note="zero-dimensional basis not in shape position")
+        note = ""
+    else:
+        wt = tuple(witness_t) if work_S is S else orthant_witness(work_S, eps)
+        if wt is None:
+            raise RuntimeError("the gauge slice misses its orthant")
+        points = _cut_points(G, work_S, want, wt)
+        if not points:
+            return PDecision(False, False, note=(
+                "positive-dimensional variety: no real point found on "
+                "hyperplane cuts through the witness"))
+        note = "hyperplane cut"
+    inside = [pt for pt in points if pt.signs == want]
+    if not inside:
+        return PDecision(False, True, note="no real point in orthant")
+    pt = next((pt for pt in inside if pt.rational), None)
+    if pt is None:
+        return PDecision(True, True, root_X=inside[0].X, root_is_rational=False,
+                         note="irrational root")
+    if not in_orthant(pt.X, eps) or any(
+            abs_monomial(pt.X, a_row) != r for a_row, r in zip(exponents, rhs)):
+        raise RuntimeError("an exact point of the P system failed its recheck")
+    return PDecision(True, True, root_X=pt.X, root_is_rational=True, note=note)
 
 
 def gauge_slice(S: AffineSet, eps: Sequence[int]) -> AffineSet:
@@ -414,162 +301,217 @@ def gauge_slice(S: AffineSet, eps: Sequence[int]) -> AffineSet:
     return AffineSet(particular, basis)
 
 
-def _decide_univariate(
-    S: AffineSet, eps: Sequence[int], exponents, rhs
-) -> PDecision:
-    interval = interval_of_constraints(
-        [(coeffs[0], const) for coeffs, const in orthant_rows(S, eps)])
-    if interval is None:
-        return PDecision(False, True, note="orthant misses slice")
-    lo, hi = interval
-    # Each coordinate is linear in u: X_j = B_j + A_j u.
-    lin = [[S.particular[j], S.basis[0][j]] for j in range(S.ambient_dim)]
-    common: Optional[list[Fraction]] = None
-    for a_row, r in zip(exponents, rhs):
-        num, den = poly_monomial(lin, a_row)
-        s = _sign_of_exponents(a_row, eps)
-        p = poly_sub(num, poly_mul([s * r], den))
-        if not p:
-            continue
-        if len(p) == 1:
-            return PDecision(False, True, note="inconsistent constant equation")
-        common = p if common is None else poly_gcd(common, p)
-        if len(common) == 1:
-            return PDecision(False, True, note="no common root")
-    if common is None:
-        u = _pick_in_interval(lo, hi)
-        X = S.point((u,))
-        return PDecision(True, True, root_X=tuple(X), root_is_rational=True,
-                         note="identically satisfied on slice")
-    roots = [rt for rt in real_roots(common) if root_in_open_interval(rt, lo, hi)]
-    if not roots:
-        return PDecision(False, True, note="no root in orthant")
-    for rt in roots:
-        if rt.rational is not None:
-            X = S.point((rt.rational,))
-            return PDecision(True, True, root_X=tuple(X), root_is_rational=True)
-    u = roots[0].value_float
-    X = tuple(float(S.particular[j]) + float(S.basis[0][j]) * u
-              for j in range(S.ambient_dim))
-    return PDecision(True, True, root_X=X, root_is_rational=False,
-                     note="irrational root")
-
-
-def _pick_in_interval(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
-    if lo is None and hi is None:
-        return Fraction(1)
-    if lo is None:
-        return hi - 1
-    if hi is None:
-        return lo + 1
-    return (lo + hi) / 2
-
-
 # ---------------------------------------------------------------------------
-# Newton fallback (floats, numpy)
+# The cleared P system and its lex Groebner basis (sympy)
 
 
-def _newton_orthant(
-    S: AffineSet, eps, exponents, rhs, witness_t: Sequence[Fraction], seed: int
-) -> PDecision:
-    import numpy as np
+def _p_basis(S: AffineSet, signs: Sequence[int], exponents: Sequence[Sequence[int]],
+            rhs: Sequence[Fraction] = (), c: Optional[Sequence[tuple]] = None):
+    """Lex Groebner basis of prod_j X_j^a_ij = signs_i * rhs_i with X = S.point(t).
 
-    m = S.ambient_dim
+    On the orthant eps with signs_i = prod_j sign(X_j)^a_ij this is
+    |X|^a_i = rhs_i with denominators cleared.  The generators are
+    (z, t_0, ..., t_{p-1}) in lex order, z the Rabinowitsch variable of
+    z * prod_j X_j = 1 over the coordinates the equations use, so no such
+    X_j vanishes on the variety.  With `c`, one (const, slope) pair per
+    coordinate, the right-hand sides are instead prod_j c_j(u)^(2 a_ij)
+    for c_j(u) = const_j + slope_j * u; u is one more generator, last, and
+    the c_j(u) of the used coordinates join the Rabinowitsch product.
+    """
+    import sympy
+
     p = S.dim
-    B = np.array([[float(b[j]) for b in S.basis] for j in range(m)])  # m x p
-    x0 = np.array([float(x) for x in S.particular])
-    A = np.array([[float(a) for a in row] for row in exponents])      # q x m
-    logr = np.array([math.log(float(r)) for r in rhs])
-    sgn = np.array([-1.0 if e else 1.0 for e in eps])
-    w = np.array([float(v) for v in witness_t])
+    gens = (sympy.Symbol("z"), *sympy.symbols(f"t:{p}"),
+            *((sympy.Symbol("u"),) if c is not None else ()))
+    ts, one = gens[1:1 + p], sympy.Poly(1, *gens, domain=sympy.QQ)
 
-    def X_of(t):
-        return x0 + B @ t
+    def affine(const, terms):  # const + sum_i k_i x_i
+        return sympy.Poly(_rat(const) + sum(_rat(k) * x for k, x in terms),
+                          *gens, domain=sympy.QQ)
 
-    def ok(t):
-        X = X_of(t)
-        return np.all(sgn * X > 1e-300)
-
-    def F_of(t):
-        X = X_of(t)
-        return A @ np.log(np.abs(X)) - logr
-
-    def J_of(t):
-        X = X_of(t)
-        return (A / X) @ B
-
-    rng = np.random.default_rng(20240 + seed)
-    best = None
-    for trial in range(NEWTON_STARTS):
-        if trial == 0:
-            t = w.copy()
-        else:
-            scale = 10.0 ** rng.uniform(-1.0, 1.5)
-            t = w + rng.normal(size=p) * scale * (1.0 + np.abs(w))
-            # pull back toward the witness until inside the orthant
-            mu = 1.0
-            while not ok(t) and mu > 1e-8:
-                mu *= 0.5
-                t = w + mu * (t - w)
-            if not ok(t):
-                continue
-        for _ in range(120):
-            F = F_of(t)
-            res = float(np.max(np.abs(F)))
-            if res < NEWTON_TOL:
-                break
-            J = J_of(t)
-            try:
-                step = np.linalg.lstsq(J, -F, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                break
-            lam = 1.0
-            while lam > 1e-12:
-                tn = t + lam * step
-                if ok(tn) and float(np.max(np.abs(F_of(tn)))) < res * (1 - 1e-4 * lam) + 1e-18:
-                    break
-                lam *= 0.5
-            else:
-                break
-            t = tn
-        if ok(t):
-            res = float(np.max(np.abs(F_of(t))))
-            if best is None or res < best[0]:
-                best = (res, t.copy())
-    if best is None or best[0] > NEWTON_TOL:
-        note = "no Newton convergence" if best is None else f"best residual {best[0]:.2e}"
-        return PDecision(False, False, note=note)
-    t = best[1]
-    # Try exact reconstruction coordinate by coordinate.
-    cands = [_rational_candidates(v) for v in t]
-    for combo in _product_capped(cands, 243):
-        tq = tuple(combo)
-        Xq = S.point(tq)
-        if in_orthant(Xq, eps) and all(
-                abs_monomial(Xq, a_row) == r for a_row, r in zip(exponents, rhs)):
-            return PDecision(True, True, root_X=tuple(Xq), root_is_rational=True,
-                             note="reconstructed")
-    X = tuple(float(v) for v in X_of(t))
-    return PDecision(True, False, root_X=X, root_is_rational=False,
-                     note=f"numeric root, residual {best[0]:.2e}")
+    X = [affine(S.particular[j], zip((b[j] for b in S.basis), ts))
+         for j in range(S.ambient_dim)]
+    cu = None if c is None else [affine(k0, [(k1, gens[-1])]) for k0, k1 in c]
+    used = [j for j in range(S.ambient_dim) if any(a_row[j] for a_row in exponents)]
+    polys = []
+    for i, a_row in enumerate(exponents):
+        sides = [one, one]                   # prod X^a+ and prod X^a-
+        rsides = [one * _rat(rhs[i]), one] if c is None else [one, one]
+        for j in used:
+            aj = a_row[j]
+            if aj:
+                sides[aj < 0] *= X[j] ** abs(aj)
+                if cu is not None:
+                    rsides[aj < 0] *= cu[j] ** (2 * abs(aj))
+        polys.append(sides[0] * rsides[1] - signs[i] * rsides[0] * sides[1])
+    nonzero = one * gens[0]
+    for j in used:
+        nonzero *= X[j] if cu is None else X[j] * cu[j]
+    polys.append(nonzero - 1)
+    return sympy.groebner(polys, *gens, order="lex")
 
 
-def _rational_candidates(v: float, max_den: int = RECONSTRUCT_DENOMINATOR_BOUND) -> list[Fraction]:
+def _rat(x):
+    import sympy
+
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _eliminant_roots(G, lo: Optional[Fraction], hi: Optional[Fraction]) -> list[Fraction]:
+    """Rational roots in (lo, hi) of the univariate eliminant in the last generator.
+
+    Empty when G is {1} or when the ideal meets Q[last] only in 0.
+    """
+    last = G.gens[-1]
+    f = G.exprs[-1]
+    if f.free_symbols != {last}:
+        return []
     out = []
-    f = Fraction(v)
-    for bound in (1, 12, 1000, max_den):
-        q = f.limit_denominator(bound)
-        if abs(float(q) - v) < 1e-6 and q not in out:
-            out.append(q)
-    return out or [f.limit_denominator(max_den)]
+    for q, _ in _univariate(f, last).factor_list()[1]:
+        if q.degree() == 1:
+            r = _frac(-q.nth(0) / q.nth(1))
+            if (lo is None or r > lo) and (hi is None or r < hi):
+                out.append(r)
+    return sorted(out)
 
 
-def _product_capped(lists, cap):
-    from itertools import product as iproduct
+def _univariate(expr, x):
+    import sympy
 
-    count = 1
-    for l in lists:
-        count *= max(1, len(l))
-    if count > cap:
-        lists = [l[:1] for l in lists]
-    return iproduct(*lists)
+    return sympy.Poly(expr, x, domain=sympy.QQ)
+
+
+def _frac(r) -> Fraction:
+    return Fraction(int(r.p), int(r.q))
+
+
+@dataclass(frozen=True)
+class _RealPoint:
+    X: tuple                       # exact Fractions when rational, else floats
+    rational: bool
+    signs: tuple[int, ...]         # exact sign of each X_j: -1, 0 or 1
+    value_float: float             # the last generator, for ordering
+
+
+def _real_points(G, S: AffineSet) -> Optional[list[_RealPoint]]:
+    """Real points of a zero-dimensional lex basis, ascending in the last t.
+
+    The basis must be in shape position (t_i = g_i(v), f(v) = 0 for the
+    last generator v); otherwise one separating form v = sum_i (i+1) t_i is
+    added and the basis recomputed.  None when that is not in shape
+    position either.  Each point carries the exact signs of X, decided for
+    irrational roots by bisection on an isolating interval.
+    """
+    import sympy
+
+    gens = tuple(G.gens)
+    shape = _shape(G.exprs, gens)
+    if shape is None:
+        ts = gens[1:1 + S.dim]
+        w = sympy.Symbol("w")
+        gens = gens + (w,)
+        H = sympy.groebner(list(G.exprs) + [w - sum((i + 1) * t for i, t in enumerate(ts))],
+                           *gens, order="lex")
+        shape = _shape(H.exprs, gens)
+        if shape is None:
+            return None
+    v, f, tpolys = shape
+    tpolys = tpolys[:S.dim]
+    Xpolys = [sum((tp * _rat(b[j]) for tp, b in zip(tpolys, S.basis)),
+                  _univariate(_rat(S.particular[j]), v)) for j in range(S.ambient_dim)]
+    out = []
+    for q, _ in f.factor_list()[1]:
+        if q.degree() == 1:
+            r = _frac(-q.nth(0) / q.nth(1))
+            X = S.point(tuple(_frac(tp.eval(_rat(r))) for tp in tpolys))
+            out.append(_RealPoint(X, True, tuple((x > 0) - (x < 0) for x in X), float(r)))
+            continue
+        # q is irreducible of degree >= 2: all its real roots are irrational
+        roots = sorted(set(sympy.real_roots(q)), key=lambda r: float(r.evalf(30)))
+        intervals = sorted(iv for iv, _ in q.intervals())
+        if len(roots) != len(intervals):
+            raise RuntimeError("real root isolation disagrees with the root list")
+        for root, (a, b) in zip(roots, intervals):
+            tf = [float(tp.as_expr().subs(v, root).evalf(30)) for tp in tpolys]
+            X = []
+            for j in range(S.ambient_dim):
+                x = float(S.particular[j])
+                for tfi, bv in zip(tf, S.basis):
+                    x += float(bv[j]) * tfi
+                X.append(x)
+            signs = tuple(_sign_at_root(h, q, a, b) for h in Xpolys)
+            out.append(_RealPoint(tuple(X), False, signs, float(root.evalf(30))))
+    out.sort(key=lambda pt: pt.value_float)
+    return out
+
+
+def _shape(exprs, gens):
+    """(v, f, [g_i]) when exprs = [c_i (x_i - g_i(v))]..., f(v) with v = gens[-1], else None."""
+    v = gens[-1]
+    if len(exprs) != len(gens) or exprs[-1].free_symbols != {v}:
+        return None
+    tpolys = []
+    for e, x in zip(exprs[:-1], gens[:-1]):
+        lead = e.coeff(x)
+        rest = e - lead * x
+        if not (lead.is_number and lead != 0 and rest.free_symbols <= {v}):
+            return None
+        tpolys.append(_univariate(-rest / lead, v))
+    # t_0, ... without z, then v: the last t, or the separating form
+    tpolys = tpolys[1:] + [_univariate(v, v)]
+    return v, _univariate(exprs[-1], v), tpolys
+
+
+def _sign_at_root(h, q, a, b) -> int:
+    """Sign of h at the root of the irreducible q isolated by the open (a, b)."""
+    h = h.rem(q)
+    if h.is_zero:
+        return 0
+    qa = q.eval(a) < 0
+    while h.count_roots(a, b):
+        mid = (a + b) / 2
+        if (q.eval(mid) < 0) == qa:
+            a = mid
+        else:
+            b = mid
+    return 1 if h.eval(a) > 0 else -1
+
+
+def _cut_points(G, S: AffineSet, want: tuple[int, ...],
+                witness_t: Sequence[Fraction]) -> list[_RealPoint]:
+    """Real points of a positive-dimensional basis on hyperplanes through a witness.
+
+    Adds hyperplanes n.(t - witness) = 0, n from e_i, e_i - e_j and e_i + e_j
+    in turn, until the cut is zero-dimensional, and returns its real points
+    once some lie in the orthant `want`.  Stops after CUT_LIMIT bases; an
+    empty result proves nothing.
+    """
+    import sympy
+
+    gens = tuple(G.gens)
+    ts = gens[1:1 + S.dim]
+    p = len(ts)
+    normals = [{i: 1} for i in range(p)]
+    normals += [{i: 1, j: s} for i in range(p) for j in range(i + 1, p) for s in (-1, 1)]
+    budget = CUT_LIMIT
+
+    def walk(exprs, used):
+        nonlocal budget
+        for k, n in enumerate(normals):
+            if k in used or budget == 0:
+                continue
+            budget -= 1
+            plane = sum(s * (ts[i] - _rat(witness_t[i])) for i, s in n.items())
+            H = sympy.groebner(list(exprs) + [plane], *gens, order="lex")
+            if H.exprs == [1]:
+                continue
+            if not H.is_zero_dimensional:
+                found = walk(H.exprs, used | {k})
+            else:
+                found = _real_points(H, S) or []
+            if any(pt.signs == want for pt in found):
+                return found
+        return []
+
+    return walk(G.exprs, frozenset())

@@ -77,11 +77,27 @@ def test_einstein_json_schema(capsys):
     assert rec["outcome"] == "fails" and rec["failed_at"] == "L"
 
 
-def test_einstein_numeric_grade_exit_code(capsys):
-    # 8654321:25 fails (P) only at Newton grade: exit 3, not 2
+def test_einstein_numeric_grade_exit_code(capsys, monkeypatch):
+    # A P decision that is only numeric-grade gives exit 3, not 2.  The
+    # exact decider settles every catalog orthant, so force that grade.
+    from nice_einstein import einstein
+    from nice_einstein.solver import PDecision
+
+    monkeypatch.setattr(einstein, "decide_condition_p",
+                        lambda *a, **kw: PDecision(False, False, note="forced"))
     code, out = run_cli(capsys, "einstein", "8654321:25", "--k", "0")
     assert code == 3
     assert "numeric-grade" in out
+
+
+def test_einstein_exact_negative(capsys):
+    # Every P orthant of 8654321:25 has Groebner basis {1}: an exact "fails".
+    code, out = run_cli(capsys, "einstein", "8654321:25", "--k", "0", "--out", "json")
+    assert code == 2
+    rec = json.loads(out)
+    assert rec["exact"] is True
+    assert rec["failed_at"] == "P"
+    assert rec["warnings"] == []
 
 
 def test_einstein_output_deterministic(capsys):
