@@ -1,16 +1,22 @@
 """Exact linear algebra over the rationals and over GF(2).
 
 Everything in this module is exact: matrix entries are `fractions.Fraction`
-(or plain ints for GF(2) and Smith-form work) and no floating point ever
-enters.  Sizes are tiny (at most ~15 x 12), so the algorithms are the
-straightforward textbook ones with deterministic left-to-right pivoting.
+(or plain ints for GF(2), Smith-form and Fourier-Motzkin work) and no
+floating point ever enters.  Sizes are tiny (at most ~15 x 12), so the
+algorithms are the straightforward textbook ones with deterministic
+left-to-right pivoting.  Strict sign feasibility is Fourier-Motzkin
+elimination from the last variable down, kept incrementally in primitive
+integer rows (`StrictSystem`), so that a search over sign patterns adds and
+removes one row per branch instead of re-eliminating the whole system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -116,14 +122,24 @@ class AffineSet:
         return len(self.basis)
 
     def point(self, t: Sequence) -> VecQ:
+        """particular + sum_i t_i basis_i, in integers over one denominator."""
         if len(t) != self.dim:
             raise ValueError("dimension mismatch")
-        out = list(self.particular)
-        for ti, b in zip(t, self.basis):
-            if ti:
-                for j, bj in enumerate(b):
-                    out[j] += ti * bj
-        return tuple(out)
+        ts = [Fraction(x) for x in t]
+        d = lcm(*(x.denominator for x in ts))
+        nums = [x.numerator * (d // x.denominator) for x in ts]
+        e, consts, coeffs = self._integral
+        return tuple(Fraction(c * d + sum(map(mul, row, nums)), e * d)
+                     for c, row in zip(consts, coeffs))
+
+    @cached_property
+    def _integral(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(e, e * particular, e * coefficient row of each coordinate), all integral."""
+        e = lcm(*(x.denominator for x in self.particular),
+                *(x.denominator for b in self.basis for x in b))
+        return (e, tuple(int(x * e) for x in self.particular),
+                tuple(tuple(int(b[j] * e) for b in self.basis)
+                      for j in range(self.ambient_dim)))
 
     def zero_coords(self) -> tuple[int, ...]:
         """Coordinates that vanish identically on the set."""
@@ -278,71 +294,137 @@ def f2_solve_all(M2: MatF2, e: Sequence[int], cap: int = F2_KERNEL_CAP) -> list[
 # Exact strict-inequality feasibility (Fourier-Motzkin)
 
 
+class StrictSystem:
+    """Strict inequalities coeffs.t + const > 0 over t_0..t_{n-1}, eliminated as added.
+
+    Fourier-Motzkin elimination from the last variable down, kept
+    incrementally.  Level L holds the rows over t_0..t_{n-1-L} that
+    eliminating t_{n-1}, ..., t_{n-L} has produced, each as one primitive
+    integer tuple (coeffs..., const) (the key of `_int_scale`), split into
+    lower and upper bounds on t_{n-1-L}; rows free of t_{n-1-L} go straight
+    to the next level.  `add` pushes one row down, combining it at each
+    level only with the opposite bounds already present, and stops at a
+    row the level already holds.  A level's rows are therefore the same set,
+    up to positive scaling, that a from-scratch elimination of all the rows
+    added so far would produce, whatever their order.  `mark` and `undo`
+    take rows back out in the reverse order of adding them.
+    """
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        # per level: (rows held, lower bounds, upper bounds)
+        self._levels = [(set(), [], []) for _ in range(nvars)]
+        self._log: list[tuple[int, tuple[int, ...]]] = []
+
+    def add(self, row: Sequence[int]) -> bool:
+        """Add the primitive integer row (coeffs..., const); False when infeasible.
+
+        After False the levels are only partly updated: `undo` to a mark
+        taken before the add.
+        """
+        return self._push(0, tuple(row))
+
+    def _push(self, level: int, row: tuple[int, ...]) -> bool:
+        while any(row[:-1]):
+            rows, lowers, uppers = self._levels[level]
+            c = row[-2]
+            if c == 0:
+                row = row[:-2] + row[-1:]
+                level += 1
+                continue
+            if row in rows:
+                return True
+            rows.add(row)
+            (lowers if c > 0 else uppers).append(row)
+            self._log.append((level, row))
+            a = abs(c)
+            for o in (uppers if c > 0 else lowers):
+                b = -o[-2] if c > 0 else o[-2]
+                comb = [b * x + a * y for x, y in zip(row[:-2], o[:-2])]
+                comb.append(b * row[-1] + a * o[-1])
+                g = gcd(*comb)
+                if g > 1:
+                    comb = [x // g for x in comb]
+                if not self._push(level + 1, tuple(comb)):
+                    return False
+            return True
+        return row[-1] > 0
+
+    def mark(self) -> int:
+        return len(self._log)
+
+    def undo(self, mark: int) -> None:
+        """Remove every row added since `mark` was taken."""
+        while len(self._log) > mark:
+            level, row = self._log.pop()
+            rows, lowers, uppers = self._levels[level]
+            rows.remove(row)
+            (lowers if row[-2] > 0 else uppers).pop()
+
+    def witness(self) -> list[Fraction]:
+        """A rational t satisfying every row added; the system must be feasible.
+
+        Back-substitution, innermost variable first: t_k lies strictly
+        between its largest lower and smallest upper bound at the level
+        where it is eliminated; the midpoint, or one past the single bound,
+        or 0 when t_k is unbounded both ways.  The bounds are compared in
+        integers over the common denominator d of t_0..t_{k-1}.
+        """
+        t: list[Fraction] = []
+        nums: list[int] = []   # t_i = nums[i] / d
+        d = 1
+        for k in range(self.nvars):
+            _, lowers, uppers = self._levels[self.nvars - 1 - k]
+            lo = _extreme_bound(lowers, nums, d, 1)
+            hi = _extreme_bound(uppers, nums, d, -1)
+            if lo is None and hi is None:
+                x = Fraction(0)
+            elif lo is None:
+                x = hi - 1
+            elif hi is None:
+                x = lo + 1
+            else:
+                x = (lo + hi) / 2
+            t.append(x)
+            m = x.denominator // gcd(d, x.denominator)
+            nums = [n * m for n in nums]
+            d *= m
+            nums.append(x.numerator * (d // x.denominator))
+        return t
+
+
+def _extreme_bound(rows: list[tuple[int, ...]], nums: Sequence[int], d: int,
+                   side: int) -> Optional[Fraction]:
+    """The largest lower (side 1) or smallest upper (side -1) bound on t_k.
+
+    Each row (c_0, ..., c_k, const) with side * c_k > 0 bounds t_k by the
+    value where it vanishes, -(const * d + sum_i c_i nums_i) / (c_k d) for
+    t_i = nums_i / d; it is kept as p / (q d) with q > 0 and compared by
+    cross-multiplying.  None when there are no rows.
+    """
+    best = None
+    for row in rows:
+        q = side * row[-2]
+        p = -side * (row[-1] * d + sum(map(mul, row, nums)))
+        if best is None or side * (p * best[1] - best[0] * q) > 0:
+            best = (p, q)
+    return None if best is None else Fraction(best[0], best[1] * d)
+
+
 def feasible_strict(
     ineqs: list[tuple[VecQ, Fraction]], nvars: int
 ) -> Optional[list[Fraction]]:
     """Feasibility of {t : coeffs.t + const > 0 for all rows}, exactly.
 
     Returns a rational witness t, or None when the open polyhedron is empty.
-    Fourier-Motzkin elimination from the last variable down; fine for the
-    handful of variables that occur here.
+    Fourier-Motzkin elimination from the last variable down, in integer
+    rows, through one `StrictSystem` that takes the rows one at a time.
     """
-    if not ineqs:
-        return [Fraction(0)] * nvars
-    stages: list[list[tuple[VecQ, Fraction]]] = []
-    current = [(vec_q(c), Fraction(v)) for c, v in ineqs]
-    for k in range(nvars - 1, -1, -1):
-        stages.append(current)
-        nxt: dict = {}
-        lowers = []   # coeff of t_k > 0:  t_k > -(rest)/coef
-        uppers = []   # coeff of t_k < 0:  t_k < -(rest)/coef
-        for coeffs, const in current:
-            ck = coeffs[k]
-            rest = (coeffs[:k], const)
-            if ck == 0:
-                key = _int_scale(rest[0] + (const,))
-                nxt[key] = (rest[0], const)
-            elif ck > 0:
-                lowers.append((ck, rest))
-            else:
-                uppers.append((ck, rest))
-        for cl, (rl, kl) in lowers:
-            for cu, (ru, ku) in uppers:
-                # cl*t_k + rl > 0 and cu*t_k + ru > 0 with cu < 0 combine to
-                # cl*ru - cu*rl > 0 (strict since both strict).
-                coeffs = tuple(cl * b - cu * a for a, b in zip(rl, ru))
-                const = cl * ku - cu * kl
-                key = _int_scale(coeffs + (const,))
-                nxt[key] = (coeffs, const)
-        current = list(nxt.values())
-    for coeffs, const in current:
-        if const <= 0:
+    system = StrictSystem(nvars)
+    for coeffs, const in ineqs:
+        if not system.add(_int_scale(vec_q(coeffs) + (Fraction(const),))):
             return None
-    # Back-substitute a witness, innermost variable first.
-    witness: list[Fraction] = []
-    for k, stage in zip(range(nvars), reversed(stages)):
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for coeffs, const in stage:
-            ck = coeffs[k]
-            if ck == 0:
-                continue
-            rest = const + sum(c * w for c, w in zip(coeffs[:k], witness))
-            bound = -rest / ck
-            if ck > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is None and hi is None:
-            witness.insert(k, Fraction(0))
-        elif lo is None:
-            witness.insert(k, hi - 1)
-        elif hi is None:
-            witness.insert(k, lo + 1)
-        else:
-            witness.insert(k, (lo + hi) / 2)
-    # witness was built innermost-first with inserts at position k; rebuild order
-    return witness
+    return system.witness()
 
 
 def orthant_rows(S: AffineSet, eps: Sequence[int]) -> list[tuple[VecQ, Fraction]]:

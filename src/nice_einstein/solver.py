@@ -18,8 +18,9 @@ from typing import Optional, Sequence
 from .linalg import (
     AffineSet,
     EnumerationCapExceeded,
+    StrictSystem,
     VecQ,
-    feasible_strict,
+    _int_scale,
     in_orthant,
     orthant_witness,
 )
@@ -96,53 +97,44 @@ class Orthant:
 def feasible_orthants(S: AffineSet, cap: int = ORTHANT_CAP) -> list[Orthant]:
     """All sign patterns eps realized by points of S with no zero coordinate.
 
-    Exact: branches over proportionality classes of coordinate functionals
-    with Fourier-Motzkin pruning.  Coordinates identically zero make the
-    result empty (no strict sign pattern exists).
+    Exact: branches over proportionality classes of coordinate functionals,
+    pushing each class representative's signed row into one incremental
+    Fourier-Motzkin `StrictSystem` and pruning where it becomes infeasible;
+    a leaf's witness is that system's.  Coordinates identically zero make
+    the result empty (no strict sign pattern exists).  Raises
+    EnumerationCapExceeded when more than `cap` orthants are feasible.
     """
     fc = classify_functionals(S)
     if fc.zero_coords:
         return []
-    m = S.ambient_dim
     nreps = 1 + max(fc.class_of, default=-1)
-    p = S.dim
-    # Stage rep sign choices; rep r realized as const + coeffs over t.
-    rep_const: list[Fraction] = [Fraction(0)] * nreps
-    rep_coeffs: list[tuple] = [()] * nreps
-    for j in range(m):
-        r = fc.class_of[j]
-        rep_const[r] = fc.consts[j] / (fc.orient[j] * fc.scale[j])
-        rep_coeffs[r] = tuple(c / (fc.orient[j] * fc.scale[j]) for c in fc.coeffs[j])
-
+    # Rep r as a primitive integer row (coeffs..., const) over t.
+    rep_rows: list[tuple[int, ...]] = [()] * nreps
+    for j in range(S.ambient_dim):
+        o = fc.orient[j]
+        rep_rows[fc.class_of[j]] = _int_scale(
+            tuple(o * c for c in fc.coeffs[j]) + (o * fc.consts[j],))
+    system = StrictSystem(S.dim)
     out: list[Orthant] = []
     signs: list[int] = [0] * nreps  # +-1 per rep
 
-    def constraints(upto: int) -> list[tuple[VecQ, Fraction]]:
-        rows = []
-        for r in range(upto):
-            s = signs[r]
-            rows.append((tuple(s * c for c in rep_coeffs[r]), s * rep_const[r]))
-        return rows
-
     def extend(r: int) -> None:
-        if len(out) > cap:
-            raise EnumerationCapExceeded(f"more than {cap} feasible orthants")
         if r == nreps:
-            t = feasible_strict(constraints(nreps), p)
-            if t is None:
-                raise RuntimeError("a feasible orthant lost its strict witness")
+            t = tuple(system.witness())
             X = S.point(t)
-            eps = tuple(1 if x < 0 else 0 for x in X)
-            out.append(Orthant(eps, tuple(t), X))
+            if not all(x != 0 and (x > 0) == (fc.orient[j] * signs[fc.class_of[j]] > 0)
+                       for j, x in enumerate(X)):
+                raise RuntimeError("an orthant witness failed its sign recheck")
+            out.append(Orthant(tuple(1 if x < 0 else 0 for x in X), t, X))
+            if len(out) > cap:
+                raise EnumerationCapExceeded(f"more than {cap} feasible orthants")
             return
-        choices = (1, -1)
-        if fc.rep_is_constant[r]:
-            choices = (1,) if rep_const[r] > 0 else (-1,)
-        for s in choices:
-            signs[r] = s
-            if feasible_strict(constraints(r + 1), p) is not None:
+        for s in (1, -1):
+            mark = system.mark()
+            if system.add(tuple(s * x for x in rep_rows[r])):
+                signs[r] = s
                 extend(r + 1)
-        signs[r] = 0
+            system.undo(mark)
 
     extend(0)
     out.sort(key=lambda o: o.eps)

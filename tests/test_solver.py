@@ -1,10 +1,16 @@
 from fractions import Fraction as F
+from itertools import product
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nice_einstein.linalg import AffineSet, in_orthant, orthant_witness
+from nice_einstein.linalg import (AffineSet, EnumerationCapExceeded, StrictSystem,
+                                  _int_scale, feasible_strict, in_orthant,
+                                  orthant_rows, orthant_witness, vec_q)
 from nice_einstein.solver import (_eliminant_roots, _p_basis, abs_monomial,
-                                  decide_condition_p)
+                                  decide_condition_p, feasible_orthants)
 
 
 def test_scale_gauge_preconditions_raise():
@@ -94,3 +100,139 @@ def test_parameter_as_a_variable():
     assert _eliminant_roots(G, None, None) == [F(-1), F(1)]
     assert _eliminant_roots(G, F(0), None) == [F(1)]
     assert _eliminant_roots(G, F(1), F(2)) == []
+
+
+# ---------------------------------------------------------------------------
+# Orthant enumeration against a from-scratch Fourier-Motzkin reference
+
+
+def _feasible_strict_from_scratch(ineqs, nvars: int) -> Optional[list]:
+    """The elimination loop that the incremental StrictSystem replaced, verbatim."""
+    if not ineqs:
+        return [F(0)] * nvars
+    stages = []
+    current = [(vec_q(c), F(v)) for c, v in ineqs]
+    for k in range(nvars - 1, -1, -1):
+        stages.append(current)
+        nxt: dict = {}
+        lowers = []
+        uppers = []
+        for coeffs, const in current:
+            ck = coeffs[k]
+            rest = (coeffs[:k], const)
+            if ck == 0:
+                key = _int_scale(rest[0] + (const,))
+                nxt[key] = (rest[0], const)
+            elif ck > 0:
+                lowers.append((ck, rest))
+            else:
+                uppers.append((ck, rest))
+        for cl, (rl, kl) in lowers:
+            for cu, (ru, ku) in uppers:
+                coeffs = tuple(cl * b - cu * a for a, b in zip(rl, ru))
+                const = cl * ku - cu * kl
+                key = _int_scale(coeffs + (const,))
+                nxt[key] = (coeffs, const)
+        current = list(nxt.values())
+    for coeffs, const in current:
+        if const <= 0:
+            return None
+    witness: list = []
+    for k, stage in zip(range(nvars), reversed(stages)):
+        lo = hi = None
+        for coeffs, const in stage:
+            ck = coeffs[k]
+            if ck == 0:
+                continue
+            rest = const + sum(c * w for c, w in zip(coeffs[:k], witness))
+            bound = -rest / ck
+            if ck > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is None and hi is None:
+            witness.insert(k, F(0))
+        elif lo is None:
+            witness.insert(k, hi - 1)
+        elif hi is None:
+            witness.insert(k, lo + 1)
+        else:
+            witness.insert(k, (lo + hi) / 2)
+    return witness
+
+
+def _orthants_by_brute_force(S: AffineSet) -> list[tuple]:
+    """(eps, witness_t, witness_X) of every orthant, each solved from scratch."""
+    out = []
+    for eps in product((0, 1), repeat=S.ambient_dim):
+        t = _feasible_strict_from_scratch(orthant_rows(S, eps), S.dim)
+        if t is not None:
+            out.append((eps, tuple(t), S.point(t)))
+    return out
+
+
+RATS = st.builds(F, st.integers(-3, 3), st.integers(1, 2))
+RATIOS = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 3), F(3)])
+
+
+@st.composite
+def affine_sets(draw) -> AffineSet:
+    """Up to 6 coordinates over 0-3 parameters: free functionals (zero ones
+    included), multiples of earlier ones with either sign, and constants."""
+    p = draw(st.integers(0, 3))
+    funcs: list[tuple] = []   # (const, coeffs) per coordinate
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("free", "multiple", "constant")))
+        if kind == "multiple" and funcs:
+            const, coeffs = draw(st.sampled_from(funcs))
+            q = draw(RATIOS)
+            funcs.append((q * const, tuple(q * c for c in coeffs)))
+        elif kind == "constant":
+            funcs.append((draw(RATS.filter(bool)), (F(0),) * p))
+        else:
+            funcs.append((draw(RATS), tuple(draw(RATS) for _ in range(p))))
+    return AffineSet(tuple(c for c, _ in funcs),
+                     tuple(tuple(f[1][i] for f in funcs) for i in range(p)))
+
+
+@given(affine_sets())
+@settings(max_examples=200, deadline=None)
+def test_feasible_orthants_match_from_scratch_elimination(S):
+    got = [(o.eps, o.witness_t, o.witness_X) for o in feasible_orthants(S)]
+    assert got == _orthants_by_brute_force(S)
+
+
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.tuples(*[RATS] * n), RATS), max_size=7))))
+@settings(max_examples=200, deadline=None)
+def test_feasible_strict_matches_from_scratch_elimination(case):
+    nvars, rows = case
+    assert feasible_strict(rows, nvars) == _feasible_strict_from_scratch(rows, nvars)
+
+
+def test_undo_restores_the_system():
+    system = StrictSystem(2)
+    assert system.add((1, 0, 0))              # t0 > 0
+    before = system.witness()
+    mark = system.mark()
+    assert system.add((-1, 1, 0))             # t1 > t0
+    assert not system.add((0, -1, 0))         # t1 < 0 contradicts both
+    system.undo(mark)
+    assert system.witness() == before
+    assert system.add((0, -1, 0))             # alone with t0 > 0 it is feasible
+
+
+def test_orthant_cap_is_exact():
+    # The positive quadrant's span meets all 4 orthants of the plane.
+    plane = AffineSet((F(0), F(0)), ((F(1), F(0)), (F(0), F(1))))
+    assert len(feasible_orthants(plane, cap=4)) == 4
+    with pytest.raises(EnumerationCapExceeded):
+        feasible_orthants(plane, cap=3)
+
+
+def test_leaf_witness_off_its_sign_pattern_raises(monkeypatch):
+    # Raised, not asserted: a zero coordinate must not pass as positive.
+    monkeypatch.setattr(StrictSystem, "witness", lambda self: [F(0)] * self.nvars)
+    line = AffineSet((F(0),), ((F(1),),))
+    with pytest.raises(RuntimeError, match="sign recheck"):
+        feasible_orthants(line)
