@@ -45,12 +45,19 @@ class LieBrackets:
 
     @classmethod
     def from_nice(cls, a: NiceLieAlgebra) -> "LieBrackets":
+        """Dense constants of a nice algebra, with `table` read off its sparse brackets."""
         n = a.n
         c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        table = {}
         for (i, j), (k, cv) in a.brackets().items():
             c[i - 1][j - 1][k - 1] = cv
             c[j - 1][i - 1][k - 1] = -cv
-        return cls(n, tuple(tuple(tuple(row) for row in plane) for plane in c))
+            if cv:
+                table[(i - 1, j - 1)] = ((k - 1, cv),)
+                table[(j - 1, i - 1)] = ((k - 1, -cv),)
+        out = cls(n, tuple(tuple(tuple(row) for row in plane) for plane in c))
+        out.__dict__["table"] = dict(sorted(table.items()))   # fills the cached property
+        return out
 
     @cached_property
     def table(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
@@ -357,7 +364,7 @@ def einstein_residual(op: Sequence[Sequence], lam):
     res = 0 * lam
     for i, row in enumerate(op):
         for j, x in enumerate(row):
-            dev = abs(x - (lam if i == j else 0 * lam))
+            dev = abs(x - lam) if i == j else abs(x)
             if dev > res:
                 res = dev
     return res

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import NiceLieAlgebra, tilde_c
@@ -22,17 +23,16 @@ from .curvature import LieBrackets, diagonal_gram, einstein_residual, ricci_tens
 from .diagram import Permutation, root_matrix, sigma_arrow_action
 from .linalg import (
     AffineSet,
+    F2Reduction,
     MatF2,
     MatQ,
+    MultiplicativeSystem,
     VecQ,
     _int_scale,
-    f2_rank,
-    f2_solve_all,
     in_orthant,
     kernel_basis,
     solve_affine,
     symmetric_signature,
-    solve_multiplicative,
 )
 from .solver import (
     _eliminant_roots,
@@ -320,19 +320,57 @@ def _build_report(deltas: list[SignVec], sigma: Optional[Permutation]) -> Signat
 # Metric recovery
 
 
+@dataclass(frozen=True)
+class _Recovery:
+    """What metric recovery needs of one (algebra, sigma), whatever X and delta.
+
+    `rows` are the integer rows of M, or for sigma M's columns summed over
+    each sigma-orbit, which forces an invariant metric; `orb_of` maps a
+    node to its orbit (sigma only).  `system` is the multiplicative system
+    on `rows`, prepared once.
+    """
+
+    M2: MatF2
+    weights: list
+    rows: list
+    orb_of: Optional[dict]
+    freedom: MetricFreedom
+    system: MultiplicativeSystem
+
+    @classmethod
+    def of(cls, a: NiceLieAlgebra, sigma: Optional[Permutation]) -> "_Recovery":
+        M, M2 = root_matrix(a.diagram)
+        weights = _weights(a, sigma)
+        rows = M.to_int_rows()
+        orb_of = None
+        # Free positive directions: rational kernel of M (or its sigma-invariant part).
+        if sigma is None:
+            ker = kernel_basis(M)
+        else:
+            ker = kernel_basis(MatQ.from_rows(
+                list(M.data) + _difference_rows(_node_pairs(sigma), a.n)))
+            orbits = _orbits(sigma)
+            orb_of = {v: o_i for o_i, orb in enumerate(orbits) for v in orb}
+            rows = [[sum(row[v - 1] for v in orb) for orb in orbits] for row in rows]
+        return cls(M2, weights, rows, orb_of,
+                   MetricFreedom(tuple(_int_scale(v) for v in ker)),
+                   MultiplicativeSystem(rows))
+
+
 def recover_metric(
     a: NiceLieAlgebra,
     X: Sequence,
     delta: SignVec,
     sigma: Optional[Permutation] = None,
+    facts: Optional[_Recovery] = None,
 ):
     """Metric with the given X and sign pattern, plus its gauge freedom.
 
     Solves prod_j g_j^(M_Ij) = X_I / c_I^2 (or X_I/(c_I c~_I) for sigma)
     multiplicatively; exact through the Smith form when X is rational and no
-    fractional powers arise, in log space (floats) otherwise.
+    fractional powers arise, in log space (floats) otherwise.  `facts` are
+    the classification's `_Recovery` of (a, sigma); built here when omitted.
     """
-    M, M2 = root_matrix(a.diagram)
     if sigma is not None and not _sigma_invariant(delta, sigma):
         raise ValueError("sign pattern is not sigma-invariant")
     if a.m == 0:
@@ -342,48 +380,26 @@ def recover_metric(
         metric = DiagonalMetric(g, tuple(delta)) if sigma is None else \
             SigmaMetric(sigma, g, tuple(delta))
         return metric, freedom
-    weights = _weights(a, sigma)
-    rows = M.to_int_rows()
-    exact_X = all(isinstance(x, (Fraction, int)) for x in X)
-    if exact_X:
+    if facts is None:
+        facts = _Recovery.of(a, sigma)
+    weights = facts.weights
+    if all(isinstance(x, (Fraction, int)) for x in X):
         rhs = [Fraction(x) / w for x, w in zip(X, weights)]
-        target = logsign(rhs)
-        check = M2.mul_vec(delta)
-        if tuple(check) != target:
+        if tuple(facts.M2.mul_vec(delta)) != logsign(rhs):
             raise ValueError("sign pattern violates the mod-2 condition")
-    # Free positive directions: rational kernel of M (or its sigma-invariant part).
-    if sigma is None:
-        ker = kernel_basis(M)
-    else:
-        ker = kernel_basis(MatQ.from_rows(
-            list(M.data) + _difference_rows(_node_pairs(sigma), a.n)))
-    freedom = MetricFreedom(tuple(_int_scale(v) for v in ker))
-
-    if sigma is None:
-        if exact_X:
-            g = solve_multiplicative(rows, [abs(r) for r in rhs])
-            if g is not None:
+        g = facts.system.solve([abs(r) for r in rhs])
+        if g is not None:
+            if sigma is None:
                 signed = tuple((-1 if d else 1) * x for d, x in zip(delta, g))
-                return DiagonalMetric(signed, delta), freedom
-        g = _log_solve(rows, X, weights, delta)
-        return DiagonalMetric(g, delta), freedom
-
-    # sigma case: collapse columns to sigma-orbits to force invariance.
-    orbits = _orbits(sigma)
-    orb_of = {}
-    for o_i, orb in enumerate(orbits):
-        for v in orb:
-            orb_of[v] = o_i
-    collapsed = [[sum(row[v - 1] for v in orb) for orb in orbits] for row in rows]
-    if exact_X:
-        g_orb = solve_multiplicative(collapsed, [abs(r) for r in rhs])
-        if g_orb is not None:
-            g = tuple(
-                (-1 if delta[i] else 1) * g_orb[orb_of[i + 1]] for i in range(a.n)
-            )
-            return SigmaMetric(sigma, g, delta), freedom
-    g = _log_solve(collapsed, X, weights, delta, expand=(orb_of, a.n))
-    return SigmaMetric(sigma, g, delta), freedom
+                return DiagonalMetric(signed, delta), facts.freedom
+            signed = tuple((-1 if delta[i] else 1) * g[facts.orb_of[i + 1]]
+                           for i in range(a.n))
+            return SigmaMetric(sigma, signed, delta), facts.freedom
+    if sigma is None:
+        g = _log_solve(facts.rows, X, weights, delta)
+        return DiagonalMetric(g, delta), facts.freedom
+    g = _log_solve(facts.rows, X, weights, delta, expand=(facts.orb_of, a.n))
+    return SigmaMetric(sigma, g, delta), facts.freedom
 
 
 def _orbits(sigma: Permutation) -> list[tuple[int, ...]]:
@@ -468,12 +484,14 @@ class _Winner:
 class _Systems:
     """The K, L and P systems of one (algebra, sigma, k); see `_build_systems`."""
 
+    a: NiceLieAlgebra
+    sigma: Optional[Permutation]
     k: Fraction
     k_rows: list                # tM, then X_p - X_q for sigma-paired arrows
     k_rhs: list                 # [k] * n, then zeros
     aff: Optional[AffineSet]    # solutions of K; None when inconsistent
     zero: tuple[int, ...]       # coordinates vanishing identically on aff
-    l_system: MatF2             # M2, then delta_v + delta_w for sigma-paired nodes
+    l_system: F2Reduction       # of M2, then delta_v + delta_w for sigma-paired nodes
     shift: tuple[int, ...]      # logsign of the weights: M2 delta = eps + shift
     alphas: list                # P exponents: primitive kernel vectors of K
     p_rhs: list                 # |c|^(2 alpha) for each exponent row
@@ -481,8 +499,13 @@ class _Systems:
     def deltas(self, eps: Sequence[int]) -> list[SignVec]:
         """All metric sign patterns that the L system allows on orthant eps."""
         target = [e ^ s for e, s in zip(eps, self.shift)]
-        return f2_solve_all(
-            self.l_system, target + [0] * (self.l_system.rows - len(target)))
+        return self.l_system.solve_all(
+            target + [0] * (self.l_system.rows - len(target)))
+
+    @cached_property
+    def recovery(self) -> _Recovery:
+        """Metric recovery's facts, built on first use: once a winner exists."""
+        return _Recovery.of(self.a, self.sigma)
 
 
 def _build_systems(a: NiceLieAlgebra, k: Fraction,
@@ -510,8 +533,8 @@ def _build_systems(a: NiceLieAlgebra, k: Fraction,
     aff = solve_affine(MatQ.from_rows(k_rows), k_rhs)
     alphas = [] if aff is None else [_int_scale(v) for v in aff.basis]
     return _Systems(
-        k, k_rows, k_rhs, aff, () if aff is None else aff.zero_coords(),
-        l_system, logsign(weights), alphas,
+        a, sigma, k, k_rows, k_rhs, aff, () if aff is None else aff.zero_coords(),
+        F2Reduction(l_system), logsign(weights), alphas,
         [abs_monomial(a.c, row) ** 2 for row in alphas])
 
 
@@ -706,7 +729,7 @@ def _classify(
                     continue
                 seen.add(d)
                 certs.append(_certificate(a, X, d, k, sigma, w.dec, tol,
-                                          ctx.warnings))
+                                          ctx.warnings, sy.recovery))
         report = _build_report(deltas_all, sigma)
         certs.sort(key=lambda cc: delta_sort_key(cc.delta))
         return ClassificationResult(
@@ -728,9 +751,9 @@ def _classify(
         tuple(ctx.warnings))
 
 
-def _certificate(a, X, delta, k, sigma, dec, tol, warnings) -> EinsteinCertificate:
+def _certificate(a, X, delta, k, sigma, dec, tol, warnings, facts) -> EinsteinCertificate:
     exact_X = dec.root_is_rational
-    metric, freedom = recover_metric(a, X, delta, sigma)
+    metric, freedom = recover_metric(a, X, delta, sigma, facts)
     residual, exact_metric = _oracle_residual(a, metric, k)
     exact = exact_X and exact_metric
     if exact and residual != 0:
@@ -790,7 +813,7 @@ def sufficient_condition(a: NiceLieAlgebra, k) -> bool:
     if k == 0:
         raise ValueError("the sufficient condition applies to k != 0 only")
     sy = _build_systems(a, k, None)
-    return (sy is not None and f2_rank(sy.l_system) == a.m
+    return (sy is not None and sy.l_system.rank == a.m
             and sy.aff is not None and not sy.zero)
 
 

@@ -4,10 +4,16 @@ Everything in this module is exact: matrix entries are `fractions.Fraction`
 (or plain ints for GF(2), Smith-form and Fourier-Motzkin work) and no
 floating point ever enters.  Sizes are tiny (at most ~15 x 12), so the
 algorithms are the straightforward textbook ones with deterministic
-left-to-right pivoting.  Strict sign feasibility is Fourier-Motzkin
-elimination from the last variable down, kept incrementally in primitive
-integer rows (`StrictSystem`), so that a search over sign patterns adds and
-removes one row per branch instead of re-eliminating the whole system.
+left-to-right pivoting.  Rational row reduction is fraction-free: `rref`
+scales each row to integers, eliminates on Python ints with Bareiss's exact
+divisions, and forms one `Fraction` per entry at the end.  Reductions that
+serve many right-hand sides are prepared once: `F2Reduction` keeps the row
+operations of one GF(2) reduction, and `MultiplicativeSystem` keeps the
+Smith form and the sign reduction of one multiplicative system.  Strict
+sign feasibility is Fourier-Motzkin elimination from the last variable
+down, kept incrementally in primitive integer rows (`StrictSystem`), so
+that a search over sign patterns adds and removes one row per branch
+instead of re-eliminating the whole system.
 """
 
 from __future__ import annotations
@@ -149,13 +155,9 @@ class AffineSet:
 
 def _int_scale(v: Sequence[Fraction]) -> tuple[int, ...]:
     """The primitive integer vector on the ray of a rational vector."""
-    lcm = 1
-    for x in v:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    d = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (d // x.denominator) for x in v]
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)
@@ -173,41 +175,54 @@ def in_orthant(X: Sequence, eps: Sequence[int]) -> bool:
 def rref(M: MatQ) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; pivots chosen left to right.
 
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): each row is
+    scaled to a primitive integer row, every update (p * row_i - f * row_r)
+    divides exactly by the previous pivot, and at the end every pivot row
+    holds the same pivot d and is divided by it once.  The reduced form is
+    unique, so the result equals rational elimination's, entry for entry.
+
     Returns (reduced rows, pivot column indices).
     """
-    A = [list(row) for row in M.data]
+    A = [_int_scale(row) for row in M.data]
     nrows, ncols = M.rows, M.cols
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        p = next((i for i in range(r, nrows) if A[i][c] != 0), None)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if A[i][c]), None)
         if p is None:
             continue
         A[r], A[p] = A[p], A[r]
-        f = A[r][c]
-        A[r] = [x / f for x in A[r]]
+        Ar = A[r]
+        d = Ar[c]
         for i in range(nrows):
-            if i != r and A[i][c] != 0:
-                g = A[i][c]
-                A[i] = [a - g * b for a, b in zip(A[i], A[r])]
+            if i == r:
+                continue
+            Ai = A[i]
+            f = Ai[c]
+            if f:
+                A[i] = [(d * x - f * y) // prev for x, y in zip(Ai, Ar)]
+            elif d != prev:
+                A[i] = [d * x // prev for x in Ai]
+        prev = d
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return A, pivots
+    return [[Fraction(x, prev) for x in row] for row in A], pivots
 
 
 def rank(M: MatQ) -> int:
     return len(rref(M)[1])
 
 
-def kernel_basis(M: MatQ) -> list[VecQ]:
-    """Basis of {v : Mv = 0}; one vector per free column, in column order."""
-    R, pivots = rref(M)
-    free = [c for c in range(M.cols) if c not in pivots]
+def _kernel(R: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int) -> list[VecQ]:
+    """Kernel basis of the first `ncols` columns of the reduced rows R."""
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * M.cols
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -R[r][fc]
@@ -215,79 +230,117 @@ def kernel_basis(M: MatQ) -> list[VecQ]:
     return basis
 
 
+def kernel_basis(M: MatQ) -> list[VecQ]:
+    """Basis of {v : Mv = 0}; one vector per free column, in column order."""
+    return _kernel(*rref(M), M.cols)
+
+
 def solve_affine(M: MatQ, b: Sequence) -> Optional[AffineSet]:
-    """Full solution set of Mx = b, or None when inconsistent."""
+    """Full solution set of Mx = b, or None when inconsistent.
+
+    One reduction of [M | b]: when b is not a pivot column, the first
+    M.cols columns are the reduced form of M, which gives the kernel.
+    """
     bq = vec_q(b)
     if len(bq) != M.rows:
         raise ValueError("dimension mismatch")
-    aug = MatQ.from_rows([list(row) + [bq[i]] for i, row in enumerate(M.data)])
-    R, pivots = rref(aug)
+    R, pivots = rref(MatQ(M.rows, M.cols + 1,
+                          tuple(tuple(row) + (x,) for row, x in zip(M.data, bq))))
     if M.cols in pivots:
         return None
     particular = [Fraction(0)] * M.cols
     for r, pc in enumerate(pivots):
         particular[pc] = R[r][M.cols]
-    return AffineSet(tuple(particular), tuple(kernel_basis(M)))
+    return AffineSet(tuple(particular), tuple(_kernel(R, pivots, M.cols)))
 
 
 # ---------------------------------------------------------------------------
 # GF(2)
 
 
-def f2_rref(M: MatF2) -> tuple[list[list[int]], list[int]]:
-    A = [list(row) for row in M.data]
-    pivots: list[int] = []
-    r = 0
-    for c in range(M.cols):
-        p = next((i for i in range(r, M.rows) if A[i][c]), None)
-        if p is None:
-            continue
-        A[r], A[p] = A[p], A[r]
-        for i in range(M.rows):
-            if i != r and A[i][c]:
-                A[i] = [a ^ b for a, b in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == M.rows:
-            break
-    return A, pivots
+class F2Reduction:
+    """One reduction of M over GF(2), kept with its row operations.
+
+    Reducing M to reduced row echelon form R applies row operations whose
+    product T (T M = R) is recorded as one bitmask over M's rows per row of
+    R.  `solve_all` answers M x = e for any right-hand side e by computing
+    T e alone: the particular solution on the pivots, and consistency from
+    the rows past the rank.
+    """
+
+    def __init__(self, M: MatF2):
+        self.rows, self.cols = M.rows, M.cols
+        R = [list(row) for row in M.data]
+        T = [1 << i for i in range(M.rows)]
+        pivots: list[int] = []
+        r = 0
+        for c in range(M.cols):
+            if r == M.rows:
+                break
+            p = next((i for i in range(r, M.rows) if R[i][c]), None)
+            if p is None:
+                continue
+            R[r], R[p] = R[p], R[r]
+            T[r], T[p] = T[p], T[r]
+            for i in range(M.rows):
+                if i != r and R[i][c]:
+                    R[i] = [a ^ b for a, b in zip(R[i], R[r])]
+                    T[i] ^= T[r]
+            pivots.append(c)
+            r += 1
+        self.pivots = tuple(pivots)
+        self.free = tuple(c for c in range(M.cols) if c not in pivots)
+        # pivot row r: the free-column entries that feed x[pivots[r]]
+        self._reduced = tuple(tuple(R[i][fc] for fc in self.free) for i in range(r))
+        self._ops = tuple(T)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def solve_all(self, e: Sequence[int], cap: int = F2_KERNEL_CAP) -> list[VecF2]:
+        """All x with M x = e, sorted; empty when e is not in the image.
+
+        Raises EnumerationCapExceeded when the kernel coset has more than
+        `cap` elements.
+        """
+        ev = [int(x) % 2 for x in e]
+        if len(ev) != self.rows:
+            raise ValueError("dimension mismatch")
+        emask = sum(1 << i for i, x in enumerate(ev) if x)
+        te = [(t & emask).bit_count() & 1 for t in self._ops]
+        if any(te[self.rank:]):
+            return []
+        if 1 << len(self.free) > cap:
+            raise EnumerationCapExceeded(
+                f"kernel has 2^{len(self.free)} elements, cap is {cap}"
+            )
+        sols = []
+        for bits in product((0, 1), repeat=len(self.free)):
+            x = [0] * self.cols
+            for fc, bit in zip(self.free, bits):
+                x[fc] = bit
+            for pc, s, row in zip(self.pivots, te, self._reduced):
+                for a, bit in zip(row, bits):
+                    s ^= a & bit
+                x[pc] = s
+            sols.append(tuple(x))
+        sols.sort()
+        return sols
 
 
 def f2_rank(M: MatF2) -> int:
-    return len(f2_rref(M)[1])
+    return F2Reduction(M).rank
 
 
 def f2_solve_all(M2: MatF2, e: Sequence[int], cap: int = F2_KERNEL_CAP) -> list[VecF2]:
     """All x with M2 x = e, sorted; empty when e is not in the image.
 
     Raises EnumerationCapExceeded when the kernel coset has more than `cap`
-    elements.
+    elements.  Prepares one `F2Reduction`; callers with many right-hand
+    sides for one matrix keep the reduction instead.
     """
-    ev = tuple(int(x) % 2 for x in e)
-    if len(ev) != M2.rows:
-        raise ValueError("dimension mismatch")
-    aug = MatF2.from_rows([list(row) + [ev[i]] for i, row in enumerate(M2.data)])
-    R, pivots = f2_rref(aug)
-    if M2.cols in pivots:
-        return []
-    free = [c for c in range(M2.cols) if c not in pivots]
-    if 1 << len(free) > cap:
-        raise EnumerationCapExceeded(
-            f"kernel has 2^{len(free)} elements, cap is {cap}"
-        )
-    sols = []
-    for bits in product((0, 1), repeat=len(free)):
-        x = [0] * M2.cols
-        for fc, bit in zip(free, bits):
-            x[fc] = bit
-        for r, pc in enumerate(pivots):
-            s = R[r][M2.cols]
-            for fc, bit in zip(free, bits):
-                s ^= R[r][fc] & bit
-            x[pc] = s
-        sols.append(tuple(x))
-    sols.sort()
-    return sols
+    return F2Reduction(M2).solve_all(e, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -595,67 +648,94 @@ def _mat_vec_int(M: list[list[int]], v: Sequence[int]) -> list[int]:
     return [sum(a * b for a, b in zip(row, v)) for row in M]
 
 
+class MultiplicativeSystem:
+    """prod_j g_j^(M_ij) = rhs_i over (Q*)^n, prepared once for the integer matrix M.
+
+    Holds what does not depend on rhs: the GF(2) reduction of M mod 2 for
+    the sign part and the Smith form U M V = D for the magnitude part.
+    """
+
+    def __init__(self, M: Sequence[Sequence[int]]):
+        self.M = [[int(x) for x in row] for row in M]
+        nr = len(self.M)
+        nc = len(self.M[0]) if nr else 0
+        self._signs = F2Reduction(MatF2.from_rows([[x % 2 for x in row] for row in self.M]))
+        self._U, S, self._V = smith_normal_form(self.M)
+        self._diag = [S[i][i] for i in range(min(nr, nc))]
+        self._rank = sum(1 for d in self._diag if d != 0)
+
+    def solve(self, rhs: Sequence[Fraction]) -> Optional[VecQ]:
+        """One g with prod_j g_j^(M_ij) = rhs_i for all i, or None.
+
+        Solves the sign part over GF(2) and the magnitude part prime-by-prime
+        through the Smith form; None means no rational solution exists
+        (either inconsistent signs or a fractional power would be required).
+        """
+        from sympy import factorint
+
+        M = self.M
+        nr = len(M)
+        nc = self._signs.cols
+        rhs = [Fraction(r) for r in rhs]
+        if any(r == 0 for r in rhs):
+            return None
+        # Sign part: M mod 2 applied to logsign g.
+        sign_sols = self._signs.solve_all([1 if r < 0 else 0 for r in rhs])
+        if not sign_sols:
+            return None
+        delta = sign_sols[0]
+        # Magnitude part: for each prime p, solve M a = v_p(rhs) over Z.
+        diag, r = self._diag, self._rank
+        primes: set[int] = set()
+        vals: list[dict[int, int]] = []
+        for q in rhs:
+            v = factorint(abs(q.numerator))
+            for p, e in factorint(q.denominator).items():
+                v[p] = v.get(p, 0) - e
+            vals.append(v)
+            primes.update(v)
+        exps = [dict() for _ in range(nc)]
+        for p in sorted(primes):
+            b = [vals[i].get(p, 0) for i in range(nr)]
+            c = _mat_vec_int(self._U, b)
+            if any(c[i] != 0 for i in range(r, nr)):
+                return None
+            y = [0] * nc
+            for i in range(r):
+                if c[i] % diag[i] != 0:
+                    return None
+                y[i] = c[i] // diag[i]
+            a = _mat_vec_int(self._V, y)
+            for j in range(nc):
+                if a[j]:
+                    exps[j][p] = a[j]
+        g = []
+        for j in range(nc):
+            val = Fraction(-1 if delta[j] else 1)
+            for p, e in exps[j].items():
+                val *= Fraction(p) ** e
+            g.append(val)
+        # Exact recheck, in integers: prod_j g_j^(M_ij) = num / den.
+        for row, q in zip(M, rhs):
+            num = den = 1
+            for x, e in zip(g, row):
+                if e > 0:
+                    num *= x.numerator ** e
+                    den *= x.denominator ** e
+                elif e < 0:
+                    num *= x.denominator ** -e
+                    den *= x.numerator ** -e
+            if num * q.denominator != den * q.numerator:
+                raise AssertionError("multiplicative solve failed recheck")
+        return tuple(g)
+
+
 def solve_multiplicative(
     M: Sequence[Sequence[int]], rhs: Sequence[Fraction]
 ) -> Optional[VecQ]:
     """One g in (Q*)^n with prod_j g_j^(M_ij) = rhs_i for all i, or None.
 
-    Solves the sign part over GF(2) and the magnitude part prime-by-prime
-    through the Smith form; None means no rational solution exists (either
-    inconsistent signs or a fractional power would be required).
+    Prepares one `MultiplicativeSystem`; callers with many right-hand sides
+    for one matrix keep the system instead.
     """
-    from sympy import factorint
-
-    nr = len(M)
-    nc = len(M[0]) if nr else 0
-    rhs = [Fraction(r) for r in rhs]
-    if any(r == 0 for r in rhs):
-        return None
-    # Sign part: M mod 2 applied to logsign g.
-    M2 = MatF2.from_rows([[x % 2 for x in row] for row in M])
-    target = [1 if r < 0 else 0 for r in rhs]
-    sign_sols = f2_solve_all(M2, target, cap=F2_KERNEL_CAP)
-    if not sign_sols:
-        return None
-    delta = sign_sols[0]
-    # Magnitude part: for each prime p, solve M a = v_p(rhs) over Z.
-    U, S, V = smith_normal_form(M)
-    diag = [S[i][i] for i in range(min(nr, nc))]
-    r = sum(1 for d in diag if d != 0)
-    primes: set[int] = set()
-    vals: list[dict[int, int]] = []
-    for q in rhs:
-        v = factorint(abs(q.numerator))
-        for p, e in factorint(q.denominator).items():
-            v[p] = v.get(p, 0) - e
-        vals.append(v)
-        primes.update(v)
-    exps = [dict() for _ in range(nc)]
-    for p in sorted(primes):
-        b = [vals[i].get(p, 0) for i in range(nr)]
-        c = _mat_vec_int(U, b)
-        if any(c[i] != 0 for i in range(r, nr)):
-            return None
-        y = [0] * nc
-        for i in range(r):
-            if c[i] % diag[i] != 0:
-                return None
-            y[i] = c[i] // diag[i]
-        a = _mat_vec_int(V, y)
-        for j in range(nc):
-            if a[j]:
-                exps[j][p] = a[j]
-    g = []
-    for j in range(nc):
-        val = Fraction(-1 if delta[j] else 1)
-        for p, e in exps[j].items():
-            val *= Fraction(p) ** e
-        g.append(val)
-    # Exact recheck.
-    for i in range(nr):
-        prod = Fraction(1)
-        for j in range(nc):
-            prod *= g[j] ** M[i][j]
-        if prod != rhs[i]:
-            raise AssertionError("multiplicative solve failed recheck")
-    return tuple(g)
+    return MultiplicativeSystem(M).solve(rhs)

@@ -15,6 +15,7 @@ from nice_einstein.curvature import (
     _invert,
     ad_invariance_check,
     diagonal_gram,
+    einstein_residual,
     levi_civita,
     projected_riemann_norm,
     ricci_tensor,
@@ -340,3 +341,34 @@ def test_float_certificate_residuals_pinned(capsys, argv, residuals):
     rec = json.loads(capsys.readouterr().out)
     assert [c["oracle_residual"] for c in rec["certificates"]] == residuals
     assert not any(c["exact"] for c in rec["certificates"])
+
+
+def test_from_nice_table_matches_the_dense_scan():
+    from nice_einstein.catalog import load_catalog
+
+    for entry in load_catalog():
+        fam = entry.family()
+        a = fam.substitute({p: 3 for p in fam.params()})
+        B = LieBrackets.from_nice(a)
+        scanned = LieBrackets(B.n, B.c).table
+        assert list(B.table.items()) == list(scanned.items())
+
+
+def test_einstein_residual_matches_the_dense_formula():
+    def dense(op, lam):
+        res = 0 * lam
+        for i, row in enumerate(op):
+            for j, x in enumerate(row):
+                dev = abs(x - (lam if i == j else 0 * lam))
+                if dev > res:
+                    res = dev
+        return res
+
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(1, 5)
+        op = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        lam = F(rng.randint(-2, 2), 2)
+        for args in ((op, lam), ([[float(x) for x in row] for row in op], float(lam))):
+            got, want = einstein_residual(*args), dense(*args)
+            assert got == want and type(got) is type(want)

@@ -304,3 +304,43 @@ def test_negation_flips_k(algebras):
     cert = r.certificates[0]
     neg = tuple(-x for x in cert.metric.g)
     assert ricci_diagonal(a, neg) == tuple(-x for x in ricci_diagonal(a, cert.metric.g))
+
+
+# ---------------------------------------------------------------------------
+# Per-classification facts: each matrix is reduced once
+
+
+def _counting(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_recovery_facts_built_once_per_classification(monkeypatch):
+    import nice_einstein.einstein as einstein
+    import nice_einstein.linalg as linalg
+    from nice_einstein.catalog import find_entry
+
+    counts = {}
+    _counting(monkeypatch, einstein, "kernel_basis", counts)
+    _counting(monkeypatch, linalg, "smith_normal_form", counts)
+    _counting(monkeypatch, einstein, "recover_metric", counts)
+    res = diagonal_einstein(find_entry("841:48").algebra({"a2": F(2)}), 0)
+    assert res.success and len(res.certificates) == 32
+    assert counts == {"kernel_basis": 1, "smith_normal_form": 1, "recover_metric": 32}
+
+
+def test_l_system_reduced_once_per_classification(monkeypatch):
+    import nice_einstein.einstein as einstein
+    from nice_einstein.catalog import find_entry
+
+    counts = {}
+    _counting(monkeypatch, einstein, "F2Reduction", counts)
+    _counting(monkeypatch, einstein._Systems, "deltas", counts)
+    # a catalog-nonlinear record: many orthants, one L system
+    res = diagonal_einstein(find_entry("86532:6").algebra(), 1)
+    assert res.success
+    assert counts["F2Reduction"] == 1 and counts["deltas"] > 50

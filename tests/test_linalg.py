@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,14 @@ from nice_einstein.diagram import root_matrix
 from nice_einstein.linalg import (
     AffineSet,
     EnumerationCapExceeded,
+    F2Reduction,
     MatF2,
     MatQ,
+    MultiplicativeSystem,
     f2_solve_all,
     kernel_basis,
     rank,
+    rref,
     smith_normal_form,
     solve_affine,
     solve_multiplicative,
@@ -261,3 +265,173 @@ def test_strict_sign_witness_matches_sampling(basis, particular, eps_bits, data)
              for _ in range(S.dim)]
         X = S.point(t)
         assert not all(x != 0 and (x < 0) == bool(e) for x, e in zip(X, eps))
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free and prepared reductions against textbook references
+
+
+def _rref_reference(M):
+    """Gauss-Jordan on Fractions, pivots left to right: the textbook reduction."""
+    A = [list(row) for row in M.data]
+    nrows, ncols = M.rows, M.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, nrows) if A[i][c] != 0), None)
+        if p is None:
+            continue
+        A[r], A[p] = A[p], A[r]
+        f = A[r][c]
+        A[r] = [x / f for x in A[r]]
+        for i in range(nrows):
+            if i != r and A[i][c] != 0:
+                g = A[i][c]
+                A[i] = [a - g * b for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return A, pivots
+
+
+def _kernel_reference(M):
+    R, pivots = _rref_reference(M)
+    basis = []
+    for fc in (c for c in range(M.cols) if c not in pivots):
+        v = [F(0)] * M.cols
+        v[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _solve_affine_reference(M, b):
+    aug = MatQ(M.rows, M.cols + 1, tuple(row + (F(x),) for row, x in zip(M.data, b)))
+    R, pivots = _rref_reference(aug)
+    if M.cols in pivots:
+        return None
+    particular = [F(0)] * M.cols
+    for r, pc in enumerate(pivots):
+        particular[pc] = R[r][M.cols]
+    return AffineSet(tuple(particular), tuple(_kernel_reference(M)))
+
+
+def _f2_solve_all_reference(M2, e):
+    """Reduce [M2 | e] afresh and enumerate the coset."""
+    A = [list(row) + [x % 2] for row, x in zip(M2.data, e)]
+    pivots = []
+    r = 0
+    for c in range(M2.cols + 1):
+        p = next((i for i in range(r, M2.rows) if A[i][c]), None)
+        if p is None:
+            continue
+        A[r], A[p] = A[p], A[r]
+        for i in range(M2.rows):
+            if i != r and A[i][c]:
+                A[i] = [a ^ b for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+        if r == M2.rows:
+            break
+    if M2.cols in pivots:
+        return []
+    free = [c for c in range(M2.cols) if c not in pivots]
+    sols = []
+    for bits in product((0, 1), repeat=len(free)):
+        x = [0] * M2.cols
+        for fc, bit in zip(free, bits):
+            x[fc] = bit
+        for r, pc in enumerate(pivots):
+            x[pc] = (A[r][M2.cols] + sum(A[r][fc] * x[fc] for fc in free)) % 2
+        sols.append(tuple(x))
+    return sorted(sols)
+
+
+_small_q = st.one_of(st.just(F(0)), st.builds(F, st.integers(-5, 5), st.integers(1, 4)))
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Small rational matrices, 0 rows and zero columns included, often rank-deficient."""
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(0, 6))
+    rows = [draw(st.lists(_small_q, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    zero_cols = draw(st.sets(st.integers(0, 5)))
+    rows = [[F(0) if j in zero_cols else x for j, x in enumerate(row)] for row in rows]
+    if rows and draw(st.booleans()):
+        # a combination of two rows: the rank drops below the row count
+        s, t = draw(_small_q), draw(_small_q)
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        rows.append([s * x + t * y for x, y in zip(rows[i], rows[j])])
+    return MatQ(len(rows), ncols, tuple(tuple(r) for r in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_matrices(), st.data())
+def test_fraction_free_reductions_match_rational_elimination(M, data):
+    assert rref(M) == _rref_reference(M)
+    assert kernel_basis(M) == _kernel_reference(M)
+    b = data.draw(st.lists(_small_q, min_size=M.rows, max_size=M.rows))
+    if data.draw(st.booleans()) and M.cols:
+        # a consistent right-hand side: M x for a random x
+        x = data.draw(st.lists(_small_q, min_size=M.cols, max_size=M.cols))
+        b = M.mul_vec(x)
+    assert solve_affine(M, b) == _solve_affine_reference(M, b)
+
+
+def test_fraction_free_rref_edge_shapes():
+    for M in (MatQ(0, 3, ()), MatQ.zero(3, 0), MatQ.zero(2, 3),
+              MatQ.from_rows([[F(1, 2), F(1, 3)], [F(3), F(2)]])):
+        assert rref(M) == _rref_reference(M)
+        assert kernel_basis(M) == _kernel_reference(M)
+    # inconsistent: x = 1 and x = 2
+    assert solve_affine(MatQ.from_rows([[1], [1]]), [1, 2]) is None
+    assert _solve_affine_reference(MatQ.from_rows([[1], [1]]), [1, 2]) is None
+
+
+@st.composite
+def _f2_matrices(draw):
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 7))
+    rows = [draw(st.lists(st.integers(0, 1), min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    return MatF2(nrows, ncols, tuple(tuple(r) for r in rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_f2_matrices(), st.data())
+def test_prepared_f2_reduction_matches_a_fresh_reduction(M2, data):
+    red = F2Reduction(M2)
+    for _ in range(4):
+        e = data.draw(st.lists(st.integers(0, 1), min_size=M2.rows, max_size=M2.rows))
+        expected = _f2_solve_all_reference(M2, e)
+        assert red.solve_all(e) == expected
+        assert f2_solve_all(M2, e) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_prepared_multiplicative_system_matches_fresh(nr, nc, data):
+    M = [data.draw(st.lists(st.integers(-2, 2), min_size=nc, max_size=nc)) for _ in range(nr)]
+    system = MultiplicativeSystem(M)
+    values = st.sampled_from([F(1), F(-1), F(2), F(-3), F(1, 2), F(5, 3), F(-4, 9)])
+    for _ in range(3):
+        if data.draw(st.booleans()):
+            # a solvable right-hand side: the monomials of a random g
+            g = data.draw(st.lists(values, min_size=nc, max_size=nc))
+            rhs = [F(1) for _ in range(nr)]
+            for i, row in enumerate(M):
+                for x, e in zip(g, row):
+                    rhs[i] *= x ** e
+        else:
+            rhs = data.draw(st.lists(values, min_size=nr, max_size=nr))
+        got = system.solve(rhs)
+        assert got == solve_multiplicative(M, rhs)
+        if got is not None:
+            for row, q in zip(M, rhs):
+                prod = F(1)
+                for x, e in zip(got, row):
+                    prod *= x ** e
+                assert prod == q
