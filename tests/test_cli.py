@@ -202,11 +202,11 @@ GOLDEN = Path(__file__).parent / "golden"
     (["741:6", "--param", "lambda=1/2", "--mode", "sigma", "--sigma", "(23)(45)"],
      "741_6_sigma.json"),
     (["93:86", "--k", "0", "--solve-param", "a"], "93_86_solve_a.txt"),
-    # 32 certificates recovered from one classification's facts.
-    (["841:48", "--param", "a2=2", "--k", "0"], "841_48_a2_2_k0.json"),
     # Vacuous certificates print the orthant enumeration's witness point.
     (["10:1", "--mode", "sigma", "--sigma", "(13)(27)(45)(68)(90)", "--k", "0"],
      "10_1_sigma.json"),
+    # 32 certificates recovered from one classification's facts.
+    (["841:48", "--param", "a2=2", "--k", "0"], "841_48_a2_2_k0.json"),
 ])
 def test_einstein_json_pinned(capsys, argv, golden):
     # The whole stdout, byte for byte: verdicts, certificates, float
