@@ -480,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--metric", required=True)
     p.add_argument("--sigma", help="interpret the vector as a sigma-diagonal metric")
-    p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("catalog", help="re-run the shipped catalog against its expected results")

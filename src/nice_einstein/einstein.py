@@ -29,7 +29,6 @@ from .linalg import (
     MultiplicativeSystem,
     VecQ,
     _int_scale,
-    in_orthant,
     kernel_basis,
     solve_affine,
     symmetric_signature,
@@ -37,12 +36,11 @@ from .linalg import (
 from .solver import (
     _eliminant_roots,
     _p_basis,
-    _sign_of_exponents,
+    _p_leaf,
     abs_monomial,
     classify_functionals,
     decide_condition_p,
     feasible_orthants,
-    gauge_slice,
 )
 
 DEFAULT_TOL = 1e-9
@@ -913,14 +911,9 @@ def _solve_region(probe: NiceLieAlgebra, family, pname, sigma, k,
     for o in feasible_orthants(aff):
         if not sy.deltas(o.eps):
             continue
-        work = aff
-        if scale_invariant and aff.dim >= 1:
-            work = gauge_slice(aff, o.eps)
-        if work.dim == 0 and not in_orthant(work.particular, o.eps):
+        leaf = _p_leaf(aff, o.eps, alphas, scale_invariant)
+        if leaf is None or leaf in seen:
             continue
-        signs = tuple(_sign_of_exponents(a_row, o.eps) for a_row in alphas)
-        if (work, signs) in seen:
-            continue
-        seen.add((work, signs))
-        out.update(_eliminant_roots(_p_basis(work, signs, alphas, c=c_affine), lo, hi))
+        seen.add(leaf)
+        out.update(_eliminant_roots(_p_basis(*leaf, alphas, c=c_affine), lo, hi))
     return sorted(out)

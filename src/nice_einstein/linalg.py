@@ -553,7 +553,7 @@ def symmetric_signature(G: Sequence[Sequence]) -> tuple[int, int]:
             if r == d:
                 continue
             f = A[r][d] / a
-            row = [A[r][c] - f * A[d][c] for c in range(nn)]
+            row = [A[r][c] - f * A[d][c] for c in range(nn)] if f else A[r]
             B.append([row[c] for c in range(nn) if c != d])
         A = B
     return p, q

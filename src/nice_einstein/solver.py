@@ -2,11 +2,11 @@
 
 Internal machinery for the Einstein pipeline.  The sign-feasibility layer
 and everything it reports is exact.  The polynomial condition is exact too:
-directly when it is constant on the orthant or its slice (the scale gauge
-removed for k = 0) is a point, and otherwise by one lex Groebner basis of
-the system with cleared denominators and a Rabinowitsch variable (sympy),
-whose real points are listed exactly.  The same basis, with the family
-parameter as one more variable, gives the candidate parameter values.
+directly when its slice (the scale gauge removed for k = 0) is a point, and
+otherwise by one lex Groebner basis of the system with cleared denominators
+and a Rabinowitsch variable, in sympy's sparse ring over QQ; its real points
+are listed exactly in the univariate ring QQ[v].  The same basis, with the
+family parameter as one more variable, gives the candidate parameter values.
 """
 
 from __future__ import annotations
@@ -165,14 +165,6 @@ def abs_monomial(X: Sequence, a: Sequence[int]) -> Fraction:
     return val
 
 
-def _sign_of_exponents(a_row: Sequence[int], eps: Sequence[int]) -> int:
-    par = 0
-    for aj, e in zip(a_row, eps):
-        if e and aj % 2 != 0:
-            par ^= 1
-    return -1 if par else 1
-
-
 def decide_condition_p(
     S: AffineSet,
     eps: Sequence[int],
@@ -185,7 +177,7 @@ def decide_condition_p(
     """Does some X in S with sign pattern eps satisfy |X|^a_i = rhs_i for all i?
 
     `exponents` are integer vectors a_i, `rhs` positive rationals.  Exact
-    when the system is constant on the orthant or its slice is a point;
+    when its slice (`_p_leaf`) is a point;
     otherwise decided by one lex Groebner basis of the cleared system
     (`_p_basis`), whose real points are listed exactly.  Only a
     positive-dimensional variety on which no hyperplane cut through the
@@ -199,54 +191,26 @@ def decide_condition_p(
         X = S.point(witness_t)
         return PDecision(True, True, root_X=tuple(X), root_is_rational=True,
                          note="vacuous")
-    fc = classify_functionals(S)
-    m = S.ambient_dim
-
-    # Constant-on-orthant detection: per proportionality class, the exponent
-    # sums must vanish (then |X|^a depends only on the class scales).
-    nreps = 1 + max(fc.class_of)
-    all_constant = True
-    for a_row in exponents:
-        sums = [0] * nreps
-        for j in range(m):
-            sums[fc.class_of[j]] += a_row[j]
-        for r in range(nreps):
-            if sums[r] != 0 and not fc.rep_is_constant[r]:
-                all_constant = False
-    if all_constant:
-        X0 = S.point(witness_t)
-        if any(abs_monomial(X0, a_row) != r for a_row, r in zip(exponents, rhs)):
-            return PDecision(False, True, note="constant mismatch")
-        return PDecision(True, True, root_X=tuple(X0), root_is_rational=True,
-                         note="constant")
-
-    work_S = S
-    if scale_gauge:
-        if any(x != 0 for x in S.particular):
-            raise ValueError("scale_gauge needs S to be a cone (zero particular point)")
-        if any(sum(a_row) != 0 for a_row in exponents):
-            raise ValueError("scale_gauge needs scale-invariant exponents (zero row sums)")
-        work_S = gauge_slice(S, eps)
-
+    leaf = _p_leaf(S, eps, exponents, scale_gauge)
+    if leaf is None:
+        return PDecision(False, True, note="slice point leaves orthant")
+    work_S, signs = leaf
     if work_S.dim == 0:
         X = work_S.particular
-        if not in_orthant(X, eps):
-            return PDecision(False, True, note="slice point leaves orthant")
         if any(abs_monomial(X, a_row) != r for a_row, r in zip(exponents, rhs)):
             return PDecision(False, True, note="point mismatch")
         return PDecision(True, True, root_X=tuple(X), root_is_rational=True)
 
     memo = {} if memo is None else memo
-    signs = tuple(_sign_of_exponents(a_row, eps) for a_row in exponents)
-    key = (work_S, signs, tuple(map(tuple, exponents)), tuple(rhs))
+    key = (leaf, tuple(map(tuple, exponents)), tuple(rhs))
     if key not in memo:
         G = _p_basis(work_S, signs, exponents, rhs)
-        memo[key] = (G, _real_points(G, work_S) if G.is_zero_dimensional else None)
+        memo[key] = (G, _real_points(G, work_S) if _is_zero_dimensional(G) else None)
     G, points = memo[key]
     want = tuple(-1 if e else 1 for e in eps)
-    if G.exprs == [1]:
+    if G == [1]:
         return PDecision(False, True, note="Groebner basis {1}")
-    if G.is_zero_dimensional:
+    if _is_zero_dimensional(G):
         if points is None:
             return PDecision(False, False, note="zero-dimensional basis not in shape position")
         note = ""
@@ -273,6 +237,25 @@ def decide_condition_p(
     return PDecision(True, True, root_X=pt.X, root_is_rational=True, note=note)
 
 
+def _p_leaf(S: AffineSet, eps: Sequence[int], exponents: Sequence[Sequence[int]],
+           scale_gauge: bool) -> Optional[tuple[AffineSet, tuple[int, ...]]]:
+    """(S or its gauge slice, signs prod_j sign(X_j)^a_ij) at the orthant eps.
+
+    None when that set is a point outside the orthant.  Orthants with equal
+    pairs share one basis.
+    """
+    if scale_gauge:
+        if any(x != 0 for x in S.particular):
+            raise ValueError("scale_gauge needs S to be a cone (zero particular point)")
+        if any(sum(a_row) != 0 for a_row in exponents):
+            raise ValueError("scale_gauge needs scale-invariant exponents (zero row sums)")
+        S = gauge_slice(S, eps)
+    if S.dim == 0 and not in_orthant(S.particular, eps):
+        return None
+    return S, tuple(-1 if sum(aj for aj, e in zip(a_row, eps) if e) % 2 else 1
+                    for a_row in exponents)
+
+
 def gauge_slice(S: AffineSet, eps: Sequence[int]) -> AffineSet:
     """Remove the scale gauge of the cone S: cut it by |X_pin| = 1 on orthant eps.
 
@@ -294,88 +277,106 @@ def gauge_slice(S: AffineSet, eps: Sequence[int]) -> AffineSet:
 
 
 # ---------------------------------------------------------------------------
-# The cleared P system and its lex Groebner basis (sympy)
+# The cleared P system and its lex Groebner basis, in sympy's sparse ring
+
+
+def _ring(names: Sequence[str]):
+    """sympy's sparse polynomial ring QQ[names] in lex order."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.orderings import lex
+    from sympy.polys.rings import ring
+
+    return ring(list(names), QQ, lex)[0]
+
+
+def _qq(x):  # a Fraction or int into QQ, by numerator and denominator
+    from sympy.polys.domains import QQ
+
+    x = Fraction(x)
+    return QQ(x.numerator, x.denominator)
+
+
+def _frac(r) -> Fraction:  # from QQ
+    return Fraction(int(r.numerator), int(r.denominator))
+
+
+def _groebner(polys: list) -> list:
+    """Reduced lex Groebner basis of the nonzero `polys`, elements of one ring."""
+    from sympy.polys.groebnertools import groebner
+
+    return groebner([f for f in polys if f], polys[0].ring)
 
 
 def _p_basis(S: AffineSet, signs: Sequence[int], exponents: Sequence[Sequence[int]],
-            rhs: Sequence[Fraction] = (), c: Optional[Sequence[tuple]] = None):
+             rhs: Sequence[Fraction] = (), c: Optional[Sequence[tuple]] = None) -> list:
     """Lex Groebner basis of prod_j X_j^a_ij = signs_i * rhs_i with X = S.point(t).
 
     On the orthant eps with signs_i = prod_j sign(X_j)^a_ij this is
-    |X|^a_i = rhs_i with denominators cleared.  The generators are
-    (z, t_0, ..., t_{p-1}) in lex order, z the Rabinowitsch variable of
+    |X|^a_i = rhs_i with denominators cleared.  The ring's generators are
+    (z, t0, ..., t{p-1}) in lex order, z the Rabinowitsch variable of
     z * prod_j X_j = 1 over the coordinates the equations use, so no such
     X_j vanishes on the variety.  With `c`, one (const, slope) pair per
     coordinate, the right-hand sides are instead prod_j c_j(u)^(2 a_ij)
     for c_j(u) = const_j + slope_j * u; u is one more generator, last, and
     the c_j(u) of the used coordinates join the Rabinowitsch product.
+    Equations that vanish identically are dropped.
     """
-    import sympy
-
     p = S.dim
-    gens = (sympy.Symbol("z"), *sympy.symbols(f"t:{p}"),
-            *((sympy.Symbol("u"),) if c is not None else ()))
-    ts, one = gens[1:1 + p], sympy.Poly(1, *gens, domain=sympy.QQ)
+    R = _ring(["z", *(f"t{i}" for i in range(p)), *(["u"] if c is not None else [])])
+    z, ts, u = R.gens[0], R.gens[1:1 + p], R.gens[-1]
 
     def affine(const, terms):  # const + sum_i k_i x_i
-        return sympy.Poly(_rat(const) + sum(_rat(k) * x for k, x in terms),
-                          *gens, domain=sympy.QQ)
+        return sum((x * _qq(k) for k, x in terms), R(_qq(const)))
 
     X = [affine(S.particular[j], zip((b[j] for b in S.basis), ts))
          for j in range(S.ambient_dim)]
-    cu = None if c is None else [affine(k0, [(k1, gens[-1])]) for k0, k1 in c]
+    cu = None if c is None else [affine(k0, [(k1, u)]) for k0, k1 in c]
     used = [j for j in range(S.ambient_dim) if any(a_row[j] for a_row in exponents)]
     polys = []
     for i, a_row in enumerate(exponents):
-        sides = [one, one]                   # prod X^a+ and prod X^a-
-        rsides = [one * _rat(rhs[i]), one] if c is None else [one, one]
-        for j in used:
-            aj = a_row[j]
+        sides = [R.one, R.one]               # prod X^a+ and prod X^a-
+        rsides = [R(_qq(rhs[i])), R.one] if c is None else [R.one, R.one]
+        for j, aj in enumerate(a_row):
             if aj:
                 sides[aj < 0] *= X[j] ** abs(aj)
                 if cu is not None:
                     rsides[aj < 0] *= cu[j] ** (2 * abs(aj))
         polys.append(sides[0] * rsides[1] - signs[i] * rsides[0] * sides[1])
-    nonzero = one * gens[0]
+    nonzero = z
     for j in used:
         nonzero *= X[j] if cu is None else X[j] * cu[j]
     polys.append(nonzero - 1)
-    return sympy.groebner(polys, *gens, order="lex")
+    return _groebner(polys)
 
 
-def _rat(x):
-    import sympy
+def _is_zero_dimensional(G: list) -> bool:
+    """Some leading monomial of G is a pure power of each generator."""
+    lead = [g.LM for g in G]
+    return all(any(m[i] and sum(m) == m[i] for m in lead) for i in range(G[0].ring.ngens))
 
-    x = Fraction(x)
-    return sympy.Rational(x.numerator, x.denominator)
+
+def _in_v(terms: dict):
+    """{monomial: coefficient} as an element of QQ[v] when only the last generator occurs."""
+    if any(any(m[:-1]) for m in terms):
+        return None
+    return _ring("v").from_dict({m[-1:]: k for m, k in terms.items()})
 
 
-def _eliminant_roots(G, lo: Optional[Fraction], hi: Optional[Fraction]) -> list[Fraction]:
+def _eliminant_roots(G: list, lo: Optional[Fraction], hi: Optional[Fraction]) -> list[Fraction]:
     """Rational roots in (lo, hi) of the univariate eliminant in the last generator.
 
     Empty when G is {1} or when the ideal meets Q[last] only in 0.
     """
-    last = G.gens[-1]
-    f = G.exprs[-1]
-    if f.free_symbols != {last}:
+    f = _in_v(G[-1])
+    if f is None or f.is_ground:
         return []
     out = []
-    for q, _ in _univariate(f, last).factor_list()[1]:
+    for q, _ in f.factor_list()[1]:
         if q.degree() == 1:
-            r = _frac(-q.nth(0) / q.nth(1))
+            r = _frac(-q(0) / q.LC)
             if (lo is None or r > lo) and (hi is None or r < hi):
                 out.append(r)
     return sorted(out)
-
-
-def _univariate(expr, x):
-    import sympy
-
-    return sympy.Poly(expr, x, domain=sympy.QQ)
-
-
-def _frac(r) -> Fraction:
-    return Fraction(int(r.p), int(r.q))
 
 
 @dataclass(frozen=True)
@@ -386,91 +387,95 @@ class _RealPoint:
     value_float: float             # the last generator, for ordering
 
 
-def _real_points(G, S: AffineSet) -> Optional[list[_RealPoint]]:
+def _real_points(G: list, S: AffineSet) -> Optional[list[_RealPoint]]:
     """Real points of a zero-dimensional lex basis, ascending in the last t.
 
     The basis must be in shape position (t_i = g_i(v), f(v) = 0 for the
-    last generator v); otherwise one separating form v = sum_i (i+1) t_i is
+    last generator v); otherwise one separating form w = sum_i (i+1) t_i is
     added and the basis recomputed.  None when that is not in shape
-    position either.  Each point carries the exact signs of X, decided for
-    irrational roots by bisection on an isolating interval.
+    position either.  An irrational point carries the exact signs of X and
+    the nearest doubles to its coordinates.
     """
-    import sympy
-
-    gens = tuple(G.gens)
-    shape = _shape(G.exprs, gens)
+    shape = _shape(G)
     if shape is None:
-        ts = gens[1:1 + S.dim]
-        w = sympy.Symbol("w")
-        gens = gens + (w,)
-        H = sympy.groebner(list(G.exprs) + [w - sum((i + 1) * t for i, t in enumerate(ts))],
-                           *gens, order="lex")
-        shape = _shape(H.exprs, gens)
+        R = _ring([*map(str, G[0].ring.symbols), "w"])
+        ts = R.gens[1:1 + S.dim]
+        form = R.gens[-1] - sum(((i + 1) * t for i, t in enumerate(ts)), R.zero)
+        shape = _shape(_groebner([g.set_ring(R) for g in G] + [form]))
         if shape is None:
             return None
-    v, f, tpolys = shape
+    f, tpolys = shape
     tpolys = tpolys[:S.dim]
-    Xpolys = [sum((tp * _rat(b[j]) for tp, b in zip(tpolys, S.basis)),
-                  _univariate(_rat(S.particular[j]), v)) for j in range(S.ambient_dim)]
+    R1 = f.ring
+    Xpolys = [sum((tp * _qq(b[j]) for tp, b in zip(tpolys, S.basis)), R1(_qq(S.particular[j])))
+              for j in range(S.ambient_dim)]
     out = []
     for q, _ in f.factor_list()[1]:
         if q.degree() == 1:
-            r = _frac(-q.nth(0) / q.nth(1))
-            X = S.point(tuple(_frac(tp.eval(_rat(r))) for tp in tpolys))
+            r = -q(0) / q.LC
+            X = S.point(tuple(_frac(tp(r)) for tp in tpolys))
             out.append(_RealPoint(X, True, tuple((x > 0) - (x < 0) for x in X), float(r)))
             continue
         # q is irreducible of degree >= 2: all its real roots are irrational
-        roots = sorted(set(sympy.real_roots(q)), key=lambda r: float(r.evalf(30)))
-        intervals = sorted(iv for iv, _ in q.intervals())
-        if len(roots) != len(intervals):
-            raise RuntimeError("real root isolation disagrees with the root list")
-        for root, (a, b) in zip(roots, intervals):
-            tf = [float(tp.as_expr().subs(v, root).evalf(30)) for tp in tpolys]
+        for a, b in R1.dup_isolate_real_roots_sqf(q):
+            tf = [_float_at(tp, q, a, b) for tp in tpolys]
             X = []
-            for j in range(S.ambient_dim):
+            for j in range(S.ambient_dim):   # float sums in a fixed order
                 x = float(S.particular[j])
                 for tfi, bv in zip(tf, S.basis):
                     x += float(bv[j]) * tfi
                 X.append(x)
             signs = tuple(_sign_at_root(h, q, a, b) for h in Xpolys)
-            out.append(_RealPoint(tuple(X), False, signs, float(root.evalf(30))))
+            out.append(_RealPoint(tuple(X), False, signs, _float_at(R1.gens[0], q, a, b)))
     out.sort(key=lambda pt: pt.value_float)
     return out
 
 
-def _shape(exprs, gens):
-    """(v, f, [g_i]) when exprs = [c_i (x_i - g_i(v))]..., f(v) with v = gens[-1], else None."""
-    v = gens[-1]
-    if len(exprs) != len(gens) or exprs[-1].free_symbols != {v}:
+def _shape(G: list):
+    """(f, [g_i]) in QQ[v] when G = [c_i (x_i - g_i(v))]..., f(v) with v its last generator.
+
+    None when G is not of that form.
+    """
+    n = G[0].ring.ngens
+    f = _in_v(G[-1]) if len(G) == n else None
+    if f is None or f.is_ground:
         return None
     tpolys = []
-    for e, x in zip(exprs[:-1], gens[:-1]):
-        lead = e.coeff(x)
-        rest = e - lead * x
-        if not (lead.is_number and lead != 0 and rest.free_symbols <= {v}):
+    for i, g in enumerate(G[:-1]):
+        unit = tuple(int(k == i) for k in range(n))
+        lead = g.get(unit)
+        tp = _in_v({m: -k / lead for m, k in g.items() if m != unit}) if lead else None
+        if tp is None:
             return None
-        tpolys.append(_univariate(-rest / lead, v))
-    # t_0, ... without z, then v: the last t, or the separating form
-    tpolys = tpolys[1:] + [_univariate(v, v)]
-    return v, _univariate(exprs[-1], v), tpolys
+        tpolys.append(tp)
+    # t0, ... without z, then v: the last t, or the separating form
+    return f, tpolys[1:] + [f.ring.gens[0]]
 
 
 def _sign_at_root(h, q, a, b) -> int:
-    """Sign of h at the root of the irreducible q isolated by the open (a, b)."""
-    h = h.rem(q)
-    if h.is_zero:
+    """Sign of h at the root of the irreducible q isolated by (a, b)."""
+    h = h % q
+    if not h:
         return 0
-    qa = q.eval(a) < 0
-    while h.count_roots(a, b):
-        mid = (a + b) / 2
-        if (q.eval(mid) < 0) == qa:
-            a = mid
-        else:
-            b = mid
-    return 1 if h.eval(a) > 0 else -1
+    while q.ring.dup_count_real_roots(h, a, b):
+        a, b = q.ring.dup_refine_real_root(q, a, b, eps=(b - a) / 1024)
+    return 1 if h(a) > 0 else -1
 
 
-def _cut_points(G, S: AffineSet, want: tuple[int, ...],
+def _float_at(h, q, a, b) -> float:
+    """h at the root of the irreducible q isolated by (a, b), as the nearest double.
+
+    Refines until h is monotone on (a, b) and both ends round alike, which
+    ends: h mod q is constant, or irrational at the root with h' nonzero.
+    """
+    h = h % q
+    dh = h.diff(h.ring.gens[0])
+    while q.ring.dup_count_real_roots(dh, a, b) or float(h(a)) != float(h(b)):
+        a, b = q.ring.dup_refine_real_root(q, a, b, eps=(b - a) / 1024)
+    return float(h(a))
+
+
+def _cut_points(G: list, S: AffineSet, want: tuple[int, ...],
                 witness_t: Sequence[Fraction]) -> list[_RealPoint]:
     """Real points of a positive-dimensional basis on hyperplanes through a witness.
 
@@ -479,31 +484,29 @@ def _cut_points(G, S: AffineSet, want: tuple[int, ...],
     once some lie in the orthant `want`.  Stops after CUT_LIMIT bases; an
     empty result proves nothing.
     """
-    import sympy
-
-    gens = tuple(G.gens)
-    ts = gens[1:1 + S.dim]
+    R = G[0].ring
+    ts = R.gens[1:1 + S.dim]
     p = len(ts)
     normals = [{i: 1} for i in range(p)]
     normals += [{i: 1, j: s} for i in range(p) for j in range(i + 1, p) for s in (-1, 1)]
     budget = CUT_LIMIT
 
-    def walk(exprs, used):
+    def walk(basis, used):
         nonlocal budget
         for k, n in enumerate(normals):
             if k in used or budget == 0:
                 continue
             budget -= 1
-            plane = sum(s * (ts[i] - _rat(witness_t[i])) for i, s in n.items())
-            H = sympy.groebner(list(exprs) + [plane], *gens, order="lex")
-            if H.exprs == [1]:
+            plane = sum((s * (ts[i] - _qq(witness_t[i])) for i, s in n.items()), R.zero)
+            H = _groebner(basis + [plane])
+            if H == [1]:
                 continue
-            if not H.is_zero_dimensional:
-                found = walk(H.exprs, used | {k})
+            if not _is_zero_dimensional(H):
+                found = walk(H, used | {k})
             else:
                 found = _real_points(H, S) or []
             if any(pt.signs == want for pt in found):
                 return found
         return []
 
-    return walk(G.exprs, frozenset())
+    return walk(G, frozenset())

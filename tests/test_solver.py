@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import product
 from typing import Optional
@@ -100,6 +101,107 @@ def test_parameter_as_a_variable():
     assert _eliminant_roots(G, None, None) == [F(-1), F(1)]
     assert _eliminant_roots(G, F(0), None) == [F(1)]
     assert _eliminant_roots(G, F(1), F(2)) == []
+
+
+def test_constant_systems():
+    # X = (1 + t, 2 + 2t): |X_2 / X_1| is 2 on the whole line.  Satisfied,
+    # the cleared equation vanishes identically and only the Rabinowitsch
+    # generator is left; violated, the basis is {1}.
+    S = AffineSet((F(1), F(2)), ((F(1), F(2)),))
+    dec = _decide(S, (0, 0), [[-1, 1]], [2])
+    assert (dec.solvable, dec.exact, dec.root_is_rational) == (True, True, True)
+    assert in_orthant(dec.root_X, (0, 0))
+    assert abs_monomial(dec.root_X, [-1, 1]) == 2
+    dec = _decide(S, (0, 0), [[-1, 1]], [3])
+    assert (dec.solvable, dec.exact, dec.note) == (False, True, "Groebner basis {1}")
+
+
+# ---------------------------------------------------------------------------
+# The sparse-ring basis against the expression-based one it replaced
+
+
+def _p_basis_from_expressions(S: AffineSet, signs, exponents, rhs=(), c=None):
+    """The sympy.Poly / sympy.groebner construction that _p_basis replaced, verbatim."""
+    import sympy
+
+    def _rat(x):
+        x = F(x)
+        return sympy.Rational(x.numerator, x.denominator)
+
+    p = S.dim
+    gens = (sympy.Symbol("z"), *sympy.symbols(f"t:{p}"),
+            *((sympy.Symbol("u"),) if c is not None else ()))
+    ts, one = gens[1:1 + p], sympy.Poly(1, *gens, domain=sympy.QQ)
+
+    def affine(const, terms):  # const + sum_i k_i x_i
+        return sympy.Poly(_rat(const) + sum(_rat(k) * x for k, x in terms),
+                          *gens, domain=sympy.QQ)
+
+    X = [affine(S.particular[j], zip((b[j] for b in S.basis), ts))
+         for j in range(S.ambient_dim)]
+    cu = None if c is None else [affine(k0, [(k1, gens[-1])]) for k0, k1 in c]
+    used = [j for j in range(S.ambient_dim) if any(a_row[j] for a_row in exponents)]
+    polys = []
+    for i, a_row in enumerate(exponents):
+        sides = [one, one]                   # prod X^a+ and prod X^a-
+        rsides = [one * _rat(rhs[i]), one] if c is None else [one, one]
+        for j in used:
+            aj = a_row[j]
+            if aj:
+                sides[aj < 0] *= X[j] ** abs(aj)
+                if cu is not None:
+                    rsides[aj < 0] *= cu[j] ** (2 * abs(aj))
+        polys.append(sides[0] * rsides[1] - signs[i] * rsides[0] * sides[1])
+    nonzero = one * gens[0]
+    for j in used:
+        nonzero *= X[j] if cu is None else X[j] * cu[j]
+    polys.append(nonzero - 1)
+    return sympy.groebner(polys, *gens, order="lex")
+
+
+def _eliminant_roots_from_expressions(G, lo, hi):
+    """Rational roots in (lo, hi) of G's eliminant, by the replaced expression code."""
+    import sympy
+
+    last, f = G.gens[-1], G.exprs[-1]
+    if f.free_symbols != {last}:
+        return []
+    roots = []
+    for q, _ in sympy.Poly(f, last, domain=sympy.QQ).factor_list()[1]:
+        if q.degree() == 1:
+            r = -q.nth(0) / q.nth(1)
+            roots.append(F(int(r.p), int(r.q)))
+    return sorted(r for r in roots if (lo is None or r > lo) and (hi is None or r < hi))
+
+
+def _small_p_system(rng: random.Random, with_c: bool):
+    p, m = rng.randint(1, 2), rng.randint(2, 4)
+    S = AffineSet(tuple(F(rng.randint(-2, 2)) for _ in range(m)),
+                  tuple(tuple(F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(m))
+                        for _ in range(p)))
+    # The parameter doubles the degrees, so it comes with exponents in {-1, 0, 1}.
+    digits = (-1, 0, 0, 1) if with_c else (-2, -1, 0, 0, 1, 2)
+    exponents = [[rng.choice(digits) for _ in range(m)] for _ in range(rng.randint(1, 2))]
+    signs = tuple(rng.choice((1, -1)) for _ in exponents)
+    rhs = [rng.choice((F(1), F(2), F(1, 2), F(3))) for _ in exponents]
+    c = [(F(rng.randint(-2, 2)), F(rng.randint(-1, 1))) for _ in range(m)] if with_c else None
+    return S, signs, exponents, rhs, c
+
+
+@pytest.mark.parametrize("with_c", [False, True])
+def test_sparse_basis_matches_the_expression_basis(with_c):
+    rng = random.Random(2024 + with_c)
+    for _ in range(25):
+        S, signs, exponents, rhs, c = _small_p_system(rng, with_c)
+        G = _p_basis(S, signs, exponents, rhs, c)
+        ref = _p_basis_from_expressions(S, signs, exponents, rhs, c)
+        # sympy.groebner clears denominators when every input coefficient
+        # is an integer; a reduced basis is unique up to scaling its
+        # elements, so both sides are compared monic.
+        assert [g.as_expr() for g in G] == [p.monic().as_expr() for p in ref.polys]
+        for lo, hi in ((None, None), (F(0), None), (F(-1), F(2))):
+            assert (_eliminant_roots(G, lo, hi)
+                    == _eliminant_roots_from_expressions(ref, lo, hi))
 
 
 # ---------------------------------------------------------------------------
