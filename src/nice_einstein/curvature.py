@@ -12,8 +12,11 @@ input entries picks the arithmetic, and nothing else differs:
 - integer path, when every Gram entry and structure constant is a Fraction
   or an int: G and the constants are scaled to integers by the lcm of their
   denominators, det and adjugate of G come from fraction-free (Bareiss)
-  elimination, every sum runs on Python ints, and each result entry is one
-  division into a Fraction at the end.  All-int inputs are exact too.
+  elimination, every sum runs on Python ints, and each nonzero result entry
+  is one division into a Fraction at the end.  Every zero entry, of a result
+  and of `LieBrackets.from_nice`'s constants, is one shared Fraction(0), so
+  the mostly-zero Ricci operator of a diagonal or sigma-diagonal metric
+  makes no Fractions there.  All-int inputs are exact too.
 - float path, otherwise: the entries are converted to floats, G is inverted
   by Gauss-Jordan elimination, and the same nonzero terms are summed in the
   same index order as the dense Koszul and Ricci formulas, so the rounding
@@ -32,6 +35,9 @@ from typing import Optional, Sequence
 from .algebra import NiceLieAlgebra
 
 
+_ZERO = Fraction(0)     # every exact zero entry the oracle makes
+
+
 class DegenerateMetricError(ValueError):
     pass
 
@@ -47,7 +53,7 @@ class LieBrackets:
     def from_nice(cls, a: NiceLieAlgebra) -> "LieBrackets":
         """Dense constants of a nice algebra, with `table` read off its sparse brackets."""
         n = a.n
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        c = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
         table = {}
         for (i, j), (k, cv) in a.brackets().items():
             c[i - 1][j - 1][k - 1] = cv
@@ -71,14 +77,18 @@ class LieBrackets:
 
 
 def diagonal_gram(g: Sequence) -> list[list]:
-    n = len(g)
-    return [[g[i] if i == j else 0 * g[i] for j in range(n)] for i in range(n)]
+    """Gram matrix of sum_i g_i e^i (x) e^i; row i's zeros are 0 * g_i."""
+    G = [[0 * x] * len(g) for x in g]
+    for i, x in enumerate(g):
+        G[i][i] = x
+    return G
 
 
 def sigma_gram(g: Sequence, sigma: Sequence[int]) -> list[list]:
     """Gram matrix of sum_i g_i e^i (x) e^{sigma(i)}; sigma 1-based images."""
     n = len(g)
-    G = [[0 * g[0] for _ in range(n)] for _ in range(n)]
+    zero = 0 * g[0]
+    G = [[zero] * n for _ in range(n)]
     for i in range(n):
         G[i][sigma[i] - 1] = g[i]
     return G
@@ -235,7 +245,9 @@ class _Frame:
         return cls(s, [[x / 2 for x in row] for row in inv], inv, 1, 1, 1)
 
     def quotient(self, num, den):
-        return Fraction(num, den) if self.s.exact else num
+        if not self.s.exact:
+            return num
+        return Fraction(num, den) if num else _ZERO
 
 
 def _connection(f: _Frame) -> tuple[list, list]:
@@ -364,7 +376,12 @@ def einstein_residual(op: Sequence[Sequence], lam):
     res = 0 * lam
     for i, row in enumerate(op):
         for j, x in enumerate(row):
-            dev = abs(x - lam) if i == j else abs(x)
+            if i == j:
+                dev = abs(x - lam)
+            elif x:
+                dev = abs(x)
+            else:   # |0.0|, |-0.0| and 0 never exceed res
+                continue
             if dev > res:
                 res = dev
     return res

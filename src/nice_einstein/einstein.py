@@ -325,7 +325,7 @@ class _Recovery:
     `rows` are the integer rows of M, or for sigma M's columns summed over
     each sigma-orbit, which forces an invariant metric; `orb_of` maps a
     node to its orbit (sigma only).  `system` is the multiplicative system
-    on `rows`, prepared once.
+    on `rows`, prepared once.  `by_ray` holds what `solve` found for each X.
     """
 
     M2: MatF2
@@ -334,6 +334,7 @@ class _Recovery:
     orb_of: Optional[dict]
     freedom: MetricFreedom
     system: MultiplicativeSystem
+    by_ray: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, a: NiceLieAlgebra, sigma: Optional[Permutation]) -> "_Recovery":
@@ -354,6 +355,28 @@ class _Recovery:
                    MetricFreedom(tuple(_int_scale(v) for v in ker)),
                    MultiplicativeSystem(rows))
 
+    def solve(self, X: Sequence) -> tuple[Optional[SignVec], tuple]:
+        """(logsign of X_I / weight_I, |g| on the columns of `rows`) for ray X.
+
+        The signs are None when X is not rational.  The magnitudes are exact
+        through the Smith form when X is rational and no fractional power
+        arises, floats from the log-space fit otherwise.  Only the signs of
+        a metric depend on delta, so each X is solved once.
+        """
+        rational = all(isinstance(x, (Fraction, int)) for x in X)
+        key = (rational, tuple(X))     # a float X never meets a rational one's entry
+        hit = self.by_ray.get(key)
+        if hit is None:
+            signs = mags = None
+            if rational:
+                rhs = [Fraction(x) / w for x, w in zip(X, self.weights)]
+                signs = logsign(rhs)
+                mags = self.system.solve([abs(r) for r in rhs])
+            if mags is None:
+                mags = _log_solve(self.rows, X, self.weights)
+            hit = self.by_ray[key] = (signs, mags)
+        return hit
+
 
 def recover_metric(
     a: NiceLieAlgebra,
@@ -368,6 +391,8 @@ def recover_metric(
     multiplicatively; exact through the Smith form when X is rational and no
     fractional powers arise, in log space (floats) otherwise.  `facts` are
     the classification's `_Recovery` of (a, sigma); built here when omitted.
+    The mod-2 condition M2 delta = logsign(X / weights) is checked for every
+    delta when X is rational.
     """
     if sigma is not None and not _sigma_invariant(delta, sigma):
         raise ValueError("sign pattern is not sigma-invariant")
@@ -380,24 +405,14 @@ def recover_metric(
         return metric, freedom
     if facts is None:
         facts = _Recovery.of(a, sigma)
-    weights = facts.weights
-    if all(isinstance(x, (Fraction, int)) for x in X):
-        rhs = [Fraction(x) / w for x, w in zip(X, weights)]
-        if tuple(facts.M2.mul_vec(delta)) != logsign(rhs):
-            raise ValueError("sign pattern violates the mod-2 condition")
-        g = facts.system.solve([abs(r) for r in rhs])
-        if g is not None:
-            if sigma is None:
-                signed = tuple((-1 if d else 1) * x for d, x in zip(delta, g))
-                return DiagonalMetric(signed, delta), facts.freedom
-            signed = tuple((-1 if delta[i] else 1) * g[facts.orb_of[i + 1]]
-                           for i in range(a.n))
-            return SigmaMetric(sigma, signed, delta), facts.freedom
-    if sigma is None:
-        g = _log_solve(facts.rows, X, weights, delta)
-        return DiagonalMetric(g, delta), facts.freedom
-    g = _log_solve(facts.rows, X, weights, delta, expand=(facts.orb_of, a.n))
-    return SigmaMetric(sigma, g, delta), facts.freedom
+    signs, mags = facts.solve(X)
+    if signs is not None and tuple(facts.M2.mul_vec(delta)) != signs:
+        raise ValueError("sign pattern violates the mod-2 condition")
+    if sigma is not None:
+        mags = [mags[facts.orb_of[v]] for v in range(1, a.n + 1)]
+    g = tuple(-m if d else m for d, m in zip(delta, mags))
+    metric = DiagonalMetric(g, delta) if sigma is None else SigmaMetric(sigma, g, delta)
+    return metric, facts.freedom
 
 
 def _orbits(sigma: Permutation) -> list[tuple[int, ...]]:
@@ -428,8 +443,8 @@ def _difference_rows(pairs, size: int) -> list[list[Fraction]]:
     return rows
 
 
-def _log_solve(rows, X, weights, delta, expand=None):
-    """Least-squares log-space solve; returns float metric coefficients."""
+def _log_solve(rows, X, weights) -> tuple[float, ...]:
+    """Least-squares log-space fit of |g| on the columns of `rows` (floats)."""
     import numpy as np
 
     A = np.array([[float(x) for x in row] for row in rows])
@@ -438,15 +453,7 @@ def _log_solve(rows, X, weights, delta, expand=None):
         for x, w in zip(X, weights)
     ])
     w, *_ = np.linalg.lstsq(A, b, rcond=None)
-    mags = np.exp(w)
-    if expand is None:
-        return tuple(
-            (-1.0 if d else 1.0) * float(m) for d, m in zip(delta, mags)
-        )
-    orb_of, n = expand
-    return tuple(
-        (-1.0 if delta[i] else 1.0) * float(mags[orb_of[i + 1]]) for i in range(n)
-    )
+    return tuple(float(m) for m in np.exp(w))
 
 
 # ---------------------------------------------------------------------------

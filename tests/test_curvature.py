@@ -365,10 +365,65 @@ def test_einstein_residual_matches_the_dense_formula():
         return res
 
     rng = random.Random(5)
-    for _ in range(50):
-        n = rng.randint(1, 5)
-        op = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+    nan = float("nan")
+    for trial in range(200):
+        n = rng.randint(1, 6)
+        sparse = trial % 2   # mostly zero off the diagonal, as for nice metrics
+        op = [[F(rng.randint(-3, 3), rng.randint(1, 3))
+               if not sparse or i == j or rng.random() < 0.1 else F(0)
+               for j in range(n)] for i in range(n)]
         lam = F(rng.randint(-2, 2), 2)
-        for args in ((op, lam), ([[float(x) for x in row] for row in op], float(lam))):
+        flo = [[float(x) if x else rng.choice([0, 0.0, -0.0]) for x in row] for row in op]
+        if trial % 4 == 3:
+            flo[rng.randrange(n)][rng.randrange(n)] = nan
+        cases = [(op, lam), (flo, float(lam)), (flo, -0.0), (flo, nan)]
+        for args in cases:
             got, want = einstein_residual(*args), dense(*args)
-            assert got == want and type(got) is type(want)
+            assert repr(got) == repr(want) and type(got) is type(want)
+
+
+def _first_certificates():
+    """(algebra, first certificate) of every successful catalog classification."""
+    from nice_einstein import diagonal_einstein, parse_permutation, sigma_einstein
+    from nice_einstein.catalog import load_catalog
+
+    out = []
+    for entry in load_catalog():
+        fam = entry.family()
+        for mode in ("diagonal", "sigma"):
+            for rec in entry.expected.get(mode, []):
+                a = fam.substitute({p: F(v) for p, v in rec.get("param", {}).items()})
+                k = F(rec.get("k", "0"))
+                res = (diagonal_einstein(a, k) if mode == "diagonal" else
+                       sigma_einstein(a, parse_permutation(rec["sigma"], a.n), k))
+                if res.success:
+                    out.append((a, res.certificates[0]))
+    return out
+
+
+def test_certificate_ricci_matches_the_dense_sums():
+    """Shared zeros change neither the value nor the type of any oracle entry."""
+    certs = _first_certificates()
+    assert len(certs) == 45     # the catalog's "metrics" records
+    kinds = set()
+    for a, cert in certs:
+        m = cert.metric
+        g = m.g
+        sigma = getattr(m, "sigma", None)
+        gram = m.gram()
+        n = len(g)
+        if sigma is None:
+            old = [[g[i] if i == j else 0 * g[i] for j in range(n)] for i in range(n)]
+        else:
+            old = [[0 * g[0] for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                old[i][sigma[i] - 1] = g[i]
+        assert repr(gram) == repr(old)
+        got, want = ricci_tensor(bra(a), gram), dense_ricci(bra(a), gram)
+        if cert.exact:
+            assert got == want
+            assert all(type(x) is F for M in got for row in M for x in row)
+        else:
+            assert repr(got) == repr(want)
+        kinds.add((sigma is None, cert.exact))
+    assert kinds == {(True, True), (True, False), (False, True)}  # no float sigma metric

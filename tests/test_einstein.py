@@ -333,6 +333,52 @@ def test_recovery_facts_built_once_per_classification(monkeypatch):
     assert counts == {"kernel_basis": 1, "smith_normal_form": 1, "recover_metric": 32}
 
 
+
+def test_exact_magnitudes_solved_once_per_ray(monkeypatch):
+    import nice_einstein.einstein as einstein
+    from nice_einstein.catalog import find_entry
+
+    counts = {}
+    _counting(monkeypatch, einstein.MultiplicativeSystem, "solve", counts)
+    _counting(monkeypatch, einstein, "_log_solve", counts)
+    _counting(monkeypatch, einstein, "recover_metric", counts)
+    # 32 certificates over 2 rays X; only the signs differ within a ray
+    res = diagonal_einstein(find_entry("841:48").algebra({"a2": F(2)}), 0)
+    assert res.success and len(res.certificates) == 32
+    assert len({c.X for c in res.certificates}) == 2
+    assert counts == {"solve": 2, "recover_metric": 32}
+
+
+def test_float_magnitudes_fitted_once_per_ray(monkeypatch):
+    import nice_einstein.einstein as einstein
+    from nice_einstein.catalog import find_entry
+
+    counts = {}
+    _counting(monkeypatch, einstein.MultiplicativeSystem, "solve", counts)
+    _counting(monkeypatch, einstein, "_log_solve", counts)
+    _counting(monkeypatch, einstein, "recover_metric", counts)
+    # exact X, but the Smith form needs fractional powers: the log-space fit
+    res = diagonal_einstein(find_entry("8542:15a").algebra({"a2": F(2)}), 0)
+    assert res.success and len(res.certificates) == 16
+    assert not any(c.exact for c in res.certificates)
+    assert counts == {"solve": 4, "_log_solve": 4, "recover_metric": 16}
+
+
+def test_recover_metric_checks_every_sign_pattern_on_a_solved_ray(algebras):
+    from nice_einstein.einstein import _Recovery
+
+    a = algebras["631:6"]
+    res = diagonal_einstein(a, 0)
+    facts = _Recovery.of(a, None)
+    for cert in res.certificates:
+        assert recover_metric(a, cert.X, cert.delta, facts=facts) == (
+            cert.metric, cert.freedom)
+    assert len(facts.by_ray) == len({c.X for c in res.certificates})
+    bad = tuple(1 - d for d in res.certificates[0].delta[:1]) + res.certificates[0].delta[1:]
+    with pytest.raises(ValueError, match="mod-2"):
+        recover_metric(a, res.certificates[0].X, bad, facts=facts)
+
+
 def test_l_system_reduced_once_per_classification(monkeypatch):
     import nice_einstein.einstein as einstein
     from nice_einstein.catalog import find_entry
