@@ -5,15 +5,19 @@ an arbitrary nondegenerate symmetric Gram matrix, computes the Levi-Civita
 connection through the Koszul formula, the full Riemann tensor, the Ricci
 tensor/operator, curvature norms, and ad-invariance.
 
-The connection and the Ricci tensor visit only nonzero brackets and nonzero
-connection entries, and the Gram matrix is inverted once.  The type of the
-input entries picks the arithmetic, and nothing else differs:
+The connection is driven by the lowered brackets <[x,y],z>: each one is a
+term of three Koszul sums, so only the index pairs that have a term are
+visited.  The Ricci tensor then walks only nonzero connection rows, and the
+Gram matrix is inverted once.  The type of the input entries picks the
+arithmetic, and nothing else differs:
 
 - integer path, when every Gram entry and structure constant is a Fraction
   or an int: G and the constants are scaled to integers by the lcm of their
   denominators, det and adjugate of G come from fraction-free (Bareiss)
-  elimination, every sum runs on Python ints, and each nonzero result entry
-  is one division into a Fraction at the end.  Every zero entry, of a result
+  elimination, or are read off when G is monomial (one nonzero per row and
+  column, as for every diagonal and sigma-diagonal metric), every sum runs
+  on Python ints, and each nonzero result entry is one division into a
+  Fraction at the end.  Every zero entry, of a result
   and of `LieBrackets.from_nice`'s constants, is one shared Fraction(0), so
   the mostly-zero Ricci operator of a diagonal or sigma-diagonal metric
   makes no Fractions there.  All-int inputs are exact too.
@@ -114,8 +118,25 @@ def _invert(G: Sequence[Sequence]) -> list[list]:
 def _adjugate(A: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     """(d, d * A^-1) for a nonsingular integer matrix A, where d = +-det A.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968): every division is
-    exact, so all intermediate entries stay integers.
+    A monomial A (one nonzero entry A[i][p(i)] per row and per column, as the
+    Gram matrix of every diagonal and sigma-diagonal metric) is read off;
+    any other A is eliminated.
+    """
+    perm = []
+    for row in A:
+        support = [j for j, x in enumerate(row) if x]
+        if len(support) != 1:
+            return _bareiss_adjugate(A)
+        perm.append(support[0])
+    if len(set(perm)) < len(A):
+        return _bareiss_adjugate(A)
+    return _monomial_adjugate(A, perm)
+
+
+def _bareiss_adjugate(A: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(d, d * A^-1) by fraction-free Gauss-Jordan elimination (Bareiss 1968).
+
+    Every division is exact, so all intermediate entries stay integers.
     """
     n = len(A)
     M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
@@ -138,6 +159,24 @@ def _adjugate(A: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
                 M[i] = [p * x // prev for x in Mi]
         prev = p
     return prev, [row[n:] for row in M]
+
+
+def _monomial_adjugate(A: Sequence[Sequence[int]],
+                       perm: list[int]) -> tuple[int, list[list[int]]]:
+    """(det A, adj A) for A whose nonzero entries are exactly A[i][perm[i]].
+
+    det A = sign(perm) * prod_i A[i][perm[i]], and adj A has the one nonzero
+    adj[perm[i]][i] = det A / A[i][perm[i]] per row, an exact division.
+    """
+    n = len(A)
+    inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
+    det = -1 if inversions % 2 else 1
+    for i, j in enumerate(perm):
+        det *= A[i][j]
+    adj = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        adj[j][i] = det // A[i][j]
+    return det, adj
 
 
 def _mat_mul(A, B):
@@ -189,11 +228,12 @@ class _Scaled:
         table = brackets.table
         entries = [x for row in gram for x in row]
         consts = [v for terms in table.values() for _, v in terms]
-        if all(isinstance(x, (int, Fraction)) for x in entries + consts):
-            L = math.lcm(*(x.denominator for x in entries))
+        if all(issubclass(t, (int, Fraction)) for t in set(map(type, entries + consts))):
+            L = math.lcm(1, *(x.denominator for x in entries if x))
             M = math.lcm(1, *(v.denominator for v in consts))
             return cls(True,
-                       [[x.numerator * (L // x.denominator) for x in row] for row in gram],
+                       [[x.numerator * (L // x.denominator) if x else 0 for x in row]
+                        for row in gram],
                        {ab: tuple((k, v.numerator * (M // v.denominator)) for k, v in terms)
                         for ab, terms in table.items()},
                        L, M)
@@ -256,38 +296,44 @@ def _connection(f: _Frame) -> tuple[list, list]:
     D~[a][c][b] = d_den * (e_c-component of nabla_{e_a} e_b), from the Koszul
     formula for left-invariant metrics:
     2<nabla_a b, d> = <[a,b],d> - <[b,d],a> + <[d,a],b>.
-    rows[a][c] lists the nonzero (b, D~[a][c][b]), b ascending.
+    A lowered bracket <[x,y],z> = w is the first term at (a, b, d) = (x, y, z),
+    the second at (z, x, y) and the third at (y, z, x), so only the pairs
+    (a, b) with a term are visited.  rows[a][c] lists the nonzero
+    (b, D~[a][c][b]), b ascending.
     """
     n = len(f.s.G)
-    by_pair = f.s.lowered()
-    by_first: dict = {}     # (x, z) -> [(y, <[x,y],z>)]
-    by_second: dict = {}    # (y, z) -> [(x, <[x,y],z>)]
-    for (x, y), entries in by_pair.items():
+    low = f.s.lowered()
+    # (a, b) -> {d: (t1 - t2) + t3}, one term kind per pass: the dense
+    # formula's float rounding
+    koszul = {xy: dict(entries) for xy, entries in low.items()}
+    for (x, y), entries in low.items():
         for z, w in entries:
-            by_first.setdefault((x, z), []).append((y, w))
-            by_second.setdefault((y, z), []).append((x, w))
+            at = koszul.get((z, x))
+            if at is None:
+                at = koszul[(z, x)] = {}
+            at[y] = at.get(y, 0) - w
+    for (x, y), entries in low.items():
+        for z, w in entries:
+            at = koszul.get((y, z))
+            if at is None:
+                at = koszul[(y, z)] = {}
+            at[x] = at.get(x, 0) + w
     conn_cols = [[(c, p) for c, p in enumerate(col) if p] for col in zip(*f.conn)]
     D = [[[0] * n for _ in range(n)] for _ in range(n)]
     rows = [[[] for _ in range(n)] for _ in range(n)]
-    for a in range(n):
+    for (a, b) in sorted(koszul):
+        at = koszul[(a, b)]
+        col = {}
+        for d in sorted(at):
+            kd = at[d]
+            if kd:
+                for c, p in conn_cols[d]:
+                    col[c] = col.get(c, 0) + p * kd
         Da, rows_a = D[a], rows[a]
-        for b in range(n):
-            # (t1 - t2) + t3 per d, then d ascending: the dense formula's float rounding
-            koszul = dict(by_pair.get((a, b), ()))
-            for d, w in by_first.get((b, a), ()):
-                koszul[d] = koszul.get(d, 0) - w
-            for d, w in by_second.get((a, b), ()):
-                koszul[d] = koszul.get(d, 0) + w
-            col = {}
-            for d in sorted(koszul):
-                kd = koszul[d]
-                if kd:
-                    for c, p in conn_cols[d]:
-                        col[c] = col.get(c, 0) + p * kd
-            for c, v in col.items():
-                Da[c][b] = v
-                if v:
-                    rows_a[c].append((b, v))
+        for c, v in col.items():
+            Da[c][b] = v
+            if v:
+                rows_a[c].append((b, v))
     return D, rows
 
 
@@ -351,24 +397,37 @@ def ricci_tensor(brackets: LieBrackets, gram: Sequence[Sequence]) -> tuple[list,
         for a in range(n):
             if a == b:     # its two products cancel exactly, but not in floats
                 continue
-            Daa, Dba, rows_a = D[a][a], Db[a], rows[a]
-            for t in range(n):
-                x = Daa[t]
-                if x:
+            rows_a = rows[a]
+            xs, ys = rows_a[a], rows_b[a]    # the nonzero D[a][a][t] and D[b][a][t]
+            if xs and ys:
+                # per t the x term, then the y term: the dense sum's order
+                Daa, Dba = D[a][a], Db[a]
+                for t in range(n):
+                    x = Daa[t]
+                    if x:
+                        for cc, v in rows_b[t]:
+                            acc[cc] += x * v
+                    y = Dba[t]
+                    if y:
+                        for cc, v in rows_a[t]:
+                            acc[cc] -= y * v
+            else:
+                for t, x in xs:
                     for cc, v in rows_b[t]:
                         acc[cc] += x * v
-                y = Dba[t]
-                if y:
+                for t, y in ys:
                     for cc, v in rows_a[t]:
                         acc[cc] -= y * v
             for k, kv in lin.get((a, b), ()):
                 for cc, v in rows[k][a]:
                     acc[cc] -= kv * v
         R.append(acc)
-    ric_den = f.d_den * f.d_den
-    ric = [[f.quotient(x, ric_den) for x in row] for row in R]
-    op = [[f.quotient(f.s.L * x, f.op_den) for x in row] for row in _mat_mul(f.inv, R)]
-    return ric, op
+    op = _mat_mul(f.inv, R)
+    if not f.s.exact:
+        return R, op
+    ric_den, L, op_den = f.d_den * f.d_den, f.s.L, f.op_den
+    return ([[Fraction(x, ric_den) if x else _ZERO for x in row] for row in R],
+            [[Fraction(L * x, op_den) if x else _ZERO for x in row] for row in op])
 
 
 def einstein_residual(op: Sequence[Sequence], lam):

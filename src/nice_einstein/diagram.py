@@ -71,27 +71,26 @@ def validate_nice(n: int, raw_arrows: Iterable[tuple[int, int, int]]) -> list[Vi
 
     # (N4), using unordered two-step paths: i -(j,k)-> v means there is an l
     # with {j,k} -> l and {i,l} -> v.
-    pair_target: dict[frozenset, set[int]] = {}
+    pair_target: dict[tuple[int, int], set[int]] = {}
     for (i, j, k) in arrows:
-        pair_target.setdefault(frozenset((i, j)), set()).add(k)
+        pair_target.setdefault((min(i, j), max(i, j)), set()).add(k)
 
-    def two_step(a: int, b: int, c: int, v: int) -> bool:
-        for l in pair_target.get(frozenset((b, c)), ()):
-            if v in pair_target.get(frozenset((a, l)), ()):
-                return True
-        return False
+    def reach(a: int, bc: tuple[int, int]) -> set[int]:
+        """The v with a two-step path a -(b,c)-> v."""
+        out: set[int] = set()
+        for l in pair_target.get(bc, ()):
+            out |= pair_target.get((min(a, l), max(a, l)), set())
+        return out
 
     from itertools import combinations
     for trip in combinations(range(1, n + 1), 3):
-        for v in range(1, n + 1):
-            if v in trip:
-                continue
-            a, b, c = trip
-            hits = [two_step(a, b, c, v), two_step(b, c, a, v), two_step(c, a, b, v)]
-            if sum(hits) == 1:
-                violations.append(Violation(
-                    "N4", (trip, v),
-                    f"exactly one two-step path from {{{a},{b},{c}}} reaches {v}"))
+        a, b, c = trip
+        hits = (reach(a, (b, c)), reach(b, (a, c)), reach(c, (a, b)))
+        once = (hits[0] ^ hits[1] ^ hits[2]) - (hits[0] & hits[1] & hits[2])
+        for v in sorted(once.difference(trip)):
+            violations.append(Violation(
+                "N4", (trip, v),
+                f"exactly one two-step path from {{{a},{b},{c}}} reaches {v}"))
     return violations
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Optional, Sequence
 
 Rat = Fraction
@@ -518,12 +518,18 @@ def strict_sign_feasible(S: AffineSet, eps: Sequence[int]) -> bool:
 def symmetric_signature(G: Sequence[Sequence]) -> tuple[int, int]:
     """Signature (p, q) of a nondegenerate symmetric rational matrix, exactly.
 
-    Congruence (Lagrange) reduction; raises ValueError on degeneracy.
+    Congruence (Lagrange) reduction on integers: the matrix is scaled by the
+    lcm of its denominators, and each step replaces the rest by |a| times its
+    Schur complement, divided by the gcd of its entries.  Every scale is
+    positive, so by Sylvester's law of inertia (p, q) does not change.
+    Raises ValueError on degeneracy.
     """
-    A = [[Fraction(x) for x in row] for row in G]
+    A = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in G]
     n = len(A)
     if any(len(r) != n for r in A):
         raise ValueError("matrix not square")
+    den = lcm(*(x.denominator for row in A for x in row))
+    A = [[x.numerator * (den // x.denominator) for x in row] for row in A]
     if any(A[i][j] != A[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix not symmetric")
     p = q = 0
@@ -543,18 +549,30 @@ def symmetric_signature(G: Sequence[Sequence]) -> tuple[int, int]:
             for r in range(nn):
                 A[r][i] += A[r][j]
             continue
-        a = A[d][d]
+        Ad = A[d]
+        a = Ad[d]
         if a > 0:
             p += 1
         else:
             q += 1
+        s = abs(a)
         B = []
         for r in range(nn):
             if r == d:
                 continue
-            f = A[r][d] / a
-            row = [A[r][c] - f * A[d][c] for c in range(nn)] if f else A[r]
-            B.append([row[c] for c in range(nn) if c != d])
+            Ar = A[r]
+            f = Ar[d] if a > 0 else -Ar[d]
+            # |a| * (A[r][c] - A[r][d] * A[d][c] / a)
+            if f:
+                row = [s * x - f * y for x, y in zip(Ar, Ad)]
+            elif s != 1:
+                row = [s * x for x in Ar]
+            else:
+                row = Ar
+            B.append(row[:d] + row[d + 1:])
+        g = gcd(*chain.from_iterable(B))
+        if g > 1:
+            B = [[x // g for x in row] for row in B]
         A = B
     return p, q
 

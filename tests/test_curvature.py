@@ -12,6 +12,7 @@ from nice_einstein.curvature import (
     DegenerateMetricError,
     LieBrackets,
     _adjugate,
+    _bareiss_adjugate,
     _invert,
     ad_invariance_check,
     diagonal_gram,
@@ -190,8 +191,8 @@ def test_scalar_curvature_trace_identity(algebras):
 # The sparse, integer/float oracle against dense references
 
 
-def dense_ricci(B, gram):
-    """The dense Koszul and Ricci sums over every index, with G inverted twice."""
+def dense_levi_civita(B, gram):
+    """The dense Koszul sums over every index, with G inverted by Gauss-Jordan."""
     n = B.n
     c = B.c
     G = [list(row) for row in gram]
@@ -212,6 +213,18 @@ def dense_ricci(B, gram):
                         s += x * y
                 mat[r][b] = s / 2 if s else s
         D.append(mat)
+    return D
+
+
+def dense_ricci(B, gram, D=None):
+    """The dense Koszul and Ricci sums over every index, with G inverted twice.
+
+    D, when given, is dense_levi_civita(B, gram).
+    """
+    n = B.n
+    c = B.c
+    if D is None:
+        D = dense_levi_civita(B, gram)
     zero = 0 * gram[0][0]
     ric = [[zero] * n for _ in range(n)]
     for b in range(n):
@@ -229,7 +242,7 @@ def dense_ricci(B, gram):
                     if c[a][b][k] != 0 and D[k][a][cc]:
                         s -= c[a][b][k] * D[k][a][cc]
             ric[b][cc] = s
-    Ginv = _invert(G)
+    Ginv = _invert([list(row) for row in gram])
     op = [[0] * n for _ in range(n)]
     for i in range(n):
         for t in range(n):
@@ -319,6 +332,41 @@ def test_adjugate_is_det_times_inverse():
         d, X = _adjugate(A)
         assert abs(d) == abs(sympy.Matrix(A).det())
         assert [[F(x, d) for x in row] for row in X] == inv
+
+
+def _parity(perm):
+    """0 for an even permutation of 0..n-1, 1 for an odd one."""
+    return sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:]) % 2
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_monomial_adjugate_matches_bareiss(n):
+    """Signed permutation times diagonal: read off, the same as eliminated."""
+    rng = random.Random(f"monomial/{n}")
+    parities = set()
+    for _ in range(30):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        A = [[0] * n for _ in range(n)]
+        for i, j in enumerate(perm):
+            A[i][j] = rng.choice([1, -1, 2, -3, 5, 6, -12, 49])
+        det = sympy.Matrix(A).det()
+        d, X = _adjugate(A)
+        bd, bX = _bareiss_adjugate(A)
+        assert d == det and abs(bd) == abs(det)
+        inv = _invert([[F(x) for x in row] for row in A])
+        assert [[F(x, d) for x in row] for row in X] == inv
+        assert [[F(x, bd) for x in row] for row in bX] == inv
+        assert all(type(x) is int for row in X for x in row)
+        parities.add(_parity(perm))
+    assert parities == ({0} if n == 1 else {0, 1})
+
+
+def test_monomial_looking_singular_matrices_rejected():
+    for A in ([[2, 0, 0], [0, 0, 0], [0, 0, -1]],      # a zero row
+              [[0, 3, 0], [0, -1, 0], [1, 0, 0]]):     # one nonzero per row, a shared column
+        with pytest.raises(DegenerateMetricError):
+            _adjugate(A)
 
 
 def test_singular_dense_gram_rejected(algebras):
@@ -427,3 +475,55 @@ def test_certificate_ricci_matches_the_dense_sums():
             assert repr(got) == repr(want)
         kinds.add((sigma is None, cert.exact))
     assert kinds == {(True, True), (True, False), (False, True)}  # no float sigma metric
+
+
+def _oracle_sweep_metrics(rng, entry):
+    """(algebra, Gram matrix) pairs: diagonal, sigma-diagonal and dense, exact and float.
+
+    The algebra is at the parameters of the entry's first record, and at
+    those of its first sigma record for the sigma metrics.
+    """
+    from nice_einstein import parse_permutation
+
+    recs = entry.expected.get("diagonal", []) + entry.expected.get("sigma", [])
+    a = entry.algebra({p: F(v) for p, v in (recs[0].get("param", {}) if recs else {}).items()})
+    n = a.n
+    exact = [F(1), F(-2), F(3), F(1, 3), F(-3, 2), F(2, 5)]
+    floats = [rng.choice((1, -1)) * rng.uniform(0.5, 2.0) for _ in range(n)]
+    out = [(a, diagonal_gram([rng.choice(exact) for _ in range(n)])),
+           (a, diagonal_gram(floats)),
+           (a, ldlt_gram(rng, n)),
+           (a, [[float(x) for x in row] for row in ldlt_gram(rng, n)])]
+    sig = entry.expected.get("sigma", [])
+    if sig:
+        a = entry.algebra({p: F(v) for p, v in sig[0].get("param", {}).items()})
+        sigma = parse_permutation(sig[0]["sigma"], n)
+        for g in ([rng.choice(exact) for _ in range(n)], floats):
+            out.append((a, sigma_gram([g[min(i, sigma[i] - 1)] for i in range(n)], sigma)))
+    return out
+
+
+def test_oracle_matches_the_dense_sums_on_every_catalog_algebra():
+    """Connection and Ricci on every catalog algebra, exact and float, sparse and dense Gram."""
+    from nice_einstein.catalog import load_catalog
+
+    rng = random.Random(9)
+    kinds = {True: 0, False: 0}
+    sigma_entries = 0
+    for entry in load_catalog():
+        sigma_entries += bool(entry.expected.get("sigma"))
+        for a, G in _oracle_sweep_metrics(rng, entry):
+            B = bra(a)
+            got = (levi_civita(B, G), *ricci_tensor(B, G))
+            D = dense_levi_civita(B, G)
+            want = (D, *dense_ricci(B, G, D))
+            exact = all(type(x) is F for row in G for x in row)
+            if exact:
+                assert got == want
+                D, ric, op = got
+                assert all(type(x) is F for M in (*D, ric, op) for row in M for x in row)
+            else:
+                assert repr(got) == repr(want)
+            kinds[exact] += 1
+    assert sigma_entries == 17
+    assert kinds == {True: 2 * 44 + 17, False: 2 * 44 + 17}

@@ -1,7 +1,11 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from nice_einstein.diagram import (
     NiceDiagram,
+    Violation,
     automorphisms,
     format_permutation,
     index_set,
@@ -50,6 +54,63 @@ def test_validate_n4_violation():
     raw = [(2, 3, 4), (3, 2, 4), (1, 4, 5), (4, 1, 5)]
     violations = validate_nice(5, raw)
     assert any(v.axiom == "N4" for v in violations)
+
+
+def _reference_n4_scan(n, raw_arrows):
+    """The N4 scan by single two-step lookups, verbatim from its first version."""
+    arrows = sorted(set((int(i), int(j), int(k)) for (i, j, k) in raw_arrows))
+    violations = []
+    pair_target: dict[frozenset, set[int]] = {}
+    for (i, j, k) in arrows:
+        pair_target.setdefault(frozenset((i, j)), set()).add(k)
+
+    def two_step(a: int, b: int, c: int, v: int) -> bool:
+        for l in pair_target.get(frozenset((b, c)), ()):
+            if v in pair_target.get(frozenset((a, l)), ()):
+                return True
+        return False
+
+    for trip in combinations(range(1, n + 1), 3):
+        for v in range(1, n + 1):
+            if v in trip:
+                continue
+            a, b, c = trip
+            hits = [two_step(a, b, c, v), two_step(b, c, a, v), two_step(c, a, b, v)]
+            if sum(hits) == 1:
+                violations.append(Violation(
+                    "N4", (trip, v),
+                    f"exactly one two-step path from {{{a},{b},{c}}} reaches {v}"))
+    return violations
+
+
+def _random_digraph(rng):
+    """Mostly paired arrows {i,j} -> k, with N1, N2 and N3 faults mixed in."""
+    n = rng.randint(3, 8)
+    raw = []
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j, k = (rng.randint(1, n) for _ in range(3))
+        fault = rng.random()
+        if fault < 0.05:
+            raw.append((i, i, k))                   # N3: labeled by its own source
+        elif fault < 0.15:
+            raw.append((i, j, k))                   # N3: no companion arrow
+        else:
+            raw += [(i, j, k), (j, i, k)]           # N1/N2 when a pair repeats
+    return n, raw
+
+
+def test_n4_scan_matches_the_single_lookup_scan():
+    rng = random.Random(20)
+    with_n4 = with_other = 0
+    for _ in range(2500):
+        n, raw = _random_digraph(rng)
+        got = validate_nice(n, raw)
+        n4 = [v for v in got if v.axiom == "N4"]
+        assert n4 == _reference_n4_scan(n, raw)
+        assert got[len(got) - len(n4):] == n4       # N4 comes last
+        with_n4 += bool(n4)
+        with_other += len(got) > len(n4)
+    assert with_n4 > 1000 and with_other > 1000
 
 
 def test_index_set_62_4a(algebras):

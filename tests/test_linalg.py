@@ -245,6 +245,89 @@ def test_symmetric_signature():
         symmetric_signature([[0, 0], [0, 1]])
 
 
+def _reference_signature(G):
+    """The Lagrange reduction on Fractions, verbatim from its first version."""
+    A = [[F(x) for x in row] for row in G]
+    n = len(A)
+    if any(len(r) != n for r in A):
+        raise ValueError("matrix not square")
+    if any(A[i][j] != A[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix not symmetric")
+    p = q = 0
+    while A:
+        nn = len(A)
+        d = next((i for i in range(nn) if A[i][i] != 0), None)
+        if d is None:
+            pair = next(
+                ((i, j) for i in range(nn) for j in range(i + 1, nn) if A[i][j] != 0),
+                None,
+            )
+            if pair is None:
+                raise ValueError("matrix is degenerate")
+            i, j = pair
+            for c in range(nn):
+                A[i][c] += A[j][c]
+            for r in range(nn):
+                A[r][i] += A[r][j]
+            continue
+        a = A[d][d]
+        if a > 0:
+            p += 1
+        else:
+            q += 1
+        B = []
+        for r in range(nn):
+            if r == d:
+                continue
+            f = A[r][d] / a
+            row = [A[r][c] - f * A[d][c] for c in range(nn)] if f else A[r]
+            B.append([row[c] for c in range(nn) if c != d])
+        A = B
+    return p, q
+
+
+def _signature_or_error(fn, G):
+    try:
+        return fn(G)
+    except ValueError as e:
+        return str(e)
+
+
+def test_integer_signature_matches_the_fraction_reduction():
+    rng = random.Random(12)
+    vals = [F(0), F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 7)]
+    seen = set()
+    for trial in range(3000):
+        n = rng.randint(1, 7)
+        kind = trial % 5
+        A = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                A[i][j] = A[j][i] = rng.choice(vals)
+        if kind == 1:                   # zero diagonal: the paired-row step
+            for i in range(n):
+                A[i][i] = F(0)
+        elif kind == 2 and n > 1:       # rank deficient: a row that is a multiple
+            k = rng.choice([F(1), F(-2), F(1, 3)])
+            for c in range(n):
+                A[n - 1][c] = k * A[0][c]
+            for r in range(n):
+                A[r][n - 1] = k * A[r][0]
+            A[n - 1][n - 1] = k * k * A[0][0]
+        elif kind == 3 and n > 1:       # not symmetric
+            i, j = rng.sample(range(n), 2)
+            A[i][j] += 1
+        elif kind == 4:                 # plain ints, and one float entry pair
+            A = [[int(x * 6) for x in row] for row in A]
+            i, j = rng.randrange(n), rng.randrange(n)
+            A[i][j] = A[j][i] = 0.5
+        want = _signature_or_error(_reference_signature, A)
+        assert _signature_or_error(symmetric_signature, A) == want
+        seen.add(want if isinstance(want, str) else "signature")
+    assert seen == {"signature", "matrix is degenerate", "matrix not symmetric"}
+    assert _signature_or_error(symmetric_signature, [[1, 2], [2]]) == "matrix not square"
+
+
 @given(
     st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
              min_size=1, max_size=2),
