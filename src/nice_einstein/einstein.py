@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .algebra import NiceLieAlgebra, tilde_c
+from .algebra import NiceLieAlgebra, ParseError, tilde_c
 from .curvature import LieBrackets, diagonal_gram, einstein_residual, ricci_tensor, sigma_gram
 from .diagram import Permutation, root_matrix, sigma_arrow_action
 from .linalg import (
@@ -501,11 +501,31 @@ class _Systems:
     alphas: list                # P exponents: primitive kernel vectors of K
     p_rhs: list                 # |c|^(2 alpha) for each exponent row
 
+    @cached_property
+    def parity(self) -> tuple[tuple[int, int], ...]:
+        """L as parity constraints (mask, bit) on the orthant, for `feasible_orthants`.
+
+        One per check of the L system: bit j of mask is arrow coordinate j,
+        and popcount(mask & eps) = bit mod 2 exactly when the check has
+        even overlap with the target eps + shift.  The sigma node rows are
+        zero in the target, so they drop out of the mask.
+        """
+        m = len(self.shift)
+        shift = sum(s << j for j, s in enumerate(self.shift))
+        masks = [c & ((1 << m) - 1) for c in self.l_system.checks]
+        return tuple((mask, (mask & shift).bit_count() & 1) for mask in masks)
+
     def deltas(self, eps: Sequence[int]) -> list[SignVec]:
-        """All metric sign patterns that the L system allows on orthant eps."""
+        """All metric sign patterns that the L system allows on orthant eps.
+
+        eps satisfies `parity`, so there is at least one; none raises.
+        """
         target = [e ^ s for e, s in zip(eps, self.shift)]
-        return self.l_system.solve_all(
+        out = self.l_system.solve_all(
             target + [0] * (self.l_system.rows - len(target)))
+        if not out:
+            raise RuntimeError("an orthant that satisfies the L parity checks has no L solution")
+        return out
 
     @cached_property
     def recovery(self) -> _Recovery:
@@ -667,14 +687,15 @@ def _explore(ctx: _Search, extra_rows: list, extra_rhs: list,
             _explore(ctx, extra_rows + [row], extra_rhs + [rv], tuple(rest))
         return
 
-    # Leaf: enumerate orthants, filter mod 2, then solve what remains.
+    # Leaf: enumerate the orthants that pass L, then solve what remains.
+    # Some orthant is feasible here, so an empty list means all fail L.
     scale_gauge = (sy.k == 0 and all(x == 0 for x in aff.particular)
                    and all(sum(sy.alphas[ei]) == 0 for ei in rest))
-    for o in feasible_orthants(aff):
+    orthants = feasible_orthants(aff, parity=sy.parity)
+    if not orthants:
+        ctx.block("L", "a feasible sign pattern is not attainable mod 2")
+    for o in orthants:
         deltas = sy.deltas(o.eps)
-        if not deltas:
-            ctx.block("L", "a feasible sign pattern is not attainable mod 2")
-            continue
         dec = decide_condition_p(
             aff, o.eps, o.witness_t,
             [sy.alphas[ei] for ei in rest], [sy.p_rhs[ei] for ei in rest],
@@ -875,7 +896,7 @@ def _parameter_results(family, sigma, k, tol) -> list[tuple[Fraction, Classifica
     for lo, hi in regions:
         try:
             probe = family.substitute({pname: _pick_in_interval(lo, hi)})
-        except Exception:
+        except ParseError:  # a coefficient vanishes, or Jacobi fails, at the probe
             continue
         found.update(_solve_region(probe, family, pname, sigma, k, lo, hi))
 
@@ -915,9 +936,7 @@ def _solve_region(probe: NiceLieAlgebra, family, pname, sigma, k,
 
     out: set[Fraction] = set()
     seen = set()
-    for o in feasible_orthants(aff):
-        if not sy.deltas(o.eps):
-            continue
+    for o in feasible_orthants(aff, parity=sy.parity):
         leaf = _p_leaf(aff, o.eps, alphas, scale_invariant)
         if leaf is None or leaf in seen:
             continue

@@ -39,7 +39,8 @@ class EnumerationCapExceeded(Exception):
 
 
 def vec_q(items: Iterable) -> VecQ:
-    return tuple(Fraction(x) for x in items)
+    """The entries as a tuple of Fractions; Fraction entries are kept as they are."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in items)
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ class F2Reduction:
     product T (T M = R) is recorded as one bitmask over M's rows per row of
     R.  `solve_all` answers M x = e for any right-hand side e by computing
     T e alone: the particular solution on the pivots, and consistency from
-    the rows past the rank.
+    `checks`, the rows of T past the rank.
     """
 
     def __init__(self, M: MatF2):
@@ -298,6 +299,14 @@ class F2Reduction:
     def rank(self) -> int:
         return len(self.pivots)
 
+    @property
+    def checks(self) -> tuple[int, ...]:
+        """The rows of T past the rank, each a bitmask over M's rows.
+
+        e is in the image of M iff every check has even overlap with e.
+        """
+        return self._ops[self.rank:]
+
     def solve_all(self, e: Sequence[int], cap: int = F2_KERNEL_CAP) -> list[VecF2]:
         """All x with M x = e, sorted; empty when e is not in the image.
 
@@ -308,9 +317,9 @@ class F2Reduction:
         if len(ev) != self.rows:
             raise ValueError("dimension mismatch")
         emask = sum(1 << i for i, x in enumerate(ev) if x)
-        te = [(t & emask).bit_count() & 1 for t in self._ops]
-        if any(te[self.rank:]):
+        if any((c & emask).bit_count() & 1 for c in self.checks):
             return []
+        te = [(t & emask).bit_count() & 1 for t in self._ops[:self.rank]]
         if 1 << len(self.free) > cap:
             raise EnumerationCapExceeded(
                 f"kernel has 2^{len(self.free)} elements, cap is {cap}"

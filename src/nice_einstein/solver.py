@@ -7,6 +7,17 @@ otherwise by one lex Groebner basis of the system with cleared denominators
 and a Rabinowitsch variable, in sympy's sparse ring over QQ; its real points
 are listed exactly in the univariate ring QQ[v].  The same basis, with the
 family parameter as one more variable, gives the candidate parameter values.
+
+The mod-2 sign condition L prunes the orthant search instead of filtering
+its output: `feasible_orthants` takes L as parity constraints on the sign
+pattern and returns only the orthants that satisfy them, so its cap counts
+those.  This loses no verdict.  At a leaf of the pipeline no coordinate
+vanishes identically (H is blocked first), and a nonempty affine set over Q
+is not a finite union of proper affine subspaces, so some orthant is
+feasible.  Hence an empty pruned list means exactly that every feasible
+orthant fails L, and a non-empty one gives every orthant in it a P
+decision, after which the result is a success or a failure at P whatever
+L blocked elsewhere.
 """
 
 from __future__ import annotations
@@ -94,15 +105,24 @@ class Orthant:
     witness_X: VecQ
 
 
-def feasible_orthants(S: AffineSet, cap: int = ORTHANT_CAP) -> list[Orthant]:
-    """All sign patterns eps realized by points of S with no zero coordinate.
+def feasible_orthants(S: AffineSet, cap: int = ORTHANT_CAP,
+                      parity: Sequence[tuple[int, int]] = ()) -> list[Orthant]:
+    """All sign patterns eps realized by points of S with no zero coordinate
+    that satisfy every parity constraint.
 
-    Exact: branches over proportionality classes of coordinate functionals,
-    pushing each class representative's signed row into one incremental
-    Fourier-Motzkin `StrictSystem` and pruning where it becomes infeasible;
-    a leaf's witness is that system's.  Coordinates identically zero make
-    the result empty (no strict sign pattern exists).  Raises
-    EnumerationCapExceeded when more than `cap` orthants are feasible.
+    A constraint (mask, bit) asks popcount(mask & eps) = bit mod 2, bit j of
+    mask standing for coordinate j.  Exact: branches over proportionality
+    classes of coordinate functionals, pushing each class representative's
+    signed row into one incremental Fourier-Motzkin `StrictSystem` and
+    pruning where it becomes infeasible; a leaf's witness is that system's.
+    A constraint is rewritten over the representatives' sign bits
+    (eps_j = [orient_j < 0] xor [rep sign < 0]) and checked at its last
+    representative, before that branch's row is pushed, so a kept path adds
+    the same rows in the same order as without constraints and has the same
+    witness.  A constraint on no representative that fails empties the
+    result.  Coordinates identically zero make the result empty (no strict
+    sign pattern exists).  Raises EnumerationCapExceeded when more than
+    `cap` orthants are returned.
     """
     fc = classify_functionals(S)
     if fc.zero_coords:
@@ -114,29 +134,41 @@ def feasible_orthants(S: AffineSet, cap: int = ORTHANT_CAP) -> list[Orthant]:
         o = fc.orient[j]
         rep_rows[fc.class_of[j]] = _int_scale(
             tuple(o * c for c in fc.coeffs[j]) + (o * fc.consts[j],))
+    # checks[r]: (mask over reps, bit) of the constraints whose last rep is r
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(nreps)]
+    for mask, bit in parity:
+        rmask = 0
+        for j in range(S.ambient_dim):
+            if mask >> j & 1:
+                rmask ^= 1 << fc.class_of[j]
+                bit ^= fc.orient[j] < 0
+        if rmask:
+            checks[rmask.bit_length() - 1].append((rmask, bit))
+        elif bit:
+            return []
     system = StrictSystem(S.dim)
     out: list[Orthant] = []
-    signs: list[int] = [0] * nreps  # +-1 per rep
 
-    def extend(r: int) -> None:
+    def extend(r: int, neg: int) -> None:  # bit i of neg: rep i is negative
         if r == nreps:
             t = tuple(system.witness())
             X = S.point(t)
-            if not all(x != 0 and (x > 0) == (fc.orient[j] * signs[fc.class_of[j]] > 0)
+            if not all(x != 0 and (x < 0) == ((fc.orient[j] < 0) ^ (neg >> fc.class_of[j] & 1))
                        for j, x in enumerate(X)):
                 raise RuntimeError("an orthant witness failed its sign recheck")
             out.append(Orthant(tuple(1 if x < 0 else 0 for x in X), t, X))
             if len(out) > cap:
                 raise EnumerationCapExceeded(f"more than {cap} feasible orthants")
             return
-        for s in (1, -1):
+        for s, branch in ((1, neg), (-1, neg | 1 << r)):
+            if any((rmask & branch).bit_count() & 1 != bit for rmask, bit in checks[r]):
+                continue
             mark = system.mark()
             if system.add(tuple(s * x for x in rep_rows[r])):
-                signs[r] = s
-                extend(r + 1)
+                extend(r + 1, branch)
             system.undo(mark)
 
-    extend(0)
+    extend(0, 0)
     out.sort(key=lambda o: o.eps)
     return out
 

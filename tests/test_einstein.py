@@ -293,6 +293,22 @@ def test_parameter_solve_852_30_other_involutions(families):
     assert parameter_solve(fam.partial({"a2": 1}), sigma=sigma, k=0) == [F(-2)]
 
 
+def test_parameter_solve_skips_only_unparseable_probes(families, monkeypatch):
+    from nice_einstein.algebra import AlgebraFamily, ParseError
+
+    def raising(error):
+        def substitute(self, values):
+            raise error
+        return substitute
+    # a probe where a coefficient vanishes drops its region
+    monkeypatch.setattr(AlgebraFamily, "substitute", raising(ParseError("vanishes")))
+    assert parameter_solve(families["93:86"], k=0) == []
+    # any other failure is a bug, and surfaces
+    monkeypatch.setattr(AlgebraFamily, "substitute", raising(TypeError("a bug")))
+    with pytest.raises(TypeError, match="a bug"):
+        parameter_solve(families["93:86"], k=0)
+
+
 def test_parameter_solve_requires_single_parameter(families):
     with pytest.raises(ValueError):
         parameter_solve(families["852:30"], k=0)
@@ -385,8 +401,22 @@ def test_l_system_reduced_once_per_classification(monkeypatch):
 
     counts = {}
     _counting(monkeypatch, einstein, "F2Reduction", counts)
-    _counting(monkeypatch, einstein._Systems, "deltas", counts)
-    # a catalog-nonlinear record: many orthants, one L system
+    returned, solved = [], []
+    enumerate_orthants, solve_deltas = einstein.feasible_orthants, einstein._Systems.deltas
+
+    def recorded_orthants(*args, **kwargs):
+        out = enumerate_orthants(*args, **kwargs)
+        returned.extend(out)
+        return out
+
+    def recorded_deltas(self, eps):
+        solved.append(solve_deltas(self, eps))
+        return solved[-1]
+    monkeypatch.setattr(einstein, "feasible_orthants", recorded_orthants)
+    monkeypatch.setattr(einstein._Systems, "deltas", recorded_deltas)
+    # a catalog-nonlinear record: many orthants, one L system serving every
+    # orthant that L's parity checks let through
     res = diagonal_einstein(find_entry("86532:6").algebra(), 1)
     assert res.success
-    assert counts["F2Reduction"] == 1 and counts["deltas"] > 50
+    assert counts["F2Reduction"] == 1
+    assert len(solved) == len(returned) == 13 and all(solved)

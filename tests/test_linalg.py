@@ -487,11 +487,22 @@ def _f2_matrices(draw):
 @given(_f2_matrices(), st.data())
 def test_prepared_f2_reduction_matches_a_fresh_reduction(M2, data):
     red = F2Reduction(M2)
+    assert len(red.checks) == M2.rows - red.rank
     for _ in range(4):
         e = data.draw(st.lists(st.integers(0, 1), min_size=M2.rows, max_size=M2.rows))
         expected = _f2_solve_all_reference(M2, e)
         assert red.solve_all(e) == expected
         assert f2_solve_all(M2, e) == expected
+        # e is in the image iff every check has even overlap with it
+        emask = sum(x << i for i, x in enumerate(e))
+        assert bool(expected) == all((c & emask).bit_count() % 2 == 0 for c in red.checks)
+
+
+def test_vec_q_keeps_fractions_and_converts_the_rest():
+    half = F(1, 2)
+    v = vec_q([half, 3, "2/3", 0.25])
+    assert v == (F(1, 2), F(3), F(2, 3), F(1, 4))
+    assert v[0] is half and all(type(x) is F for x in v)
 
 
 @settings(max_examples=150, deadline=None)

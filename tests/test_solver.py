@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nice_einstein.linalg import (AffineSet, EnumerationCapExceeded, StrictSystem,
                                   _int_scale, feasible_strict, in_orthant,
                                   orthant_rows, orthant_witness, vec_q)
-from nice_einstein.solver import (_eliminant_roots, _p_basis, abs_monomial,
+from nice_einstein.solver import (ORTHANT_CAP, _eliminant_roots, _p_basis, abs_monomial,
                                   decide_condition_p, feasible_orthants)
 
 
@@ -302,6 +302,58 @@ def affine_sets(draw) -> AffineSet:
 def test_feasible_orthants_match_from_scratch_elimination(S):
     got = [(o.eps, o.witness_t, o.witness_X) for o in feasible_orthants(S)]
     assert got == _orthants_by_brute_force(S)
+
+
+@st.composite
+def parity_constraints(draw, m: int) -> list[tuple[int, int]]:
+    """Up to 3 random (mask, bit) over m coordinates; an empty mask now and then."""
+    return draw(st.lists(st.tuples(st.integers(0, (1 << m) - 1), st.integers(0, 1)),
+                         max_size=3))
+
+
+@given(affine_sets().flatmap(lambda S: st.tuples(st.just(S),
+                                                  parity_constraints(S.ambient_dim))))
+@settings(max_examples=300, deadline=None)
+def test_parity_prunes_exactly_the_failing_orthants(case):
+    # Shared classes and negative orients come from the affine sets; a
+    # failing empty-mask constraint must empty the result.
+    S, parity = case
+
+    def passes(eps):
+        bits = sum(e << j for j, e in enumerate(eps))
+        return all((mask & bits).bit_count() % 2 == bit for mask, bit in parity)
+
+    def key(o):
+        return o.eps, o.witness_t, o.witness_X
+    want = [key(o) for o in feasible_orthants(S) if passes(o.eps)]
+    assert [key(o) for o in feasible_orthants(S, parity=parity)] == want
+
+
+def test_failing_constant_constraint_empties_the_result():
+    plane = AffineSet((F(0), F(0)), ((F(1), F(0)), (F(0), F(1))))
+    assert feasible_orthants(plane, parity=[(0, 1)]) == []
+    # X_1 and -X_1 always differ in sign: their parities sum to 1
+    line = AffineSet((F(0), F(0)), ((F(1), F(-1)),))
+    assert feasible_orthants(line, parity=[(0b11, 0)]) == []
+    assert [o.eps for o in feasible_orthants(line, parity=[(0b11, 1)])] == [(0, 1), (1, 0)]
+
+
+def test_l_prunes_the_search_and_keeps_the_verdict(monkeypatch):
+    # 8654321:19 (diagonal, k = 0): the one leaf has 24 feasible orthants,
+    # none attainable mod 2, so none is enumerated and L still decides.
+    import nice_einstein.einstein as einstein
+    from nice_einstein.catalog import find_entry
+
+    counts = []
+
+    def counted(S, cap=ORTHANT_CAP, parity=()):
+        counts.append((len(feasible_orthants(S)), len(feasible_orthants(S, parity=parity))))
+        return feasible_orthants(S, cap, parity)
+    monkeypatch.setattr(einstein, "feasible_orthants", counted)
+    res = einstein.diagonal_einstein(find_entry("8654321:19").algebra(), 0)
+    assert counts == [(24, 0)]
+    assert (res.success, res.failed_at, res.exact) == (False, "L", True)
+    assert res.detail == "a feasible sign pattern is not attainable mod 2"
 
 
 @given(st.integers(0, 3).flatmap(lambda n: st.tuples(
