@@ -29,6 +29,7 @@ from .linalg import (
     MultiplicativeSystem,
     VecQ,
     _int_scale,
+    _rational_root,
     kernel_basis,
     solve_affine,
     symmetric_signature,
@@ -642,19 +643,6 @@ def _binomial_pattern(fc, a_row, R: Fraction):
     return None
 
 
-def _rational_root(q: Fraction, d: int) -> Optional[Fraction]:
-    """The positive rational d-th root of q > 0, or None."""
-    if d == 1:
-        return q
-    from sympy import integer_nthroot
-
-    rn, okn = integer_nthroot(q.numerator, d)
-    rd, okd = integer_nthroot(q.denominator, d)
-    if okn and okd:
-        return Fraction(int(rn), int(rd))
-    return None
-
-
 def _explore(ctx: _Search, extra_rows: list, extra_rhs: list,
              remaining: tuple[int, ...]) -> None:
     sy = ctx.sy
@@ -771,10 +759,9 @@ def _classify(
                 a.name, mode, sigma, k, False, cond,
                 ctx.blocker_notes[cond], not ctx.inexact, (), None,
                 tuple(ctx.warnings))
-    return ClassificationResult(
-        a.name, mode, sigma, k, False, "H",
-        "no sign-feasible candidate exists", True, (), None,
-        tuple(ctx.warnings))
+    # Every _explore call records a blocker, adds a winner or recurses into
+    # two slices, so a search without a winner has recorded a blocker.
+    raise RuntimeError("the search found neither a winner nor a blocker")
 
 
 def _certificate(a, X, delta, k, sigma, dec, tol, warnings, facts) -> EinsteinCertificate:
@@ -855,14 +842,16 @@ def parameter_solve(
 ) -> list[Fraction]:
     """Parameter values at which the family admits the requested metric.
 
-    The family must have exactly one unresolved parameter u.  In each sign
-    region of u (between the roots of the affine coefficients) and on each
-    orthant, u joins the exponent condition as one more variable of its lex
-    Groebner basis; the candidates are the rational roots in the region of
-    the basis's univariate eliminant in u.  Every candidate is re-validated
-    by running the exact pipeline on the substituted algebra.  Regions on
-    which the condition holds identically (families Einstein for every
-    parameter value) contribute no isolated values.
+    The family must have exactly one unresolved parameter u.  On each
+    orthant of each sign region of u (between the roots of the affine
+    coefficients), u joins the exponent condition as one more variable of
+    its lex Groebner basis; the candidates are the rational roots in the
+    region of the basis's univariate eliminant in u.  Orthants of different
+    regions that share a leaf share its basis, built once for the family.
+    Every candidate is re-validated by running the exact pipeline on the
+    substituted algebra.  Regions on which the condition holds identically
+    (families Einstein for every parameter value) contribute no isolated
+    values.
     """
     return [u for u, _ in _parameter_results(family, sigma, k, tol)]
 
@@ -875,30 +864,32 @@ def _parameter_results(family, sigma, k, tol) -> list[tuple[Fraction, Classifica
         raise ValueError(f"need exactly one unresolved parameter, got {params}")
     pname = params[0]
 
-    # Sign regions of the parameter: between roots of the affine coefficients.
-    breakpoints = set()
-    for (_, _, _, coeff) in family.terms:
-        lin = dict(coeff.linear)
-        q = lin.get(pname, Fraction(0))
-        if q != 0:
-            breakpoints.add(-coeff.const / q)
-    pts = sorted(breakpoints)
-    regions: list[tuple[Optional[Fraction], Optional[Fraction]]] = []
-    if not pts:
-        regions.append((None, None))
-    else:
-        regions.append((None, pts[0]))
-        for lo, hi in zip(pts, pts[1:]):
-            regions.append((lo, hi))
-        regions.append((pts[-1], None))
-
+    # Each coefficient as (const, slope) in the parameter; the sign regions
+    # of the parameter lie between the coefficients' roots.
+    affine = {(i, j, t): (cf.const, dict(cf.linear).get(pname, Fraction(0)))
+              for (i, j, t, cf) in family.terms}
+    bounds = [None, *sorted({-c0 / c1 for c0, c1 in affine.values() if c1}), None]
+    # K and the exponents, so each leaf and its basis, are the same in every
+    # region; only the weights' signs, so the parity and the orthants, differ.
+    bases: dict = {}
     found: set[Fraction] = set()
-    for lo, hi in regions:
+    for lo, hi in zip(bounds, bounds[1:]):
         try:
             probe = family.substitute({pname: _pick_in_interval(lo, hi)})
         except ParseError:  # a coefficient vanishes, or Jacobi fails, at the probe
             continue
-        found.update(_solve_region(probe, family, pname, sigma, k, lo, hi))
+        sy = _build_systems(probe, k, sigma)
+        if sy is None or sy.aff is None or sy.zero:
+            continue
+        c_affine = tuple(affine[idx] for idx in probe.indices())
+        scale_invariant = k == 0 and all(sum(r) == 0 for r in sy.alphas)
+        leaves = dict.fromkeys(_p_leaf(sy.aff, o.eps, sy.alphas, scale_invariant)
+                               for o in feasible_orthants(sy.aff, parity=sy.parity))
+        leaves.pop(None, None)
+        for leaf in leaves:
+            if leaf not in bases:
+                bases[leaf] = _p_basis(*leaf, sy.alphas, c=c_affine)
+            found.update(_eliminant_roots(bases[leaf], lo, hi))
 
     confirmed = []
     for u in sorted(found):
@@ -918,28 +909,3 @@ def _pick_in_interval(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fractio
     if hi is None:
         return lo + 1
     return (lo + hi) / 2
-
-
-def _solve_region(probe: NiceLieAlgebra, family, pname, sigma, k,
-                  lo, hi) -> list[Fraction]:
-    """Candidate parameter values in one sign region, exactly."""
-    sy = _build_systems(probe, k, sigma)
-    if sy is None or sy.aff is None or sy.zero:
-        return []
-    aff, alphas = sy.aff, sy.alphas
-    scale_invariant = (k == 0) and all(sum(r) == 0 for r in alphas)
-
-    # Coefficients of the family at the arrow order (affine in the parameter).
-    coeff_of = {(i, j, t): coeff for (i, j, t, coeff) in family.terms}
-    c_affine = tuple((cf.const, dict(cf.linear).get(pname, Fraction(0)))
-                     for cf in (coeff_of[idx] for idx in probe.indices()))
-
-    out: set[Fraction] = set()
-    seen = set()
-    for o in feasible_orthants(aff, parity=sy.parity):
-        leaf = _p_leaf(aff, o.eps, alphas, scale_invariant)
-        if leaf is None or leaf in seen:
-            continue
-        seen.add(leaf)
-        out.update(_eliminant_roots(_p_basis(*leaf, alphas, c=c_affine), lo, hi))
-    return sorted(out)

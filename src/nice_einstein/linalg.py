@@ -9,11 +9,11 @@ scales each row to integers, eliminates on Python ints with Bareiss's exact
 divisions, and forms one `Fraction` per entry at the end.  Reductions that
 serve many right-hand sides are prepared once: `F2Reduction` keeps the row
 operations of one GF(2) reduction, and `MultiplicativeSystem` keeps the
-Smith form and the sign reduction of one multiplicative system.  Strict
-sign feasibility is Fourier-Motzkin elimination from the last variable
-down, kept incrementally in primitive integer rows (`StrictSystem`), so
-that a search over sign patterns adds and removes one row per branch
-instead of re-eliminating the whole system.
+Smith form of one multiplicative system.  Strict sign feasibility is
+Fourier-Motzkin elimination from the last variable down, kept
+incrementally in primitive integer rows (`StrictSystem`), so that a search
+over sign patterns adds and removes one row per branch instead of
+re-eliminating the whole system.
 """
 
 from __future__ import annotations
@@ -671,79 +671,111 @@ def smith_normal_form(
     return U, A, V
 
 
-def _mat_vec_int(M: list[list[int]], v: Sequence[int]) -> list[int]:
-    return [sum(a * b for a, b in zip(row, v)) for row in M]
+def _iroot(n: int, d: int) -> int:
+    """floor(n^(1/d)) for n >= 0 and d >= 1: integer Newton steps from
+    2^ceil(bits(n)/d), above the root, decrease strictly to the floor."""
+    if d == 1 or n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // d)
+    while True:
+        y = ((d - 1) * x + n // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
+
+
+def _rational_root(q: Fraction, d: int) -> Optional[Fraction]:
+    """The positive rational d-th root of q > 0, or None."""
+    n, m = _iroot(q.numerator, d), _iroot(q.denominator, d)
+    if n ** d != q.numerator or m ** d != q.denominator:
+        return None
+    return Fraction(n, m)
+
+
+def _coprime_base(ns: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers >= 2, no perfect powers, that generate each n >= 1 of ns.
+
+    Bernstein's coprime base in its quadratic form: a pair with a common
+    factor g > 1 is replaced by g, a/g and b/g until none has one; then
+    each element becomes its least root, which keeps its primes.
+    """
+    base: list[int] = []
+    todo = [n for n in ns if n > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo += [y for y in (g, x // g, b // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    return [_least_root(b) for b in base]
+
+
+def _least_root(n: int) -> int:
+    """The least b with b^k = n for some k >= 1, for n >= 2."""
+    for k in range(n.bit_length() - 1, 1, -1):
+        b = _iroot(n, k)
+        if b ** k == n:
+            return b
+    return n
+
+
+def _valuation(n: int, b: int) -> int:
+    """The exponent of b in n != 0."""
+    k = 0
+    while n % b == 0:
+        n //= b
+        k += 1
+    return k
 
 
 class MultiplicativeSystem:
     """prod_j g_j^(M_ij) = rhs_i over (Q*)^n, prepared once for the integer matrix M.
 
-    Holds what does not depend on rhs: the GF(2) reduction of M mod 2 for
-    the sign part and the Smith form U M V = D for the magnitude part.
+    Holds what does not depend on rhs: the Smith form U M V = D.
     """
 
     def __init__(self, M: Sequence[Sequence[int]]):
         self.M = [[int(x) for x in row] for row in M]
-        nr = len(self.M)
-        nc = len(self.M[0]) if nr else 0
-        self._signs = F2Reduction(MatF2.from_rows([[x % 2 for x in row] for row in self.M]))
         self._U, S, self._V = smith_normal_form(self.M)
-        self._diag = [S[i][i] for i in range(min(nr, nc))]
-        self._rank = sum(1 for d in self._diag if d != 0)
+        self._diag = [S[i][i] for i in range(min(len(S), len(self._V))) if S[i][i]]
 
     def solve(self, rhs: Sequence[Fraction]) -> Optional[VecQ]:
         """One g with prod_j g_j^(M_ij) = rhs_i for all i, or None.
 
-        Solves the sign part over GF(2) and the magnitude part prime-by-prime
-        through the Smith form; None means no rational solution exists
-        (either inconsistent signs or a fractional power would be required).
+        U and V are automorphisms of (Q*)^n, so with w = rhs^U and g = y^V
+        the system reads y_i^(d_i) = w_i: every w_i past the rank must be 1
+        and every other one needs a rational d_i-th root.  Q* = {+-1} x Q_{>0}
+        and Q_{>0} is free on the coprime base of the right-hand sides, so
+        this is read off in exponents.  None means no rational solution.
         """
-        from sympy import factorint
-
-        M = self.M
-        nr = len(M)
-        nc = self._signs.cols
-        rhs = [Fraction(r) for r in rhs]
-        if any(r == 0 for r in rhs):
+        rhs = [Fraction(x) for x in rhs]
+        if any(x == 0 for x in rhs):
             return None
-        # Sign part: M mod 2 applied to logsign g.
-        sign_sols = self._signs.solve_all([1 if r < 0 else 0 for r in rhs])
-        if not sign_sols:
+        U, V, diag = self._U, self._V, self._diag
+        r = len(diag)
+        # Signs, mod 2: a negative w_i has a d_i-th root only for odd d_i.
+        w = [sum(u for u, x in zip(row, rhs) if x < 0) & 1 for row in U]
+        if any(w[r:]) or any(s and d % 2 == 0 for s, d in zip(w, diag)):
             return None
-        delta = sign_sols[0]
-        # Magnitude part: for each prime p, solve M a = v_p(rhs) over Z.
-        diag, r = self._diag, self._rank
-        primes: set[int] = set()
-        vals: list[dict[int, int]] = []
-        for q in rhs:
-            v = factorint(abs(q.numerator))
-            for p, e in factorint(q.denominator).items():
-                v[p] = v.get(p, 0) - e
-            vals.append(v)
-            primes.update(v)
-        exps = [dict() for _ in range(nc)]
-        for p in sorted(primes):
-            b = [vals[i].get(p, 0) for i in range(nr)]
-            c = _mat_vec_int(self._U, b)
-            if any(c[i] != 0 for i in range(r, nr)):
+        g = [Fraction(-1 if sum(map(mul, v, w[:r])) & 1 else 1) for v in V]
+        # Magnitudes, one base element b at a time: the exponents of w in b.
+        for b in _coprime_base(chain.from_iterable(
+                (abs(x.numerator), x.denominator) for x in rhs)):
+            e = [_valuation(x.numerator, b) - _valuation(x.denominator, b) for x in rhs]
+            w = [sum(map(mul, row, e)) for row in U]
+            if any(w[r:]) or any(s % d for s, d in zip(w, diag)):
                 return None
-            y = [0] * nc
-            for i in range(r):
-                if c[i] % diag[i] != 0:
-                    return None
-                y[i] = c[i] // diag[i]
-            a = _mat_vec_int(self._V, y)
-            for j in range(nc):
-                if a[j]:
-                    exps[j][p] = a[j]
-        g = []
-        for j in range(nc):
-            val = Fraction(-1 if delta[j] else 1)
-            for p, e in exps[j].items():
-                val *= Fraction(p) ** e
-            g.append(val)
+            y = [s // d for s, d in zip(w, diag)]
+            for j, v in enumerate(V):
+                a = sum(map(mul, v, y))
+                if a:
+                    g[j] *= Fraction(b) ** a
         # Exact recheck, in integers: prod_j g_j^(M_ij) = num / den.
-        for row, q in zip(M, rhs):
+        for row, q in zip(self.M, rhs):
             num = den = 1
             for x, e in zip(g, row):
                 if e > 0:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nice_einstein
 from nice_einstein.cli import main
 
 
@@ -214,3 +218,19 @@ def test_einstein_json_pinned(capsys, argv, golden):
     code, out = run_cli(capsys, "einstein", *argv, "--out", "json")
     assert code == 0
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["631:6", "--k", "0"],
+    ["741:6", "--param", "lambda=1/2", "--mode", "sigma", "--sigma", "(23)(45)"],
+])
+def test_linear_records_leave_sympy_unimported(argv):
+    # Only the nonlinear P layer needs sympy; metric recovery does not.
+    src = Path(nice_einstein.__file__).resolve().parents[1]
+    script = ("import sys\n"
+              "from nice_einstein.cli import main\n"
+              f"assert main(['einstein', *{argv!r}]) == 0\n"
+              "print('sympy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.splitlines()[-1] == "False"

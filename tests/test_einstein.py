@@ -365,6 +365,16 @@ def test_exact_magnitudes_solved_once_per_ray(monkeypatch):
     assert counts == {"solve": 2, "recover_metric": 32}
 
 
+def test_parameter_solve_builds_one_basis_per_leaf(monkeypatch, families):
+    import nice_einstein.einstein as einstein
+
+    counts = {}
+    _counting(monkeypatch, einstein, "_p_basis", counts)
+    # the sign regions of a share their leaves, so each basis is built once
+    assert parameter_solve(families["93:86"], k=0) == [F(-1, 8), F(1, 8)]
+    assert counts == {"_p_basis": 2}
+
+
 def test_float_magnitudes_fitted_once_per_ray(monkeypatch):
     import nice_einstein.einstein as einstein
     from nice_einstein.catalog import find_entry

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nice_einstein.diagram import root_matrix
@@ -26,6 +27,7 @@ from nice_einstein.linalg import (
     symmetric_signature,
     vec_q,
 )
+from nice_einstein.linalg import _coprime_base, _iroot, _rational_root
 
 
 def span_eq_1d(basis, expected):
@@ -235,6 +237,16 @@ def test_solve_multiplicative_631_6(algebras):
 def test_solve_multiplicative_fractional_power_fails():
     # g^2 = 2 has no rational solution
     assert solve_multiplicative([[2]], [F(2)]) is None
+
+
+def test_solve_multiplicative_negative_right_hand_sides():
+    # an even power is never negative; an odd one takes the negative root
+    assert solve_multiplicative([[2]], [F(-4)]) is None
+    assert solve_multiplicative([[2]], [F(4, 9)]) == (F(2, 3),)
+    assert solve_multiplicative([[3]], [F(-8, 27)]) == (F(-2, 3),)
+    # g1 g2 = -1 and g1 = g2 (g1 / g2 = 1): g1^2 = -1 has no solution
+    assert solve_multiplicative([[1, 1], [1, -1]], [F(-1), F(1)]) is None
+    assert solve_multiplicative([[1, 1], [1, -1]], [F(-1), F(-1)]) is not None
 
 
 def test_symmetric_signature():
@@ -529,3 +541,149 @@ def test_prepared_multiplicative_system_matches_fresh(nr, nc, data):
                 for x, e in zip(got, row):
                     prod *= x ** e
                 assert prod == q
+
+
+def _solve_multiplicative_reference(M, rhs):
+    """The per-prime solve: signs over GF(2), then one Smith solve per prime."""
+    from sympy import factorint
+
+    def _mat_vec_int(M, v):
+        return [sum(a * b for a, b in zip(row, v)) for row in M]
+
+    M = [[int(x) for x in row] for row in M]
+    nr = len(M)
+    nc = len(M[0]) if nr else 0
+    signs = F2Reduction(MatF2.from_rows([[x % 2 for x in row] for row in M]))
+    U, S, V = smith_normal_form(M)
+    diag = [S[i][i] for i in range(min(nr, nc))]
+    r = sum(1 for d in diag if d != 0)
+    nc = signs.cols
+    rhs = [F(x) for x in rhs]
+    if any(x == 0 for x in rhs):
+        return None
+    sign_sols = signs.solve_all([1 if x < 0 else 0 for x in rhs])
+    if not sign_sols:
+        return None
+    delta = sign_sols[0]
+    primes = set()
+    vals = []
+    for q in rhs:
+        v = factorint(abs(q.numerator))
+        for p, e in factorint(q.denominator).items():
+            v[p] = v.get(p, 0) - e
+        vals.append(v)
+        primes.update(v)
+    exps = [dict() for _ in range(nc)]
+    for p in sorted(primes):
+        b = [vals[i].get(p, 0) for i in range(nr)]
+        c = _mat_vec_int(U, b)
+        if any(c[i] != 0 for i in range(r, nr)):
+            return None
+        y = [0] * nc
+        for i in range(r):
+            if c[i] % diag[i] != 0:
+                return None
+            y[i] = c[i] // diag[i]
+        a = _mat_vec_int(V, y)
+        for j in range(nc):
+            if a[j]:
+                exps[j][p] = a[j]
+    g = []
+    for j in range(nc):
+        val = F(-1 if delta[j] else 1)
+        for p, e in exps[j].items():
+            val *= F(p) ** e
+        g.append(val)
+    return tuple(g)
+
+
+_signed_q = st.builds(F, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Integer matrices up to 6 x 6, entries in -3..3, zero rows and dependent rows included."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if rows and draw(st.booleans()):
+        s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        rows.append([s * x + t * y for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_matrices(), st.data())
+def test_smith_form_solve_matches_the_per_prime_reference(M, data):
+    # Both solves return g = V y with y = U e / d in exponents, so g grows
+    # with the Smith transforms, whose entries reach 3 * 10^7 on these
+    # matrices; past 100 one solve can take minutes, in the reference too.
+    U, _, V = smith_normal_form(M)
+    assume(max((abs(x) for T in (U, V) for row in T for x in row), default=0) <= 100)
+    nc = len(M[0]) if M else 0
+    system = MultiplicativeSystem(M)
+    for _ in range(3):
+        if data.draw(st.booleans()):
+            # the monomials of a signed g, so perfect powers occur
+            g = data.draw(st.lists(_signed_q, min_size=nc, max_size=nc))
+            rhs = []
+            for row in M:
+                q = F(1)
+                for x, e in zip(g, row):
+                    q *= x ** e
+                rhs.append(q)
+        else:
+            rhs = data.draw(st.lists(_signed_q, min_size=len(M), max_size=len(M)))
+        got = system.solve(rhs)
+        want = _solve_multiplicative_reference(M, rhs)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        if all(q > 0 for q in rhs):
+            assert got == want
+        for row, q in zip(M, rhs):
+            prod = F(1)
+            for x, e in zip(got, row):
+                prod *= x ** e
+            assert prod == q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(lambda a, b, k: (a * b) ** k, st.integers(1, 60),
+                          st.integers(1, 10 ** 6), st.integers(1, 4)), max_size=6))
+def test_coprime_base_generates_its_inputs(ns):
+    from sympy import perfect_power
+
+    base = _coprime_base(ns)
+    assert all(b >= 2 and not perfect_power(b) for b in base)
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1:])
+    for n in ns:
+        for b in base:
+            while n % b == 0:
+                n //= b
+        assert n == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1 << 300), st.integers(1, 9))
+def test_integer_root_is_the_floor_of_the_real_root(n, d):
+    r = _iroot(n, d)
+    assert r ** d <= n < (r + 1) ** d
+    if d == 2:
+        assert r == math.isqrt(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 1 << 80), st.integers(1, 1 << 80), st.integers(1, 9), st.booleans())
+def test_rational_root_exists_exactly_for_perfect_powers(a, b, d, power):
+    from sympy import integer_nthroot
+
+    q = F(a, b) ** d if power else F(a, b)
+    root = _rational_root(q, d)
+    if integer_nthroot(q.numerator, d)[1] and integer_nthroot(q.denominator, d)[1]:
+        assert root > 0 and root ** d == q
+    else:
+        assert root is None
