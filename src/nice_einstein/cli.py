@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
 from .algebra import (
     AlgebraFamily,
@@ -283,15 +284,22 @@ def cmd_info(args) -> int:
 
 def cmd_einstein(args) -> int:
     tol = _tolerance(args)
+    if args.sigma and args.mode != "sigma":
+        raise ParseError("--sigma needs --mode sigma")
+    if args.solve_param and args.mode == "sigma" and not args.sigma:
+        raise ParseError("--mode sigma with --solve-param needs --sigma")
     fam = _load_family(args)
     params = _params_of(args)
     k = Fraction(args.k)
+    sigma = parse_permutation(args.sigma, fam.n) if args.sigma else None
     records = []
     t0 = time.time()
 
     if args.solve_param:
-        sigma = parse_permutation(args.sigma, fam.n) if args.sigma else None
         work = fam.partial({n: v for n, v in params.items() if n != args.solve_param})
+        if work.params() != [args.solve_param]:
+            raise ParseError(f"--solve-param {args.solve_param} must name the one unresolved "
+                             f"parameter; unresolved: {', '.join(work.params()) or 'none'}")
         sols = _parameter_results(work, sigma, k, tol)
         print(f"solved {args.solve_param}: "
               + ("{ " + ", ".join(_fmt_frac(s) for s, _ in sols) + " }" if sols else "none"))
@@ -303,19 +311,14 @@ def cmd_einstein(args) -> int:
         return 0 if sols else 2
 
     alg = fam.substitute(params)
-    results = []
     if args.mode == "diagonal":
-        results.append(diagonal_einstein(alg, k, tol))
+        results = [diagonal_einstein(alg, k, tol)]
     else:
-        if args.sigma:
-            sigmas = [parse_permutation(args.sigma, alg.n)]
-        else:
-            sigmas = [p for p, _ in involutions(alg.diagram)]
-            if not sigmas:
-                print("no diagram involutions exist")
-                return 2
-        for s in sigmas:
-            results.append(sigma_einstein(alg, s, k, tol))
+        sigmas = [sigma] if sigma else [p for p, _ in involutions(alg.diagram)]
+        if not sigmas:
+            print("no diagram involutions exist")
+            return 2
+        results = [sigma_einstein(alg, s, k, tol) for s in sigmas]
     records = [result_record(r, params) for r in results]
     _emit_records(records, args.out)
     if args.timings:
@@ -327,19 +330,24 @@ def cmd_einstein(args) -> int:
 
 
 def _parse_metric(alg, args):
+    """The Gram matrix of --metric: matrix rows, or a diagonal or sigma-diagonal vector."""
     text = args.metric
     if ";" in text:
-        rows = [[Fraction(x) for x in row.split(",")] for row in text.split(";")]
-        if len(rows) != alg.n or any(len(r) != alg.n for r in rows):
+        G = [[Fraction(x) for x in row.split(",")] for row in text.split(";")]
+        if len(G) != alg.n or any(len(r) != alg.n for r in G):
             raise ParseError(f"metric matrix must be {alg.n}x{alg.n}")
-        return [list(r) for r in rows]
-    vec = [Fraction(x) for x in text.split(",")]
-    if len(vec) != alg.n:
-        raise ParseError(f"metric vector must have {alg.n} entries")
-    if args.sigma:
-        sigma = parse_permutation(args.sigma, alg.n)
-        return sigma_gram(vec, sigma)
-    return diagonal_gram(vec)
+    else:
+        vec = [Fraction(x) for x in text.split(",")]
+        if len(vec) != alg.n:
+            raise ParseError(f"metric vector must have {alg.n} entries")
+        G = (sigma_gram(vec, parse_permutation(args.sigma, alg.n)) if args.sigma
+             else diagonal_gram(vec))
+    # a vector that is not sigma-invariant, or a sigma that is not an involution, lands here too
+    for i, j in combinations(range(alg.n), 2):
+        if G[i][j] != G[j][i]:
+            raise ParseError(f"metric is not symmetric: entry ({i + 1},{j + 1}) is "
+                             f"{_fmt_frac(G[i][j])} but ({j + 1},{i + 1}) is {_fmt_frac(G[j][i])}")
+    return G
 
 
 def cmd_verify(args) -> int:

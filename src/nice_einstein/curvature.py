@@ -3,7 +3,10 @@
 Independent of the root-matrix machinery: given raw structure constants and
 an arbitrary nondegenerate symmetric Gram matrix, computes the Levi-Civita
 connection through the Koszul formula, the full Riemann tensor, the Ricci
-tensor/operator, curvature norms, and ad-invariance.
+tensor/operator, curvature norms, and ad-invariance.  Both curvature
+norms are one contraction: on a basis with Gram matrix h, the inverse of
+the Lambda^2 Gram matrix is the Lambda^2 metric of h^-1, so only h is
+inverted.
 
 The connection is driven by the lowered brackets <[x,y],z>: each one is a
 term of three Koszul sums, so only the index pairs that have a term are
@@ -198,17 +201,6 @@ def _mat_mul(A, B):
     return out
 
 
-def _mat_vec(A, v):
-    out = []
-    for row in A:
-        s = 0
-        for a, x in zip(row, v):
-            if a and x:
-                s += a * x
-        out.append(s)
-    return out
-
-
 @dataclass(frozen=True)
 class _Scaled:
     """Gram matrix and nonzero structure constants in the oracle's arithmetic.
@@ -365,18 +357,6 @@ def riemann_endomorphisms(brackets: LieBrackets, gram: Sequence[Sequence]) -> di
     return R
 
 
-def riemann_operator(R: dict, n: int, u: Sequence, v: Sequence) -> list:
-    """R(u, v) for arbitrary coefficient vectors by bilinearity."""
-    out = [[0 * (u[0] * v[0]) for _ in range(n)] for _ in range(n)]
-    for (a, b), M in R.items():
-        coef = u[a] * v[b] - u[b] * v[a]
-        if coef != 0:
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += coef * M[i][j]
-    return out
-
-
 def ricci_tensor(brackets: LieBrackets, gram: Sequence[Sequence]) -> tuple[list, list]:
     """(Ricci tensor matrix, Ricci operator matrix).
 
@@ -468,99 +448,69 @@ def _derived_subalgebra_rows(brackets: LieBrackets) -> list[list[Fraction]]:
     return [R[r] for r in range(len(pivots))]
 
 
-def _norm_of_curvature_map(R: dict, G: list, pair_list: list, rows: Optional[list] = None):
-    """g(R, R) with inputs/outputs restricted to span(rows) when given."""
-    n = len(G)
-    Ginv = _invert(G)
-    if rows is None:
-        # Inputs e_a ^ e_b for (a,b) in pair_list, outputs full space.
-        def end_of(pair):
-            return R[pair]
+def _curvature_norm(ends: dict, h: list):
+    """g(R, R) of a curvature map given on a basis b whose Gram matrix is h.
 
-        metric = G
-        metric_inv = Ginv
-        dim = n
-        basis_pairs = pair_list
-        gram2 = [
-            [
-                metric[a][cdx] * metric[b][d] - metric[a][d] * metric[b][cdx]
-                for (cdx, d) in basis_pairs
-            ]
-            for (a, b) in basis_pairs
-        ]
-    else:
-        dim = len(rows)
-        metric = [[_bilinear(G, rows[i], rows[j]) for j in range(dim)] for i in range(dim)]
-        try:
-            metric_inv = _invert(metric)
-        except DegenerateMetricError:
-            raise DegenerateMetricError("induced metric on the derived algebra is degenerate")
-        basis_pairs = list(combinations(range(dim), 2))
-        gram2 = [
-            [
-                metric[a][cdx] * metric[b][d] - metric[a][d] * metric[b][cdx]
-                for (cdx, d) in basis_pairs
-            ]
-            for (a, b) in basis_pairs
-        ]
-
-        def end_of(pair):
-            I, J = pair
-            A = riemann_operator(R, n, rows[I], rows[J])
-            # Project columns onto span(rows), coordinates in that basis.
-            cols = []
-            for j in range(dim):
-                w = _mat_vec(A, rows[j])
-                rhs = [_bilinear(G, rows[i], w) for i in range(dim)]
-                cols.append(_mat_vec(metric_inv, rhs))
-            return [[cols[j][i] for j in range(dim)] for i in range(dim)]
-
-    if not basis_pairs:
-        return 0 * G[0][0]
-    gram2_inv = _invert(gram2)
-    ends = [end_of(p) for p in basis_pairs]
-    # <A, B>_End = sum A[i][j] B[k][l] metric[i][k] metric_inv[j][l]
-    #            = sum_{k,l} (metric^T A metric_inv)[k][l] * B[k][l]
-    lowered = [_mat_mul(_mat_mul(metric, A), metric_inv) for A in ends]
-
-    def end_inner(LA, B):
-        s = 0 * G[0][0]
-        for k in range(dim):
-            for l in range(dim):
-                if B[k][l] != 0 and LA[k][l] != 0:
-                    s += LA[k][l] * B[k][l]
-        return s
-
-    total = 0 * G[0][0]
-    for I in range(len(basis_pairs)):
-        for J in range(len(basis_pairs)):
-            if gram2_inv[I][J] != 0:
-                total += gram2_inv[I][J] * end_inner(lowered[I], ends[J])
+    ends maps each pair (I, J), I < J, to the matrix of R(b_I, b_J) in the
+    basis b.  The Gram matrix of Lambda^2 in the basis b_I ^ b_J has the
+    Lambda^2 metric of h^-1 as its inverse (Cauchy-Binet), so
+    g(R, R) = sum w_{IJ,KL} <R(b_I, b_J), R(b_K, b_L)>_End with the weights
+    w_{IJ,KL} = h^{IK} h^{JL} - h^{IL} h^{JK} read off h^-1.
+    """
+    hinv = _invert(h)
+    zero = 0 * h[0][0]
+    total = zero
+    for (I, J), A in ends.items():
+        # <A, B>_End = tr(h A h^-1 B^T) = sum_{k,l} (h A h^-1)[k][l] * B[k][l]
+        LA = _mat_mul(_mat_mul(h, A), hinv)
+        for (K, L), B in ends.items():
+            w = hinv[I][K] * hinv[J][L] - hinv[I][L] * hinv[J][K]
+            if w:
+                s = zero
+                for la, b in zip(LA, B):
+                    for x, y in zip(la, b):
+                        if x and y:
+                            s += x * y
+                total += w * s
     return total
-
-
-def _bilinear(G, u, v):
-    return sum(u[i] * G[i][j] * v[j] for i in range(len(u)) for j in range(len(v))
-               if u[i] != 0 and G[i][j] != 0)
 
 
 def riemann_norm(brackets: LieBrackets, gram: Sequence[Sequence]):
     """Full contraction g(R, R) of the curvature map Lambda^2 g -> End g."""
-    n = brackets.n
     G = [list(r) for r in gram]
-    R = riemann_endomorphisms(brackets, G)
-    pairs = list(combinations(range(n), 2))
-    return _norm_of_curvature_map(R, G, pairs)
+    return _curvature_norm(riemann_endomorphisms(brackets, G), G)
 
 
 def projected_riemann_norm(brackets: LieBrackets, gram: Sequence[Sequence]):
     """g(R', R') for the restriction of R to the derived algebra."""
     G = [list(r) for r in gram]
-    rows = _derived_subalgebra_rows(brackets)
-    if not rows:
+    b = _derived_subalgebra_rows(brackets)
+    if not b:
         return 0 * G[0][0]
-    R = riemann_endomorphisms(brackets, G)
-    return _norm_of_curvature_map(R, G, [], rows=rows)
+    R = riemann_endomorphisms(brackets, G)     # a degenerate G raises here first
+    n = brackets.n
+    bG = _mat_mul(b, G)
+    bT = [list(col) for col in zip(*b)]
+    h = _mat_mul(bG, bT)
+    try:
+        hinv = _invert(h)
+    except DegenerateMetricError:
+        raise DegenerateMetricError(
+            "induced metric on the derived algebra is degenerate") from None
+    ends = {}
+    for I, J in combinations(range(len(b)), 2):
+        u, v = b[I], b[J]
+        A = [[0] * n for _ in range(n)]      # R(b_I, b_J) by bilinearity
+        for (x, y), M in R.items():
+            coef = u[x] * v[y] - u[y] * v[x]
+            if coef:
+                for Ai, Mi in zip(A, M):
+                    for j, m in enumerate(Mi):
+                        if m:
+                            Ai[j] += coef * m
+        # its projection onto span(b): h^-1 (g(b_i, R(b_I, b_J) b_j))
+        ends[(I, J)] = _mat_mul(hinv, _mat_mul(_mat_mul(bG, A), bT))
+    return _curvature_norm(ends, h)
 
 
 def ad_invariance_check(

@@ -165,6 +165,46 @@ def test_curvature_command(capsys):
     assert "ad-invariant: no" in out
 
 
+ASYMMETRIC_MATRIX = "1,1,0,0,0,0;0,1,0,0,0,0;0,0,1,0,0,0;0,0,0,1,0,0;0,0,0,0,1,0;0,0,0,0,0,1"
+
+
+@pytest.mark.parametrize("command", ["verify", "curvature"])
+@pytest.mark.parametrize("argv, detail", [
+    (["631:6", "--metric", ASYMMETRIC_MATRIX], "entry (1,2) is 1 but (2,1) is 0"),
+    # g2 != g3: the vector is not sigma-invariant
+    (["741:6", "--param", "lambda=1/2", "--sigma", "(23)(45)", "--metric=-1/4,1,3,1,1,2,1"],
+     "entry (2,3) is 1 but (3,2) is 3"),
+    # a 3-cycle is not an involution
+    (["631:6", "--sigma", "(123)", "--metric", "1,1,1,1,1,1"], "entry (1,2) is 1 but (2,1) is 0"),
+])
+def test_metric_must_be_symmetric(capsys, command, argv, detail):
+    code = main([command, *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: metric is not symmetric: {detail}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["93:86", "--k", "0", "--solve-param", "zz"],
+     "--solve-param zz must name the one unresolved parameter; unresolved: a"),
+    (["852:30", "--k", "0", "--mode", "sigma", "--sigma", "(23)(45)(78)", "--solve-param", "a2"],
+     "--solve-param a2 must name the one unresolved parameter; unresolved: a1, a2"),
+    (["93:86", "--k", "0", "--param", "a=1", "--solve-param", "zz"],
+     "--solve-param zz must name the one unresolved parameter; unresolved: none"),
+    (["93:86", "--k", "0", "--solve-param", "a", "--mode", "sigma"],
+     "--mode sigma with --solve-param needs --sigma"),
+    (["631:6", "--k", "0", "--sigma", "(23)(45)"], "--sigma needs --mode sigma"),
+    (["93:86", "--k", "0", "--solve-param", "a", "--sigma", "(12)"], "--sigma needs --mode sigma"),
+])
+def test_einstein_rejects_inconsistent_options(capsys, argv, message):
+    code = main(["einstein", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_catalog_list(capsys):
     code, out = run_cli(capsys, "catalog", "list", "--filter", "63*")
     assert code == 0

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from typing import Optional, Sequence
 
 import pytest
 import sympy
@@ -13,7 +14,9 @@ from nice_einstein.curvature import (
     LieBrackets,
     _adjugate,
     _bareiss_adjugate,
+    _derived_subalgebra_rows,
     _invert,
+    _mat_mul,
     ad_invariance_check,
     diagonal_gram,
     einstein_residual,
@@ -527,3 +530,175 @@ def test_oracle_matches_the_dense_sums_on_every_catalog_algebra():
             kinds[exact] += 1
     assert sigma_entries == 17
     assert kinds == {True: 2 * 44 + 17, False: 2 * 44 + 17}
+
+
+# ---------------------------------------------------------------------------
+# The curvature norms against the Lambda^2 Gram inversion they replace.  The
+# four helpers below are that code, verbatim, and the two reference norms are
+# the old bodies of riemann_norm and projected_riemann_norm.
+
+
+def _mat_vec(A, v):
+    out = []
+    for row in A:
+        s = 0
+        for a, x in zip(row, v):
+            if a and x:
+                s += a * x
+        out.append(s)
+    return out
+
+
+def riemann_operator(R: dict, n: int, u: Sequence, v: Sequence) -> list:
+    """R(u, v) for arbitrary coefficient vectors by bilinearity."""
+    out = [[0 * (u[0] * v[0]) for _ in range(n)] for _ in range(n)]
+    for (a, b), M in R.items():
+        coef = u[a] * v[b] - u[b] * v[a]
+        if coef != 0:
+            for i in range(n):
+                for j in range(n):
+                    out[i][j] += coef * M[i][j]
+    return out
+
+
+def _norm_of_curvature_map(R: dict, G: list, pair_list: list, rows: Optional[list] = None):
+    """g(R, R) with inputs/outputs restricted to span(rows) when given."""
+    n = len(G)
+    Ginv = _invert(G)
+    if rows is None:
+        # Inputs e_a ^ e_b for (a,b) in pair_list, outputs full space.
+        def end_of(pair):
+            return R[pair]
+
+        metric = G
+        metric_inv = Ginv
+        dim = n
+        basis_pairs = pair_list
+        gram2 = [
+            [
+                metric[a][cdx] * metric[b][d] - metric[a][d] * metric[b][cdx]
+                for (cdx, d) in basis_pairs
+            ]
+            for (a, b) in basis_pairs
+        ]
+    else:
+        dim = len(rows)
+        metric = [[_bilinear(G, rows[i], rows[j]) for j in range(dim)] for i in range(dim)]
+        try:
+            metric_inv = _invert(metric)
+        except DegenerateMetricError:
+            raise DegenerateMetricError("induced metric on the derived algebra is degenerate")
+        basis_pairs = list(combinations(range(dim), 2))
+        gram2 = [
+            [
+                metric[a][cdx] * metric[b][d] - metric[a][d] * metric[b][cdx]
+                for (cdx, d) in basis_pairs
+            ]
+            for (a, b) in basis_pairs
+        ]
+
+        def end_of(pair):
+            I, J = pair
+            A = riemann_operator(R, n, rows[I], rows[J])
+            # Project columns onto span(rows), coordinates in that basis.
+            cols = []
+            for j in range(dim):
+                w = _mat_vec(A, rows[j])
+                rhs = [_bilinear(G, rows[i], w) for i in range(dim)]
+                cols.append(_mat_vec(metric_inv, rhs))
+            return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+
+    if not basis_pairs:
+        return 0 * G[0][0]
+    gram2_inv = _invert(gram2)
+    ends = [end_of(p) for p in basis_pairs]
+    # <A, B>_End = sum A[i][j] B[k][l] metric[i][k] metric_inv[j][l]
+    #            = sum_{k,l} (metric^T A metric_inv)[k][l] * B[k][l]
+    lowered = [_mat_mul(_mat_mul(metric, A), metric_inv) for A in ends]
+
+    def end_inner(LA, B):
+        s = 0 * G[0][0]
+        for k in range(dim):
+            for l in range(dim):
+                if B[k][l] != 0 and LA[k][l] != 0:
+                    s += LA[k][l] * B[k][l]
+        return s
+
+    total = 0 * G[0][0]
+    for I in range(len(basis_pairs)):
+        for J in range(len(basis_pairs)):
+            if gram2_inv[I][J] != 0:
+                total += gram2_inv[I][J] * end_inner(lowered[I], ends[J])
+    return total
+
+
+def _bilinear(G, u, v):
+    return sum(u[i] * G[i][j] * v[j] for i in range(len(u)) for j in range(len(v))
+               if u[i] != 0 and G[i][j] != 0)
+
+
+def reference_riemann_norm(brackets, gram):
+    n = brackets.n
+    G = [list(r) for r in gram]
+    R = riemann_endomorphisms(brackets, G)
+    pairs = list(combinations(range(n), 2))
+    return _norm_of_curvature_map(R, G, pairs)
+
+
+def reference_projected_riemann_norm(brackets, gram):
+    G = [list(r) for r in gram]
+    rows = _derived_subalgebra_rows(brackets)
+    if not rows:
+        return 0 * G[0][0]
+    R = riemann_endomorphisms(brackets, G)
+    return _norm_of_curvature_map(R, G, [], rows=rows)
+
+
+@pytest.mark.parametrize("name, swap", [
+    ("631:6", None), ("75432:3", (2, 1, 4, 3)), ("865431:9", (2, 1, 4, 3)), ("10:1", None)])
+def test_curvature_norms_match_the_lambda2_inversion(name, swap):
+    """Diagonal, sigma-diagonal and dense metrics: exactly the reference's values."""
+    from nice_einstein import parse_permutation
+    from nice_einstein.catalog import find_entry
+
+    entry = find_entry(name)
+    a = entry.algebra({})
+    n = a.n
+    rng = random.Random(f"norms/{name}")
+    sig = entry.expected.get("sigma")
+    sigma = parse_permutation(sig[0]["sigma"], n) if sig else (*swap, *range(5, n + 1))
+    exact = [F(1), F(-2), F(3), F(1, 3), F(-3, 2), F(2, 5)]
+    metrics = [diagonal_gram([rng.choice(exact) for _ in range(n)]) for _ in range(2)]
+    g = [rng.choice(exact) for _ in range(n)]
+    metrics.append(sigma_gram([g[min(i, sigma[i] - 1)] for i in range(n)], sigma))
+    metrics += [ldlt_gram(rng, n) for _ in range(1 if n == 10 else 2)]
+    B = bra(a)
+    for G in metrics:
+        for new, ref in ((riemann_norm, reference_riemann_norm),
+                         (projected_riemann_norm, reference_projected_riemann_norm)):
+            got, want = new(B, G), ref(B, G)
+            assert got == want and type(got) is type(want) is F
+
+
+def test_curvature_norms_degenerate_metric_errors(algebras):
+    B = bra(algebras["631:6"])
+    for norm in (riemann_norm, projected_riemann_norm):
+        with pytest.raises(DegenerateMetricError, match="^metric is degenerate$"):
+            norm(B, diagonal_gram([F(1), F(1), F(1), F(0), F(1), F(1)]))
+    # nondegenerate, but null on span(e4, e5, e6), the derived algebra
+    G = diagonal_gram([F(1)] * 6)
+    G[0][0] = G[3][3] = F(0)
+    G[0][3] = G[3][0] = F(1)
+    assert riemann_norm(B, G) == F(29, 8)
+    with pytest.raises(DegenerateMetricError,
+                       match="^induced metric on the derived algebra is degenerate$"):
+        projected_riemann_norm(B, G)
+
+
+def test_curvature_command_dense_metric_pinned(capsys):
+    rows = ["1,1,-1,1/2,0,1,-1", "1,-1,-1,-3/2,2,0,-1", "-1,-1,3/2,-1/4,0,-1/2,1/2",
+            "1/2,-3/2,-1/4,11/8,-1,5/4,-3/4", "0,2,0,-1,0,-3/2,1",
+            "1,0,-1/2,5/4,-3/2,11/4,-1/2", "-1,-1,1/2,-3/4,1,-1/2,3/2"]
+    assert main(["curvature", "75432:3", "--metric", ";".join(rows)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["g(R,R)   = 2133483025/6291456", "g(R',R') = -7043405965/467140608"]
