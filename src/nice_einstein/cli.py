@@ -355,12 +355,7 @@ def cmd_verify(args) -> int:
     alg = _load_algebra(args)
     G = _parse_metric(alg, args)
     lam = Fraction(args.lam)
-    B = LieBrackets.from_nice(alg)
-    try:
-        _, op = ricci_tensor(B, G)
-    except DegenerateMetricError as exc:
-        print(f"error: {exc}")
-        return 1
+    _, op = ricci_tensor(LieBrackets.from_nice(alg), G)
     res = einstein_residual(op, lam)
     print("Ricci operator diagonal: ("
           + ", ".join(_fmt_frac(op[i][i]) for i in range(alg.n)) + ")")
@@ -374,19 +369,15 @@ def cmd_curvature(args) -> int:
     alg = _load_algebra(args)
     G = _parse_metric(alg, args)
     B = LieBrackets.from_nice(alg)
+    rn = riemann_norm(B, G)
+    print(f"g(R,R)   = {_fmt_frac(rn)}")
     try:
-        rn = riemann_norm(B, G)
-        print(f"g(R,R)   = {_fmt_frac(rn)}")
-        try:
-            pn = projected_riemann_norm(B, G)
-            print(f"g(R',R') = {_fmt_frac(pn)}")
-        except DegenerateMetricError as exc:
-            print(f"g(R',R') = not computed ({exc})")
-        s = scalar_curvature(B, G)
-        print(f"scalar curvature = {_fmt_frac(s)}")
+        pn = projected_riemann_norm(B, G)
+        print(f"g(R',R') = {_fmt_frac(pn)}")
     except DegenerateMetricError as exc:
-        print(f"error: {exc}")
-        return 1
+        print(f"g(R',R') = not computed ({exc})")
+    s = scalar_curvature(B, G)
+    print(f"scalar curvature = {_fmt_frac(s)}")
     ok, witness = ad_invariance_check(B, G)
     if ok:
         print("ad-invariant: yes")

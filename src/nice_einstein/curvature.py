@@ -448,16 +448,15 @@ def _derived_subalgebra_rows(brackets: LieBrackets) -> list[list[Fraction]]:
     return [R[r] for r in range(len(pivots))]
 
 
-def _curvature_norm(ends: dict, h: list):
+def _curvature_norm(ends: dict, h: list, hinv: list):
     """g(R, R) of a curvature map given on a basis b whose Gram matrix is h.
 
     ends maps each pair (I, J), I < J, to the matrix of R(b_I, b_J) in the
     basis b.  The Gram matrix of Lambda^2 in the basis b_I ^ b_J has the
     Lambda^2 metric of h^-1 as its inverse (Cauchy-Binet), so
     g(R, R) = sum w_{IJ,KL} <R(b_I, b_J), R(b_K, b_L)>_End with the weights
-    w_{IJ,KL} = h^{IK} h^{JL} - h^{IL} h^{JK} read off h^-1.
+    w_{IJ,KL} = h^{IK} h^{JL} - h^{IL} h^{JK} read off hinv = h^-1.
     """
-    hinv = _invert(h)
     zero = 0 * h[0][0]
     total = zero
     for (I, J), A in ends.items():
@@ -478,7 +477,8 @@ def _curvature_norm(ends: dict, h: list):
 def riemann_norm(brackets: LieBrackets, gram: Sequence[Sequence]):
     """Full contraction g(R, R) of the curvature map Lambda^2 g -> End g."""
     G = [list(r) for r in gram]
-    return _curvature_norm(riemann_endomorphisms(brackets, G), G)
+    ends = riemann_endomorphisms(brackets, G)    # a degenerate G raises here first
+    return _curvature_norm(ends, G, _invert(G))
 
 
 def projected_riemann_norm(brackets: LieBrackets, gram: Sequence[Sequence]):
@@ -510,7 +510,7 @@ def projected_riemann_norm(brackets: LieBrackets, gram: Sequence[Sequence]):
                             Ai[j] += coef * m
         # its projection onto span(b): h^-1 (g(b_i, R(b_I, b_J) b_j))
         ends[(I, J)] = _mat_mul(hinv, _mat_mul(_mat_mul(bG, A), bT))
-    return _curvature_norm(ends, h)
+    return _curvature_norm(ends, h, hinv)
 
 
 def ad_invariance_check(

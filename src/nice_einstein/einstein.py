@@ -36,7 +36,7 @@ from .linalg import (
 )
 from .solver import (
     _eliminant_roots,
-    _p_basis,
+    _leaf_basis,
     _p_leaf,
     abs_monomial,
     classify_functionals,
@@ -679,7 +679,7 @@ def _explore(ctx: _Search, extra_rows: list, extra_rhs: list,
     # Some orthant is feasible here, so an empty list means all fail L.
     scale_gauge = (sy.k == 0 and all(x == 0 for x in aff.particular)
                    and all(sum(sy.alphas[ei]) == 0 for ei in rest))
-    orthants = feasible_orthants(aff, parity=sy.parity)
+    orthants = feasible_orthants(aff, parity=sy.parity, classes=fc)
     if not orthants:
         ctx.block("L", "a feasible sign pattern is not attainable mod 2")
     for o in orthants:
@@ -883,13 +883,12 @@ def _parameter_results(family, sigma, k, tol) -> list[tuple[Fraction, Classifica
             continue
         c_affine = tuple(affine[idx] for idx in probe.indices())
         scale_invariant = k == 0 and all(sum(r) == 0 for r in sy.alphas)
-        leaves = dict.fromkeys(_p_leaf(sy.aff, o.eps, sy.alphas, scale_invariant)
+        leaves = dict.fromkeys(_p_leaf(sy.aff, o.eps, sy.alphas, scale_invariant, bases)
                                for o in feasible_orthants(sy.aff, parity=sy.parity))
         leaves.pop(None, None)
         for leaf in leaves:
-            if leaf not in bases:
-                bases[leaf] = _p_basis(*leaf, sy.alphas, c=c_affine)
-            found.update(_eliminant_roots(bases[leaf], lo, hi))
+            G = _leaf_basis(bases, *leaf, sy.alphas, c=c_affine).G
+            found.update(_eliminant_roots(G, lo, hi))
 
     confirmed = []
     for u in sorted(found):

@@ -4,9 +4,12 @@ Internal machinery for the Einstein pipeline.  The sign-feasibility layer
 and everything it reports is exact.  The polynomial condition is exact too:
 directly when its slice (the scale gauge removed for k = 0) is a point, and
 otherwise by one lex Groebner basis of the system with cleared denominators
-and a Rabinowitsch variable, in sympy's sparse ring over QQ; its real points
-are listed exactly in the univariate ring QQ[v].  The same basis, with the
-family parameter as one more variable, gives the candidate parameter values.
+and a Rabinowitsch variable, in sympy's sparse ring over QQ (generators
+built over ZZ); its real points are listed exactly in the univariate ring
+QQ[v].  The same basis, with the family parameter as one more variable,
+gives the candidate parameter values.  One memo per search holds each
+cone's two gauge slices, cut once, and each basis, built once per pair of
+slices: the -1 slice's basis is the +1 slice's with signs flipped.
 
 The mod-2 sign condition L prunes the orthant search instead of filtering
 its output: `feasible_orthants` takes L as parity constraints on the sign
@@ -24,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -106,7 +111,8 @@ class Orthant:
 
 
 def feasible_orthants(S: AffineSet, cap: int = ORTHANT_CAP,
-                      parity: Sequence[tuple[int, int]] = ()) -> list[Orthant]:
+                      parity: Sequence[tuple[int, int]] = (),
+                      classes: Optional[FunctionalClasses] = None) -> list[Orthant]:
     """All sign patterns eps realized by points of S with no zero coordinate
     that satisfy every parity constraint.
 
@@ -122,9 +128,10 @@ def feasible_orthants(S: AffineSet, cap: int = ORTHANT_CAP,
     witness.  A constraint on no representative that fails empties the
     result.  Coordinates identically zero make the result empty (no strict
     sign pattern exists).  Raises EnumerationCapExceeded when more than
-    `cap` orthants are returned.
+    `cap` orthants are returned.  `classes`, when the caller has it, is
+    `classify_functionals(S)`.
     """
-    fc = classify_functionals(S)
+    fc = classify_functionals(S) if classes is None else classes
     if fc.zero_coords:
         return []
     nreps = 1 + max(fc.class_of, default=-1)
@@ -216,14 +223,17 @@ def decide_condition_p(
     witness finds a point, or a zero-dimensional basis out of shape
     position, gives a numeric-grade negative (`exact=False`).
     `scale_gauge` requires S to be a cone and the system scale invariant,
-    so one coordinate may be pinned to +-1.  `memo` (a dict) shares the
-    bases between the orthants of one search.
+    so one coordinate may be pinned to +-1.  `memo` (a dict) is shared by
+    the orthants of one search: it holds each cone's two gauge slices
+    (`_p_leaf`) and each basis with its real points (`_leaf_basis`), the
+    -1 slice's basis mirrored from the +1 slice's when that is known.
     """
     if not exponents:
         X = S.point(witness_t)
         return PDecision(True, True, root_X=tuple(X), root_is_rational=True,
                          note="vacuous")
-    leaf = _p_leaf(S, eps, exponents, scale_gauge)
+    memo = {} if memo is None else memo
+    leaf = _p_leaf(S, eps, exponents, scale_gauge, memo)
     if leaf is None:
         return PDecision(False, True, note="slice point leaves orthant")
     work_S, signs = leaf
@@ -233,12 +243,8 @@ def decide_condition_p(
             return PDecision(False, True, note="point mismatch")
         return PDecision(True, True, root_X=tuple(X), root_is_rational=True)
 
-    memo = {} if memo is None else memo
-    key = (leaf, tuple(map(tuple, exponents)), tuple(rhs))
-    if key not in memo:
-        G = _p_basis(work_S, signs, exponents, rhs)
-        memo[key] = (G, _real_points(G, work_S) if _is_zero_dimensional(G) else None)
-    G, points = memo[key]
+    basis = _leaf_basis(memo, work_S, signs, exponents, rhs)
+    G, points = basis.G, basis.points
     want = tuple(-1 if e else 1 for e in eps)
     if G == [1]:
         return PDecision(False, True, note="Groebner basis {1}")
@@ -270,55 +276,64 @@ def decide_condition_p(
 
 
 def _p_leaf(S: AffineSet, eps: Sequence[int], exponents: Sequence[Sequence[int]],
-           scale_gauge: bool) -> Optional[tuple[AffineSet, tuple[int, ...]]]:
+            scale_gauge: bool, memo: dict) -> Optional[tuple[AffineSet, tuple[int, ...]]]:
     """(S or its gauge slice, signs prod_j sign(X_j)^a_ij) at the orthant eps.
 
     None when that set is a point outside the orthant.  Orthants with equal
-    pairs share one basis.
+    pairs share one basis.  `memo` keeps the two gauge slices of each cone
+    S: the +1 slice is cut once, and the -1 slice is its negation.
     """
     if scale_gauge:
         if any(x != 0 for x in S.particular):
             raise ValueError("scale_gauge needs S to be a cone (zero particular point)")
         if any(sum(a_row) != 0 for a_row in exponents):
             raise ValueError("scale_gauge needs scale-invariant exponents (zero row sums)")
-        S = gauge_slice(S, eps)
+        if S not in memo:
+            pin, plus = gauge_slice(S)
+            memo[S] = (pin, plus, _negated(plus))
+        pin, plus, minus = memo[S]
+        S = minus if eps[pin] else plus
     if S.dim == 0 and not in_orthant(S.particular, eps):
         return None
     return S, tuple(-1 if sum(aj for aj, e in zip(a_row, eps) if e) % 2 else 1
                     for a_row in exponents)
 
 
-def gauge_slice(S: AffineSet, eps: Sequence[int]) -> AffineSet:
-    """Remove the scale gauge of the cone S: cut it by |X_pin| = 1 on orthant eps.
+def gauge_slice(S: AffineSet) -> tuple[int, AffineSet]:
+    """Remove the scale gauge of the cone S: (pin, its cut by X_pin = 1).
 
     X_pin is the first non-constant coordinate; every solution ray of a
-    scale-invariant system meets the slice once.
+    scale-invariant system meets X_pin = +-1 once, and the cut by
+    X_pin = -1 is the negation of this one.
     """
     pin = next(j for j in range(S.ambient_dim) if any(b[j] for b in S.basis))
-    value = Fraction(-1 if eps[pin] else 1)
     coeffs = [b[pin] for b in S.basis]
     pivot = next(i for i, c in enumerate(coeffs) if c != 0)
-    # t_pivot = (value - const - sum_{i != pivot} coeffs_i t_i) / coeffs_pivot
+    # t_pivot = (1 - sum_{i != pivot} coeffs_i t_i) / coeffs_pivot
     cp = coeffs[pivot]
     bp = S.basis[pivot]
-    f = (value - S.particular[pin]) / cp
-    particular = tuple(x + f * y for x, y in zip(S.particular, bp))
+    particular = tuple(y / cp for y in bp)
     basis = tuple(tuple(x - (coeffs[i] / cp) * y for x, y in zip(b, bp))
                   for i, b in enumerate(S.basis) if i != pivot)
-    return AffineSet(particular, basis)
+    return pin, AffineSet(particular, basis)
+
+
+def _negated(S: AffineSet) -> AffineSet:
+    """-S: the same basis through the negated particular point."""
+    return AffineSet(tuple(-x for x in S.particular), S.basis)
 
 
 # ---------------------------------------------------------------------------
 # The cleared P system and its lex Groebner basis, in sympy's sparse ring
 
 
-def _ring(names: Sequence[str]):
-    """sympy's sparse polynomial ring QQ[names] in lex order."""
-    from sympy.polys.domains import QQ
+def _ring(names: Sequence[str], integral: bool = False):
+    """sympy's sparse polynomial ring QQ[names], or ZZ[names], in lex order."""
+    from sympy.polys.domains import QQ, ZZ
     from sympy.polys.orderings import lex
     from sympy.polys.rings import ring
 
-    return ring(list(names), QQ, lex)[0]
+    return ring(list(names), ZZ if integral else QQ, lex)[0]
 
 
 def _qq(x):  # a Fraction or int into QQ, by numerator and denominator
@@ -339,6 +354,62 @@ def _groebner(polys: list) -> list:
     return groebner([f for f in polys if f], polys[0].ring)
 
 
+@dataclass
+class _LeafBasis:
+    """The lex basis G of `_p_basis` on the set S, with its real points once listed."""
+
+    S: AffineSet
+    G: list
+
+    @cached_property
+    def points(self) -> Optional[list[_RealPoint]]:
+        """`_real_points` when G is zero-dimensional, else None."""
+        return _real_points(self.G, self.S) if _is_zero_dimensional(self.G) else None
+
+
+def _leaf_basis(memo: dict, S: AffineSet, signs: tuple[int, ...],
+                exponents: Sequence[Sequence[int]], rhs: Sequence[Fraction] = (),
+                c: Optional[tuple] = None) -> _LeafBasis:
+    """`_p_basis(S, signs, exponents, rhs, c)`, built once per pair of mirrored sets.
+
+    When every exponent row has an even sum, the system on -S (`_negated`)
+    is the image of the one on S under phi: t_i -> -t_i,
+    z -> (-1)^|used| z, u fixed, which only changes the signs of terms.
+    The reduced lex basis of an ideal is unique, so once `memo` holds the
+    basis of one of S and -S, the other is phi of it (`_mirrored`).  The
+    two gauge slices of a cone are such a pair.
+    """
+    exponents = tuple(map(tuple, exponents))
+    key = (S, signs, exponents, tuple(rhs), c)
+    if key not in memo:
+        twin = (memo.get((_negated(S),) + key[1:])
+                if all(sum(a_row) % 2 == 0 for a_row in exponents) else None)
+        if twin is None:
+            G = _p_basis(S, signs, exponents, rhs, c)
+        else:
+            used = sum(1 for col in zip(*exponents) if any(col))
+            G = _mirrored(twin.G, S.dim, used)
+        memo[key] = _LeafBasis(S, G)
+    return memo[key]
+
+
+def _mirrored(G: list, p: int, used: int) -> list:
+    """phi(G) for phi: t_i -> -t_i (the p generators after z), z -> (-1)^used z.
+
+    Each element is made monic again; phi keeps every monomial, so the
+    leading ones and the order of G stay.
+    """
+    def odd(m):
+        return (used * m[0] + sum(m[1:1 + p])) & 1
+
+    R = G[0].ring
+    out = []
+    for g in G:
+        lead = odd(g.LM)
+        out.append(R.from_dict({m: -k if odd(m) != lead else k for m, k in g.items()}))
+    return out
+
+
 def _p_basis(S: AffineSet, signs: Sequence[int], exponents: Sequence[Sequence[int]],
              rhs: Sequence[Fraction] = (), c: Optional[Sequence[tuple]] = None) -> list:
     """Lex Groebner basis of prod_j X_j^a_ij = signs_i * rhs_i with X = S.point(t).
@@ -352,33 +423,47 @@ def _p_basis(S: AffineSet, signs: Sequence[int], exponents: Sequence[Sequence[in
     for c_j(u) = const_j + slope_j * u; u is one more generator, last, and
     the c_j(u) of the used coordinates join the Rabinowitsch product.
     Equations that vanish identically are dropped.
+
+    The generators are built over ZZ from Y_j = e * X_j (`AffineSet._integral`)
+    and C_j = d_j * c_j(u), each a nonzero integer multiple of the rational
+    one, and converted to QQ once.  Buchberger makes every input monic
+    first, so its run and the reduced basis are those of the rational
+    generators.
     """
     p = S.dim
-    R = _ring(["z", *(f"t{i}" for i in range(p)), *(["u"] if c is not None else [])])
+    names = ["z", *(f"t{i}" for i in range(p)), *(["u"] if c is not None else [])]
+    R = _ring(names, integral=True)
     z, ts, u = R.gens[0], R.gens[1:1 + p], R.gens[-1]
-
-    def affine(const, terms):  # const + sum_i k_i x_i
-        return sum((x * _qq(k) for k, x in terms), R(_qq(const)))
-
-    X = [affine(S.particular[j], zip((b[j] for b in S.basis), ts))
-         for j in range(S.ambient_dim)]
-    cu = None if c is None else [affine(k0, [(k1, u)]) for k0, k1 in c]
+    e, consts, rows = S._integral
+    Y = [sum((k * t for k, t in zip(row, ts) if k), R(const))
+         for const, row in zip(consts, rows)]
+    d = C = None
+    if c is not None:
+        d = [lcm(Fraction(k0).denominator, Fraction(k1).denominator) for k0, k1 in c]
+        C = [R(int(k0 * dj)) + int(k1 * dj) * u for (k0, k1), dj in zip(c, d)]
     used = [j for j in range(S.ambient_dim) if any(a_row[j] for a_row in exponents)]
     polys = []
     for i, a_row in enumerate(exponents):
-        sides = [R.one, R.one]               # prod X^a+ and prod X^a-
-        rsides = [R(_qq(rhs[i])), R.one] if c is None else [R.one, R.one]
+        # prod X^a+ * prod c^(2a-) = sides[0] / dens[0], prod X^a- * prod c^(2a+) likewise
+        sides, dens = [R.one, R.one], [1, 1]
         for j, aj in enumerate(a_row):
             if aj:
-                sides[aj < 0] *= X[j] ** abs(aj)
-                if cu is not None:
-                    rsides[aj < 0] *= cu[j] ** (2 * abs(aj))
-        polys.append(sides[0] * rsides[1] - signs[i] * rsides[0] * sides[1])
-    nonzero = z
-    for j in used:
-        nonzero *= X[j] if cu is None else X[j] * cu[j]
-    polys.append(nonzero - 1)
-    return _groebner(polys)
+                k = aj < 0
+                sides[k] *= Y[j] ** abs(aj)
+                dens[k] *= e ** abs(aj)
+                if C is not None:
+                    sides[not k] *= C[j] ** (2 * abs(aj))
+                    dens[not k] *= d[j] ** (2 * abs(aj))
+        r = Fraction(1) if c is not None else Fraction(rhs[i])
+        # sides[0] / dens[0] - signs_i * r * sides[1] / dens[1], times L
+        L = lcm(dens[0], r.denominator * dens[1])
+        polys.append(sides[0] * (L // dens[0])
+                     - sides[1] * (signs[i] * r.numerator * L // (r.denominator * dens[1])))
+    # z * prod X_j (* c_j(u)) - 1, times e^|used| (* prod d_j)
+    nonzero = z * prod(Y[j] if C is None else Y[j] * C[j] for j in used)
+    polys.append(nonzero - prod(e if d is None else e * d[j] for j in used))
+    Q = _ring(names)
+    return _groebner([f.set_ring(Q) for f in polys])
 
 
 def _is_zero_dimensional(G: list) -> bool:

@@ -185,6 +185,16 @@ def test_metric_must_be_symmetric(capsys, command, argv, detail):
     assert captured.err == f"error: metric is not symmetric: {detail}\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "curvature"])
+def test_degenerate_metric_is_an_input_error(capsys, command):
+    # Reported like every other input error: on stderr, stdout empty, exit 1.
+    code = main([command, "631:6", "--metric", "0,1,1,1,1,1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: metric is degenerate\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["93:86", "--k", "0", "--solve-param", "zz"],
      "--solve-param zz must name the one unresolved parameter; unresolved: a"),
@@ -241,6 +251,10 @@ def test_tolerance_env_override(capsys, monkeypatch):
 GOLDEN = Path(__file__).parent / "golden"
 
 
+# Goldens whose classification fails exactly exit with 2; the rest with 0.
+FAILS_EXACTLY = {"8654321_25_k0.json"}
+
+
 @pytest.mark.parametrize("argv, golden", [
     (["631:6", "--k", "0"], "631_6_k0.json"),
     (["741:6", "--param", "lambda=1/2", "--mode", "sigma", "--sigma", "(23)(45)"],
@@ -251,12 +265,16 @@ GOLDEN = Path(__file__).parent / "golden"
      "10_1_sigma.json"),
     # 32 certificates recovered from one classification's facts.
     (["841:48", "--param", "a2=2", "--k", "0"], "841_48_a2_2_k0.json"),
+    # The nonlinear P path: metrics from a rational point of a Groebner
+    # basis, and an exact failure at P with basis {1}.
+    (["842:121a", "--k", "1"], "842_121a_k1.json"),
+    (["8654321:25", "--k", "0"], "8654321_25_k0.json"),
 ])
 def test_einstein_json_pinned(capsys, argv, golden):
     # The whole stdout, byte for byte: verdicts, certificates, float
     # residuals and the solved parameter values.
     code, out = run_cli(capsys, "einstein", *argv, "--out", "json")
-    assert code == 0
+    assert code == (2 if golden in FAILS_EXACTLY else 0)
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 

@@ -366,13 +366,44 @@ def test_exact_magnitudes_solved_once_per_ray(monkeypatch):
 
 
 def test_parameter_solve_builds_one_basis_per_leaf(monkeypatch, families):
-    import nice_einstein.einstein as einstein
+    import nice_einstein.solver as solver
 
     counts = {}
-    _counting(monkeypatch, einstein, "_p_basis", counts)
-    # the sign regions of a share their leaves, so each basis is built once
+    _counting(monkeypatch, solver, "_p_basis", counts)
+    # the sign regions of a share their leaves, and the two gauge slices of
+    # the leaf share one basis up to a sign flip, so one basis is built
     assert parameter_solve(families["93:86"], k=0) == [F(-1, 8), F(1, 8)]
-    assert counts == {"_p_basis": 2}
+    assert counts == {"_p_basis": 1}
+
+
+def test_p_layer_builds_one_basis_per_pair_of_gauge_slices(monkeypatch):
+    import nice_einstein.einstein as einstein
+    import nice_einstein.solver as solver
+    from nice_einstein.catalog import find_entry
+
+    counts = {}
+    _counting(monkeypatch, solver, "_p_basis", counts)
+    _counting(monkeypatch, einstein, "decide_condition_p", counts)
+    # 6 orthants of one leaf, on both gauge slices with the same signs: the
+    # -1 slice's basis {1} is the sign flip of the +1 slice's
+    res = diagonal_einstein(find_entry("8654321:25").algebra(), 0)
+    assert (res.success, res.failed_at, res.detail) == (False, "P", "Groebner basis {1}")
+    assert counts == {"decide_condition_p": 6, "_p_basis": 1}
+
+
+def test_each_cone_is_gauge_sliced_once(monkeypatch):
+    import nice_einstein.solver as solver
+    from nice_einstein.catalog import find_entry, run_entry
+
+    sliced = []
+    cut = solver.gauge_slice
+    monkeypatch.setattr(solver, "gauge_slice", lambda S: sliced.append(S) or cut(S))
+    # the k = 0 records of the catalog's nonlinear entries: 4 leaves, each
+    # cut once however many of its orthants reach P
+    for name in ("86532:6", "8654321:24", "8654321:25", "85321:48", "8521:12",
+                 "842:121a", "842:121b"):
+        assert all(chk.ok for chk in run_entry(find_entry(name), 1e-9))
+    assert len(sliced) == len(set(sliced)) == 4
 
 
 def test_float_magnitudes_fitted_once_per_ray(monkeypatch):

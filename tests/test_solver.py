@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from nice_einstein.linalg import (AffineSet, EnumerationCapExceeded, StrictSystem,
                                   _int_scale, feasible_strict, in_orthant,
                                   orthant_rows, orthant_witness, vec_q)
-from nice_einstein.solver import (ORTHANT_CAP, _eliminant_roots, _p_basis, abs_monomial,
-                                  decide_condition_p, feasible_orthants)
+from nice_einstein.solver import (ORTHANT_CAP, _eliminant_roots, _leaf_basis, _negated,
+                                  _p_basis, abs_monomial, decide_condition_p,
+                                  feasible_orthants, gauge_slice)
 
 
 def test_scale_gauge_preconditions_raise():
@@ -204,6 +205,105 @@ def test_sparse_basis_matches_the_expression_basis(with_c):
                     == _eliminant_roots_from_expressions(ref, lo, hi))
 
 
+def test_integral_generators_with_fractional_coefficients():
+    # The generators are built over ZZ from e * X and d_j * c_j(u); fractional
+    # constants and slopes of c exercise the d_j.
+    rng = random.Random(77)
+    for _ in range(12):
+        S, signs, exponents, rhs, c = _small_p_system(rng, True)
+        c = [(k0 / rng.choice((1, 2, 3)), k1 / rng.choice((1, 2))) for k0, k1 in c]
+        G = _p_basis(S, signs, exponents, rhs, c)
+        ref = _p_basis_from_expressions(S, signs, exponents, rhs, c)
+        assert [g.as_expr() for g in G] == [p.monic().as_expr() for p in ref.polys]
+
+
+# ---------------------------------------------------------------------------
+# The -1 gauge slice's basis derived from the +1 slice's by a sign flip
+
+
+def _zero_sum_row(rng: random.Random, m: int, digits) -> tuple[int, ...]:
+    while True:
+        row = [rng.choice(digits) for _ in range(m - 1)]
+        if -sum(row) in digits:
+            return (*row, -sum(row))
+
+
+def _mirror_case(rng: random.Random, kind: str):
+    """(cone, exponents, signs, rhs, c) with zero row sums.
+
+    "rhs": rational right-hand sides; "c": a random family parameter;
+    "c-points": two equations on a 2-dimensional cone in 3 coordinates, so
+    the slice and u are usually pinned to points and the eliminant in u
+    often has rational roots that are not symmetric about 0.
+    """
+    if kind == "c-points":
+        m, p = 3, 2
+        exponents = rng.choice(([(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (1, 0, -1)]))
+    else:
+        # u doubles the degrees, so it comes with a 1-dimensional slice
+        m, p = rng.randint(3, 4), 2 if kind == "c" else rng.randint(2, 3)
+        digits = (-1, 0, 1) if kind == "c" else (-2, -1, 0, 1, 2)
+        exponents = [_zero_sum_row(rng, m, digits) for _ in range(rng.randint(1, 2))]
+    basis = tuple(tuple(F(rng.randint(-2, 2), rng.choice((1, 1, 2, 3))) for _ in range(m))
+                  for _ in range(p))
+    if not any(map(any, basis)) or not any(map(any, exponents)):
+        return None
+    signs = tuple(rng.choice((1, -1)) for _ in exponents)
+    rhs = () if kind != "rhs" else tuple(F(rng.randint(1, 9), rng.randint(1, 9))
+                                         for _ in exponents)
+    c = None if kind == "rhs" else tuple(
+        (F(rng.randint(-3, 3), rng.choice((1, 2))), F(rng.choice((-1, 1, 2))))
+        for _ in range(m))
+    return AffineSet((F(0),) * m, basis), exponents, signs, rhs, c
+
+
+def test_minus_slice_basis_is_the_sign_flip_of_the_plus_slice(monkeypatch):
+    # phi: t -> -t, z -> (-1)^|used| z, u fixed maps the system on the +1
+    # slice to the one on the -1 slice; the reduced lex basis is unique, so
+    # the derived basis must equal the one built on the -1 slice.  A flip
+    # of u as well would negate the eliminant's roots, which the
+    # asymmetric cases catch.
+    import nice_einstein.solver as solver
+
+    built = []
+    build = solver._p_basis
+    monkeypatch.setattr(solver, "_p_basis", lambda *args: built.append(args) or build(*args))
+    rng = random.Random(13)
+    seen, cones = set(), 0
+    while cones < 240:
+        kind = ("rhs", "c", "c-points")[cones % 3]
+        case = _mirror_case(rng, kind)
+        if case is None:
+            continue
+        S, exponents, signs, rhs, c = case
+        _, plus = gauge_slice(S)
+        minus = _negated(plus)
+        memo = {}
+        _leaf_basis(memo, plus, signs, exponents, rhs, c)
+        derived = _leaf_basis(memo, minus, signs, exponents, rhs, c).G
+        assert len(built) == cones + 1          # the -1 slice built nothing
+        assert derived == build(minus, signs, exponents, rhs, c)
+        cones += 1
+        used = sum(1 for col in zip(*exponents) if any(col))
+        roots = _eliminant_roots(derived, None, None) if c is not None else []
+        seen.add((kind, used % 2, bool(roots) and roots != sorted(-r for r in roots)))
+    # odd and even |used|, with and without c; asymmetric roots in u
+    assert {(kind, odd) for kind, odd, _ in seen} >= {
+        (kind, odd) for kind in ("rhs", "c") for odd in (0, 1)}
+    assert ("c-points", 1, True) in seen
+
+
+def test_odd_row_sums_are_not_mirrored():
+    # The flip maps the system on S to the one on -S only when every row
+    # sum is even; with an odd one both bases are built.
+    S = AffineSet((F(1), F(0)), ((F(1), F(1)),))
+    memo = {}
+    _leaf_basis(memo, S, (1,), [(1, 0)], (F(2),))
+    got = _leaf_basis(memo, _negated(S), (1,), [(1, 0)], (F(2),)).G
+    assert got == _p_basis(_negated(S), (1,), [(1, 0)], (F(2),))
+    assert got != _p_basis(S, (1,), [(1, 0)], (F(2),))
+
+
 # ---------------------------------------------------------------------------
 # Orthant enumeration against a from-scratch Fourier-Motzkin reference
 
@@ -346,9 +446,9 @@ def test_l_prunes_the_search_and_keeps_the_verdict(monkeypatch):
 
     counts = []
 
-    def counted(S, cap=ORTHANT_CAP, parity=()):
+    def counted(S, cap=ORTHANT_CAP, parity=(), classes=None):
         counts.append((len(feasible_orthants(S)), len(feasible_orthants(S, parity=parity))))
-        return feasible_orthants(S, cap, parity)
+        return feasible_orthants(S, cap, parity, classes)
     monkeypatch.setattr(einstein, "feasible_orthants", counted)
     res = einstein.diagonal_einstein(find_entry("8654321:19").algebra(), 0)
     assert counts == [(24, 0)]
