@@ -117,6 +117,9 @@ def _parse_affine(text: str, where: str) -> Affine:
         coef = Fraction(1)
         got_num = False
         if m:
+            den = m.group(0).partition("/")[2]
+            if den and int(den) == 0:
+                raise ParseError(f"zero denominator in coefficient {text!r} in {where}")
             coef = Fraction(m.group(0))
             pos = m.end()
             got_num = True

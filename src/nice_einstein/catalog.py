@@ -12,10 +12,9 @@ from .algebra import AlgebraFamily, NiceLieAlgebra, parse_family
 from .diagram import parse_permutation
 from .einstein import (
     ClassificationResult,
-    _parameter_results,
     diagonal_einstein,
     format_delta,
-    parameter_solve,  # noqa: F401  perfbench's tests look the solve up in this module
+    parameter_solve,
     sigma_einstein,
 )
 
@@ -82,7 +81,7 @@ def _check_record(entry: CatalogEntry, mode: str, rec: dict, tol: float) -> list
     if rec.get("solve_param"):
         pname = rec["solve_param"]
         others = {n: v for n, v in params.items() if n != pname}
-        solved = _parameter_results(
+        solved = parameter_solve(
             fam.partial(others) if others else fam,
             (parse_permutation(rec["sigma"], fam.n) if rec.get("sigma") else None),
             k, tol)

@@ -49,9 +49,9 @@ from .diagram import (
 from .einstein import (
     DEFAULT_TOL,
     ClassificationResult,
-    _parameter_results,
     diagonal_einstein,
     format_delta,
+    parameter_solve,
     sigma_einstein,
 )
 from .linalg import f2_rank, kernel_basis, rank
@@ -68,12 +68,27 @@ def _tolerance(args) -> float:
     return float(env) if env else DEFAULT_TOL
 
 
+def _read_input_file(text: str) -> str:
+    """The structure string in the file that '@path' names."""
+    try:
+        with open(text[1:], "r", encoding="utf-8") as fh:
+            return fh.read().strip()
+    except OSError as exc:
+        raise ParseError(f"cannot read {text[1:]!r}: {exc.strerror or exc}") from None
+
+
+def _rational(text: str, what: str) -> Fraction:
+    """The rational number `text` of the option `what`."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad {what} {text!r}, expected a rational number") from None
+
+
 def _load_family(args) -> AlgebraFamily:
     text = args.input
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
-        return parse_family(text, name=getattr(args, "name", None))
+        return parse_family(_read_input_file(text), name=getattr(args, "name", None))
     if text.startswith("("):
         return parse_family(text, name=getattr(args, "name", None))
     entry = find_entry(text)
@@ -87,8 +102,8 @@ def _params_of(args) -> dict:
     for item in getattr(args, "param", None) or []:
         if "=" not in item:
             raise ParseError(f"bad --param {item!r}, expected NAME=RATIONAL")
-        name, val = item.split("=", 1)
-        out[name.strip()] = Fraction(val.strip())
+        name, val = (x.strip() for x in item.split("=", 1))
+        out[name] = _rational(val, f"--param {name}")
     return out
 
 
@@ -215,8 +230,7 @@ def cmd_validate(args) -> int:
             return 1
         text = entry.structure
     elif text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
+        text = _read_input_file(text)
     try:
         fam = parse_family(text, name=getattr(args, "name", None))
     except ParseError as exc:
@@ -290,7 +304,7 @@ def cmd_einstein(args) -> int:
         raise ParseError("--mode sigma with --solve-param needs --sigma")
     fam = _load_family(args)
     params = _params_of(args)
-    k = Fraction(args.k)
+    k = _rational(args.k, "--k")
     sigma = parse_permutation(args.sigma, fam.n) if args.sigma else None
     records = []
     t0 = time.time()
@@ -300,7 +314,7 @@ def cmd_einstein(args) -> int:
         if work.params() != [args.solve_param]:
             raise ParseError(f"--solve-param {args.solve_param} must name the one unresolved "
                              f"parameter; unresolved: {', '.join(work.params()) or 'none'}")
-        sols = _parameter_results(work, sigma, k, tol)
+        sols = parameter_solve(work, sigma, k, tol)
         print(f"solved {args.solve_param}: "
               + ("{ " + ", ".join(_fmt_frac(s) for s, _ in sols) + " }" if sols else "none"))
         for s, res in sols:
@@ -333,11 +347,11 @@ def _parse_metric(alg, args):
     """The Gram matrix of --metric: matrix rows, or a diagonal or sigma-diagonal vector."""
     text = args.metric
     if ";" in text:
-        G = [[Fraction(x) for x in row.split(",")] for row in text.split(";")]
+        G = [[_rational(x, "--metric entry") for x in row.split(",")] for row in text.split(";")]
         if len(G) != alg.n or any(len(r) != alg.n for r in G):
             raise ParseError(f"metric matrix must be {alg.n}x{alg.n}")
     else:
-        vec = [Fraction(x) for x in text.split(",")]
+        vec = [_rational(x, "--metric entry") for x in text.split(",")]
         if len(vec) != alg.n:
             raise ParseError(f"metric vector must have {alg.n} entries")
         G = (sigma_gram(vec, parse_permutation(args.sigma, alg.n)) if args.sigma
@@ -354,7 +368,7 @@ def cmd_verify(args) -> int:
     tol = _tolerance(args)
     alg = _load_algebra(args)
     G = _parse_metric(alg, args)
-    lam = Fraction(args.lam)
+    lam = _rational(args.lam, "--lambda")
     _, op = ricci_tensor(LieBrackets.from_nice(alg), G)
     res = einstein_residual(op, lam)
     print("Ricci operator diagonal: ("

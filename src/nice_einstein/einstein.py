@@ -3,10 +3,10 @@
 The decision pipeline follows the four conditions: linear solvability of
 the weight system, avoidance of the coordinate hyperplanes, a mod-2 sign
 compatibility, and a multiplicative condition on kernel exponents.  Sign
-patterns are enumerated exactly; the nonlinear condition is decided exactly,
-directly where it degenerates and otherwise by a lex Groebner basis of the
-cleared system (`solver._p_basis`), which also yields the candidate values
-of a family parameter.  Every certificate carries the residual of the
+patterns are enumerated exactly; the nonlinear condition is decided exactly
+by a lex Groebner basis of the cleared system (`solver.decide_condition_p`),
+which also yields the candidate values of a family parameter
+(`solver.parameter_roots`).  Every certificate carries the residual of the
 independent curvature oracle.
 """
 
@@ -27,7 +27,6 @@ from .linalg import (
     MatF2,
     MatQ,
     MultiplicativeSystem,
-    VecQ,
     _int_scale,
     _rational_root,
     kernel_basis,
@@ -35,13 +34,11 @@ from .linalg import (
     symmetric_signature,
 )
 from .solver import (
-    _eliminant_roots,
-    _leaf_basis,
-    _p_leaf,
     abs_monomial,
     classify_functionals,
     decide_condition_p,
     feasible_orthants,
+    parameter_roots,
 )
 
 DEFAULT_TOL = 1e-9
@@ -469,21 +466,11 @@ def _oracle_residual(a: NiceLieAlgebra, metric, k: Fraction):
     return einstein_residual(op, Fraction(k, 2) if exact else float(k) / 2.0), exact
 
 
-def _normalize_ray(X: VecQ, scale_invariant: bool) -> VecQ:
-    if not scale_invariant:
-        return X
-    lead = abs(X[0])
-    if lead == 0:
-        return X
-    return tuple(x / lead for x in X)
-
-
 @dataclass
 class _Winner:
     eps: tuple[int, ...]
     deltas: list[SignVec]
     dec: object
-    scale_gauge: bool
 
 
 @dataclass(frozen=True)
@@ -677,8 +664,6 @@ def _explore(ctx: _Search, extra_rows: list, extra_rhs: list,
 
     # Leaf: enumerate the orthants that pass L, then solve what remains.
     # Some orthant is feasible here, so an empty list means all fail L.
-    scale_gauge = (sy.k == 0 and all(x == 0 for x in aff.particular)
-                   and all(sum(sy.alphas[ei]) == 0 for ei in rest))
     orthants = feasible_orthants(aff, parity=sy.parity, classes=fc)
     if not orthants:
         ctx.block("L", "a feasible sign pattern is not attainable mod 2")
@@ -687,9 +672,9 @@ def _explore(ctx: _Search, extra_rows: list, extra_rhs: list,
         dec = decide_condition_p(
             aff, o.eps, o.witness_t,
             [sy.alphas[ei] for ei in rest], [sy.p_rhs[ei] for ei in rest],
-            scale_gauge, memo=ctx.bases)
+            memo=ctx.bases)
         if dec.solvable:
-            ctx.winners.append(_Winner(o.eps, deltas, dec, scale_gauge))
+            ctx.winners.append(_Winner(o.eps, deltas, dec))
         else:
             ctx.block("P", dec.note or "exponent condition unsolvable on an orthant")
             if not dec.exact:
@@ -735,8 +720,6 @@ def _classify(
         seen = set()
         for w in sorted(ctx.winners, key=lambda w: w.eps):
             X = w.dec.root_X
-            if w.dec.root_is_rational:
-                X = _normalize_ray(tuple(Fraction(x) for x in X), w.scale_gauge)
             for d in w.deltas:
                 deltas_all.append(d)
                 if d in seen:
@@ -839,25 +822,22 @@ def parameter_solve(
     sigma: Optional[Permutation] = None,
     k=0,
     tol: float = DEFAULT_TOL,
-) -> list[Fraction]:
-    """Parameter values at which the family admits the requested metric.
+) -> list[tuple[Fraction, ClassificationResult]]:
+    """(value, classification) for each parameter value at which the family
+    admits the requested metric, ascending in the value.
 
     The family must have exactly one unresolved parameter u.  On each
     orthant of each sign region of u (between the roots of the affine
     coefficients), u joins the exponent condition as one more variable of
     its lex Groebner basis; the candidates are the rational roots in the
-    region of the basis's univariate eliminant in u.  Orthants of different
-    regions that share a leaf share its basis, built once for the family.
-    Every candidate is re-validated by running the exact pipeline on the
-    substituted algebra.  Regions on which the condition holds identically
+    region of the basis's univariate eliminant in u (`parameter_roots`).
+    Orthants of different regions that share a leaf share its basis, built
+    once for the family.  Every candidate is re-validated by running the
+    exact pipeline on the substituted algebra, and that run's result is
+    returned with it.  Regions on which the condition holds identically
     (families Einstein for every parameter value) contribute no isolated
     values.
     """
-    return [u for u, _ in _parameter_results(family, sigma, k, tol)]
-
-
-def _parameter_results(family, sigma, k, tol) -> list[tuple[Fraction, ClassificationResult]]:
-    """(value, classification) for each confirmed value of `parameter_solve`."""
     k = Fraction(k)
     params = family.params()
     if len(params) != 1:
@@ -881,14 +861,9 @@ def _parameter_results(family, sigma, k, tol) -> list[tuple[Fraction, Classifica
         sy = _build_systems(probe, k, sigma)
         if sy is None or sy.aff is None or sy.zero:
             continue
-        c_affine = tuple(affine[idx] for idx in probe.indices())
-        scale_invariant = k == 0 and all(sum(r) == 0 for r in sy.alphas)
-        leaves = dict.fromkeys(_p_leaf(sy.aff, o.eps, sy.alphas, scale_invariant, bases)
-                               for o in feasible_orthants(sy.aff, parity=sy.parity))
-        leaves.pop(None, None)
-        for leaf in leaves:
-            G = _leaf_basis(bases, *leaf, sy.alphas, c=c_affine).G
-            found.update(_eliminant_roots(G, lo, hi))
+        found.update(parameter_roots(
+            sy.aff, feasible_orthants(sy.aff, parity=sy.parity), sy.alphas,
+            tuple(affine[idx] for idx in probe.indices()), lo, hi, bases))
 
     confirmed = []
     for u in sorted(found):

@@ -473,35 +473,19 @@ def _extreme_bound(rows: list[tuple[int, ...]], nums: Sequence[int], d: int,
     return None if best is None else Fraction(best[0], best[1] * d)
 
 
-def feasible_strict(
-    ineqs: list[tuple[VecQ, Fraction]], nvars: int
-) -> Optional[list[Fraction]]:
-    """Feasibility of {t : coeffs.t + const > 0 for all rows}, exactly.
+def orthant_witness(S: AffineSet, eps: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
+    """Parameters t with S.point(t) strictly inside the orthant eps, or None.
 
-    Returns a rational witness t, or None when the open polyhedron is empty.
-    Fourier-Motzkin elimination from the last variable down, in integer
-    rows, through one `StrictSystem` that takes the rows one at a time.
+    One `StrictSystem` takes the strict row of each coordinate in turn,
+    sign(X_j) = (-1)^eps_j as a primitive integer row over S's parameters.
     """
-    system = StrictSystem(nvars)
-    for coeffs, const in ineqs:
-        if not system.add(_int_scale(vec_q(coeffs) + (Fraction(const),))):
-            return None
-    return system.witness()
-
-
-def orthant_rows(S: AffineSet, eps: Sequence[int]) -> list[tuple[VecQ, Fraction]]:
-    """The orthant eps as strict rows coeffs.t + const > 0 over S's parameters."""
-    rows = []
+    system = StrictSystem(S.dim)
     for j in range(S.ambient_dim):
         s = -1 if eps[j] else 1
-        rows.append((tuple(s * b[j] for b in S.basis), s * S.particular[j]))
-    return rows
-
-
-def orthant_witness(S: AffineSet, eps: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
-    """Parameters t with S.point(t) strictly inside the orthant eps, or None."""
-    t = feasible_strict(orthant_rows(S, eps), S.dim)
-    return None if t is None else tuple(t)
+        if not system.add(_int_scale(tuple(s * b[j] for b in S.basis)
+                                     + (s * S.particular[j],))):
+            return None
+    return tuple(system.witness())
 
 
 def strict_sign_witness(S: AffineSet, eps: Sequence[int]) -> Optional[VecQ]:

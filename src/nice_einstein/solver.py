@@ -2,14 +2,16 @@
 
 Internal machinery for the Einstein pipeline.  The sign-feasibility layer
 and everything it reports is exact.  The polynomial condition is exact too:
-directly when its slice (the scale gauge removed for k = 0) is a point, and
-otherwise by one lex Groebner basis of the system with cleared denominators
-and a Rabinowitsch variable, in sympy's sparse ring over QQ (generators
-built over ZZ); its real points are listed exactly in the univariate ring
-QQ[v].  The same basis, with the family parameter as one more variable,
-gives the candidate parameter values.  One memo per search holds each
-cone's two gauge slices, cut once, and each basis, built once per pair of
-slices: the -1 slice's basis is the +1 slice's with signs flipped.
+one lex Groebner basis of the system with cleared denominators and a
+Rabinowitsch variable, in sympy's sparse ring over QQ (generators built over
+ZZ), decides it, and its real points are listed exactly in the univariate
+ring QQ[v].  When the set is a cone and every exponent row sums to 0 (the
+k = 0 systems), the system is scale invariant and is solved on the gauge
+slice |X_pin| = 1 instead.  The same basis, with the family parameter as
+one more variable, gives the candidate parameter values
+(`parameter_roots`).  One memo per search holds each cone's two gauge
+slices, cut once, and each basis, built once per pair of slices: the -1
+slice's basis is the +1 slice's with signs flipped.
 
 The mod-2 sign condition L prunes the orthant search instead of filtering
 its output: `feasible_orthants` takes L as parity constraints on the sign
@@ -210,39 +212,31 @@ def decide_condition_p(
     witness_t: Sequence[Fraction],
     exponents: Sequence[Sequence[int]],
     rhs: Sequence[Fraction],
-    scale_gauge: bool,
     memo: Optional[dict] = None,
 ) -> PDecision:
     """Does some X in S with sign pattern eps satisfy |X|^a_i = rhs_i for all i?
 
-    `exponents` are integer vectors a_i, `rhs` positive rationals.  Exact
-    when its slice (`_p_leaf`) is a point;
-    otherwise decided by one lex Groebner basis of the cleared system
-    (`_p_basis`), whose real points are listed exactly.  Only a
-    positive-dimensional variety on which no hyperplane cut through the
-    witness finds a point, or a zero-dimensional basis out of shape
-    position, gives a numeric-grade negative (`exact=False`).
-    `scale_gauge` requires S to be a cone and the system scale invariant,
-    so one coordinate may be pinned to +-1.  `memo` (a dict) is shared by
-    the orthants of one search: it holds each cone's two gauge slices
-    (`_p_leaf`) and each basis with its real points (`_leaf_basis`), the
-    -1 slice's basis mirrored from the +1 slice's when that is known.
+    `exponents` are integer vectors a_i, `rhs` positive rationals.  Decided
+    by one lex Groebner basis of the cleared system (`_p_basis`) on S, or on
+    its gauge slice (`_p_leaf`) when S is a cone and every exponent row sums
+    to 0; the basis's real points are listed exactly.  A rational root of a
+    gauged system, the witness included when there are no exponents, is
+    scaled to |X_0| = 1.  Only a positive-dimensional variety on which no
+    hyperplane cut through the witness finds a point, or a zero-dimensional
+    basis out of shape position, gives a numeric-grade negative
+    (`exact=False`).  `memo` (a dict) is shared by the orthants of one
+    search: it holds each cone's two gauge slices (`_p_leaf`) and each basis
+    with its real points (`_leaf_basis`), the -1 slice's basis mirrored from
+    the +1 slice's when that is known.
     """
     if not exponents:
         X = S.point(witness_t)
+        if _gauged(S, exponents):
+            X = tuple(x / abs(X[0]) for x in X)
         return PDecision(True, True, root_X=tuple(X), root_is_rational=True,
                          note="vacuous")
     memo = {} if memo is None else memo
-    leaf = _p_leaf(S, eps, exponents, scale_gauge, memo)
-    if leaf is None:
-        return PDecision(False, True, note="slice point leaves orthant")
-    work_S, signs = leaf
-    if work_S.dim == 0:
-        X = work_S.particular
-        if any(abs_monomial(X, a_row) != r for a_row, r in zip(exponents, rhs)):
-            return PDecision(False, True, note="point mismatch")
-        return PDecision(True, True, root_X=tuple(X), root_is_rational=True)
-
+    work_S, signs = _p_leaf(S, eps, exponents, memo)
     basis = _leaf_basis(memo, work_S, signs, exponents, rhs)
     G, points = basis.G, basis.points
     want = tuple(-1 if e else 1 for e in eps)
@@ -275,26 +269,43 @@ def decide_condition_p(
     return PDecision(True, True, root_X=pt.X, root_is_rational=True, note=note)
 
 
+def parameter_roots(S: AffineSet, orthants: Sequence[Orthant],
+                    exponents: Sequence[Sequence[int]], c: tuple,
+                    lo: Optional[Fraction], hi: Optional[Fraction],
+                    memo: dict) -> list[Fraction]:
+    """Candidate values in (lo, hi) of the family parameter u on the orthants of S.
+
+    The P system's right-hand sides are prod_j c_j(u)^(2 a_ij), one
+    (const, slope) pair of `c` per coordinate (`_p_basis`); the candidates
+    are the rational roots of each leaf basis's eliminant in u.  Orthants
+    with one leaf share its basis, and `memo` shares bases across calls.
+    """
+    roots: set[Fraction] = set()
+    for leaf in dict.fromkeys(_p_leaf(S, o.eps, exponents, memo) for o in orthants):
+        roots.update(_eliminant_roots(_leaf_basis(memo, *leaf, exponents, c=c).G, lo, hi))
+    return sorted(roots)
+
+
+def _gauged(S: AffineSet, exponents: Sequence[Sequence[int]]) -> bool:
+    """S is a cone and the system scale invariant, so X_pin may be pinned to +-1."""
+    return bool(S.basis) and not any(S.particular) and all(
+        sum(a_row) == 0 for a_row in exponents)
+
+
 def _p_leaf(S: AffineSet, eps: Sequence[int], exponents: Sequence[Sequence[int]],
-            scale_gauge: bool, memo: dict) -> Optional[tuple[AffineSet, tuple[int, ...]]]:
+            memo: dict) -> tuple[AffineSet, tuple[int, ...]]:
     """(S or its gauge slice, signs prod_j sign(X_j)^a_ij) at the orthant eps.
 
-    None when that set is a point outside the orthant.  Orthants with equal
-    pairs share one basis.  `memo` keeps the two gauge slices of each cone
-    S: the +1 slice is cut once, and the -1 slice is its negation.
+    The slice is taken when `_gauged`.  Orthants with equal pairs share one
+    basis.  `memo` keeps the two gauge slices of each cone S: the +1 slice
+    is cut once, and the -1 slice is its negation.
     """
-    if scale_gauge:
-        if any(x != 0 for x in S.particular):
-            raise ValueError("scale_gauge needs S to be a cone (zero particular point)")
-        if any(sum(a_row) != 0 for a_row in exponents):
-            raise ValueError("scale_gauge needs scale-invariant exponents (zero row sums)")
+    if _gauged(S, exponents):
         if S not in memo:
             pin, plus = gauge_slice(S)
             memo[S] = (pin, plus, _negated(plus))
         pin, plus, minus = memo[S]
         S = minus if eps[pin] else plus
-    if S.dim == 0 and not in_orthant(S.particular, eps):
-        return None
     return S, tuple(-1 if sum(aj for aj, e in zip(a_row, eps) if e) % 2 else 1
                     for a_row in exponents)
 

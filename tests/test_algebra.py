@@ -66,6 +66,7 @@ def test_parse_node_ten_digit_zero():
     "(0,0,e^{11})",               # degenerate wedge
     "(0,0,e^{12}+e^{12})",        # duplicate wedge
     "(0,0,e^{12},e^{12})",        # N2 violation: same pair hits two targets
+    "(0,0,1/0 e^{12})",           # zero denominator
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):

@@ -215,6 +215,30 @@ def test_einstein_rejects_inconsistent_options(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["einstein", "@/nonexistent/file"], "cannot read '/nonexistent/file'"),
+    (["info", "@" + str(Path(nice_einstein.__file__).parent)], "cannot read"),
+    (["einstein", "631:6", "--k", "1/0"], "bad --k '1/0'"),
+    (["einstein", "631:6", "--k", "one"], "bad --k 'one'"),
+    (["einstein", "741:6", "--param", "lambda=1/0"], "bad --param lambda '1/0'"),
+    (["verify", "631:6", "--metric", "1,1,1,1,1,1", "--lambda", "1/0"], "bad --lambda '1/0'"),
+    (["verify", "631:6", "--metric", "1,1/0,1,1,1,1"], "bad --metric entry '1/0'"),
+    (["curvature", "62:4a", "--metric", "1,0;0,1/0"], "bad --metric entry '1/0'"),
+])
+def test_malformed_input_is_an_error_not_a_traceback(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+def test_validate_reports_a_zero_denominator_as_invalid(capsys):
+    code, out = run_cli(capsys, "validate", "(0,0,1/0 e^{12})")
+    assert code == 1
+    assert out.startswith("invalid: zero denominator")
+
+
 def test_catalog_list(capsys):
     code, out = run_cli(capsys, "catalog", "list", "--filter", "63*")
     assert code == 0

@@ -267,30 +267,33 @@ def test_sufficient_condition(algebras):
 
 
 def test_parameter_solve_93_86(families):
-    assert parameter_solve(families["93:86"], k=0) == [F(-1, 8), F(1, 8)]
+    solved = parameter_solve(families["93:86"], k=0)
+    assert [u for u, _ in solved] == [F(-1, 8), F(1, 8)]
+    # each value comes with the classification that confirmed it
+    assert all(res.success and res.exact for _, res in solved)
 
 
 def test_parameter_solve_741_6_sigma(families):
     fam = families["741:6"]
-    assert parameter_solve(fam, sigma=parse_permutation("(23)(45)", 7), k=0) == [F(1, 2)]
-    assert parameter_solve(fam, sigma=parse_permutation("(12)(56)", 7), k=0) == [F(-1)]
-    assert parameter_solve(fam, sigma=parse_permutation("(13)(46)", 7), k=0) == [F(2)]
+    for cycles, value in (("(23)(45)", F(1, 2)), ("(12)(56)", F(-1)), ("(13)(46)", F(2))):
+        sigma = parse_permutation(cycles, 7)
+        assert [u for u, _ in parameter_solve(fam, sigma=sigma, k=0)] == [value]
 
 
 def test_parameter_solve_852_30(families):
     part = families["852:30"].partial({"a1": 1})
     sigma = parse_permutation("(23)(45)(78)", 8)
-    assert parameter_solve(part, sigma=sigma, k=0) == [F(2)]
+    assert [u for u, _ in parameter_solve(part, sigma=sigma, k=0)] == [F(2)]
 
 
 def test_parameter_solve_852_30_other_involutions(families):
     fam = families["852:30"]
     # constraint a2 = 2 a1^2 at a1 = 1
     sigma = parse_permutation("(12)(56)(78)", 8)
-    assert parameter_solve(fam.partial({"a1": 1}), sigma=sigma, k=0) == [F(2)]
+    assert [u for u, _ in parameter_solve(fam.partial({"a1": 1}), sigma=sigma, k=0)] == [F(2)]
     # constraint a1 = -2 a2^2 at a2 = 1
     sigma = parse_permutation("(13)(46)(78)", 8)
-    assert parameter_solve(fam.partial({"a2": 1}), sigma=sigma, k=0) == [F(-2)]
+    assert [u for u, _ in parameter_solve(fam.partial({"a2": 1}), sigma=sigma, k=0)] == [F(-2)]
 
 
 def test_parameter_solve_skips_only_unparseable_probes(families, monkeypatch):
@@ -312,6 +315,24 @@ def test_parameter_solve_skips_only_unparseable_probes(families, monkeypatch):
 def test_parameter_solve_requires_single_parameter(families):
     with pytest.raises(ValueError):
         parameter_solve(families["852:30"], k=0)
+
+
+def test_binomial_pattern_rare_branches():
+    from nice_einstein.einstein import _binomial_pattern
+    from nice_einstein.linalg import AffineSet
+    from nice_einstein.solver import classify_functionals
+
+    # X = (1 + t, 2 + 2t, 3): X_1 and X_2 share a class, X_3 is constant.
+    # |X_1 X_2 / X_3| = R is 2 X_1^2 / 3 = R, one live class of exponent 2.
+    fc = classify_functionals(AffineSet((F(1), F(2), F(3)), ((F(1), F(2), F(0)),)))
+    row = [F(1), F(0), F(0)]
+    assert _binomial_pattern(fc, (1, 1, -1), F(6)) == ("slices", [(row, F(3)), (row, F(-3))])
+    assert _binomial_pattern(fc, (1, 1, -1), F(4)) is None      # X_1^2 = 6
+    # X = (1 + t0, t1, 3): |X_1|^2 / |X_2| = R has live exponents 2 and -1,
+    # which do not cancel, so it is not binomial.
+    fc = classify_functionals(AffineSet(
+        (F(1), F(0), F(3)), ((F(1), F(0), F(0)), (F(0), F(1), F(0)))))
+    assert _binomial_pattern(fc, (2, -1, 0), F(1)) is None
 
 
 def test_negation_flips_k(algebras):
@@ -372,8 +393,19 @@ def test_parameter_solve_builds_one_basis_per_leaf(monkeypatch, families):
     _counting(monkeypatch, solver, "_p_basis", counts)
     # the sign regions of a share their leaves, and the two gauge slices of
     # the leaf share one basis up to a sign flip, so one basis is built
-    assert parameter_solve(families["93:86"], k=0) == [F(-1, 8), F(1, 8)]
+    assert [u for u, _ in parameter_solve(families["93:86"], k=0)] == [F(-1, 8), F(1, 8)]
     assert counts == {"_p_basis": 1}
+
+
+def test_catalog_solve_record_calls_parameter_solve_once(monkeypatch):
+    import nice_einstein.catalog as catalog
+
+    counts = {}
+    _counting(monkeypatch, catalog, "parameter_solve", counts)
+    _counting(monkeypatch, catalog, "diagonal_einstein", counts)
+    # the record's own value is read off the solve, not classified again
+    assert all(chk.ok for chk in catalog.run_entry(catalog.find_entry("93:86"), 1e-9))
+    assert counts == {"parameter_solve": 1}
 
 
 def test_p_layer_builds_one_basis_per_pair_of_gauge_slices(monkeypatch):

@@ -8,32 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nice_einstein.linalg import (AffineSet, EnumerationCapExceeded, StrictSystem,
-                                  _int_scale, feasible_strict, in_orthant,
-                                  orthant_rows, orthant_witness, vec_q)
+                                  _int_scale, in_orthant, orthant_witness, vec_q)
 from nice_einstein.solver import (ORTHANT_CAP, _eliminant_roots, _leaf_basis, _negated,
                                   _p_basis, abs_monomial, decide_condition_p,
                                   feasible_orthants, gauge_slice)
 
 
-def test_scale_gauge_preconditions_raise():
-    # Raised, not asserted, so they hold under python -O as well.
-    not_a_cone = AffineSet((F(1), F(0)), ((F(1), F(2)),))
-    with pytest.raises(ValueError, match="cone"):
-        decide_condition_p(not_a_cone, (0, 0), (F(1),), [[1, 0]], [F(2)], True)
-    cone = AffineSet((F(0), F(0)), ((F(1), F(2)),))
-    with pytest.raises(ValueError, match="scale-invariant"):
-        decide_condition_p(cone, (0, 0), (F(1),), [[1, 0]], [F(2)], True)
-
-
 # The exact decider, one case per outcome, on small synthetic sets.
-# Shifted line X = (t, t - 1) and plane X = (t0, t1, t0 + t1).
+# Shifted line X = (t, t - 1), plane X = (t0, t1, t0 + t1) (a cone) and
+# shifted plane X = (t0, t1, t0 + t1 + 1).
 LINE = AffineSet((F(0), F(-1)), ((F(1), F(1)),))
 PLANE = AffineSet((F(0), F(0), F(0)), ((F(1), F(0), F(1)), (F(0), F(1), F(1))))
+SHIFTED_PLANE = AffineSet((F(0), F(0), F(1)), PLANE.basis)
 
 
 def _decide(S, eps, exponents, rhs, memo=None):
     wt = orthant_witness(S, eps)
-    return decide_condition_p(S, eps, wt, exponents, [F(r) for r in rhs], False, memo)
+    return decide_condition_p(S, eps, wt, exponents, [F(r) for r in rhs], memo)
 
 
 def test_empty_basis_is_an_exact_negative():
@@ -84,12 +75,46 @@ def test_positive_dimensional_variety_with_a_point():
 
 
 def test_positive_dimensional_variety_without_a_real_point():
-    # |X_1 X_2| / |X_3|^2 = 1 is t0^2 + t0 t1 + t1^2 = 0: two complex lines
-    # whose only real point has X = 0.  No cut finds a point, and the
-    # negative is labelled numeric-grade.
-    dec = _decide(PLANE, (0, 0, 0), [[1, 1, -2]], [1])
+    # |X_1 X_2| / |X_3|^2 = 1 on the shifted plane is
+    # t0 t1 = (t0 + t1 + 1)^2, a curve with no real point in the positive
+    # orthant (t0^2 + t0 t1 + t1^2 > 0 there).  No cut finds a point, and
+    # the negative is labelled numeric-grade.
+    dec = _decide(SHIFTED_PLANE, (0, 0, 0), [[1, 1, -2]], [1])
     assert (dec.solvable, dec.exact) == (False, False)
     assert "positive-dimensional" in dec.note
+
+
+def test_scale_invariant_system_on_a_cone_is_decided_on_its_gauge_slice():
+    # The same equation on the cone PLANE is scale invariant (row sum 0), so
+    # it is decided on the slice X_1 = 1: t1^2 + t1 + 1 = 0 has no real
+    # root, an exact negative.
+    dec = _decide(PLANE, (0, 0, 0), [[1, 1, -2]], [1])
+    assert (dec.solvable, dec.exact, dec.note) == (False, True, "no real point in orthant")
+
+
+def test_rational_root_of_a_gauged_system_has_unit_first_coordinate():
+    # |X_1 X_2| / |X_3|^2 = 2/9 on PLANE: on the slice X_1 = 1 it is
+    # 2 t1^2 - 5 t1 + 2 = 0, so t1 = 1/2 or 2, and the first root is
+    # returned.  With no exponents the witness is scaled onto the slice too.
+    for exponents, rhs in (([[1, 1, -2]], [F(2, 9)]), ([], [])):
+        dec = _decide(PLANE, (0, 0, 0), exponents, rhs)
+        assert (dec.solvable, dec.exact, dec.root_is_rational) == (True, True, True)
+        assert abs(dec.root_X[0]) == 1 and in_orthant(dec.root_X, (0, 0, 0))
+    assert _decide(PLANE, (0, 0, 0), [[1, 1, -2]], [F(2, 9)]).root_X == (F(1), F(1, 2), F(3, 2))
+
+
+def test_point_sets_go_through_the_basis():
+    # A set of dimension 0 has a basis in z alone: z - 1 / prod X_j when
+    # the point satisfies the system, {1} when it does not.
+    point = AffineSet((F(2), F(-1)), ())
+    dec = _decide(point, (0, 1), [[1, 1]], [2])
+    assert (dec.solvable, dec.exact, dec.root_is_rational) == (True, True, True)
+    assert dec.root_X == (F(2), F(-1))
+    dec = _decide(point, (0, 1), [[1, 1]], [3])
+    assert (dec.solvable, dec.exact, dec.note) == (False, True, "Groebner basis {1}")
+    # on (1, 0) the signs agree but the point lies in another orthant
+    dec = decide_condition_p(point, (1, 0), (), [[1, 1]], [F(2)])
+    assert (dec.solvable, dec.exact, dec.note) == (False, True, "no real point in orthant")
 
 
 def test_parameter_as_a_variable():
@@ -363,11 +388,26 @@ def _feasible_strict_from_scratch(ineqs, nvars: int) -> Optional[list]:
     return witness
 
 
+def _feasible_strict(ineqs, nvars: int) -> Optional[list]:
+    """Push each row (coeffs, const) into one StrictSystem; its witness, or None."""
+    system = StrictSystem(nvars)
+    for coeffs, const in ineqs:
+        if not system.add(_int_scale(vec_q(coeffs) + (F(const),))):
+            return None
+    return system.witness()
+
+
+def _orthant_rows(S: AffineSet, eps) -> list[tuple]:
+    """The orthant eps as strict rows coeffs.t + const > 0 over S's parameters."""
+    return [(tuple(s * b[j] for b in S.basis), s * S.particular[j])
+            for j, s in enumerate(-1 if e else 1 for e in eps)]
+
+
 def _orthants_by_brute_force(S: AffineSet) -> list[tuple]:
     """(eps, witness_t, witness_X) of every orthant, each solved from scratch."""
     out = []
     for eps in product((0, 1), repeat=S.ambient_dim):
-        t = _feasible_strict_from_scratch(orthant_rows(S, eps), S.dim)
+        t = _feasible_strict_from_scratch(_orthant_rows(S, eps), S.dim)
         if t is not None:
             out.append((eps, tuple(t), S.point(t)))
     return out
@@ -402,6 +442,14 @@ def affine_sets(draw) -> AffineSet:
 def test_feasible_orthants_match_from_scratch_elimination(S):
     got = [(o.eps, o.witness_t, o.witness_X) for o in feasible_orthants(S)]
     assert got == _orthants_by_brute_force(S)
+
+
+@given(affine_sets())
+@settings(max_examples=100, deadline=None)
+def test_orthant_witness_matches_from_scratch_elimination(S):
+    for eps in product((0, 1), repeat=S.ambient_dim):
+        t = _feasible_strict_from_scratch(_orthant_rows(S, eps), S.dim)
+        assert orthant_witness(S, eps) == (None if t is None else tuple(t))
 
 
 @st.composite
@@ -461,7 +509,7 @@ def test_l_prunes_the_search_and_keeps_the_verdict(monkeypatch):
 @settings(max_examples=200, deadline=None)
 def test_feasible_strict_matches_from_scratch_elimination(case):
     nvars, rows = case
-    assert feasible_strict(rows, nvars) == _feasible_strict_from_scratch(rows, nvars)
+    assert _feasible_strict(rows, nvars) == _feasible_strict_from_scratch(rows, nvars)
 
 
 def test_undo_restores_the_system():
