@@ -67,22 +67,6 @@ class Affine:
             raise ParseError(f"unresolved parameter(s): {sorted(self.params())}")
         return self.const
 
-    def __str__(self) -> str:
-        parts = []
-        if self.const or not self.linear:
-            parts.append(_format_rat(self.const))
-        for name, coef in self.linear:
-            if coef == 1:
-                term = name
-            elif coef == -1:
-                term = f"-{name}"
-            else:
-                term = f"{_format_rat(coef)}{name}"
-            if parts and not term.startswith("-"):
-                term = "+" + term
-            parts.append(term)
-        return "".join(parts)
-
 
 def _format_rat(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"

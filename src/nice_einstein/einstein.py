@@ -323,7 +323,8 @@ class _Recovery:
     `rows` are the integer rows of M, or for sigma M's columns summed over
     each sigma-orbit, which forces an invariant metric; `orb_of` maps a
     node to its orbit (sigma only).  `system` is the multiplicative system
-    on `rows`, prepared once.  `by_ray` holds what `solve` found for each X.
+    on `rows`, prepared once.  `by_ray` holds the magnitudes `solve` found
+    for each |X|.
     """
 
     M2: MatF2
@@ -358,22 +359,21 @@ class _Recovery:
 
         The signs are None when X is not rational.  The magnitudes are exact
         through the Smith form when X is rational and no fractional power
-        arises, floats from the log-space fit otherwise.  Only the signs of
-        a metric depend on delta, so each X is solved once.
+        arises, floats from the log-space fit otherwise.  They depend only
+        on |X|, so every sign variant of a ray shares one solve.
         """
         rational = all(isinstance(x, (Fraction, int)) for x in X)
-        key = (rational, tuple(X))     # a float X never meets a rational one's entry
-        hit = self.by_ray.get(key)
-        if hit is None:
-            signs = mags = None
+        rhs = [Fraction(x) / w for x, w in zip(X, self.weights)] if rational else None
+        signs = logsign(rhs) if rational else None
+        key = (rational, tuple(abs(x) for x in X))  # a float X never meets a rational one's entry
+        mags = self.by_ray.get(key)
+        if mags is None:
             if rational:
-                rhs = [Fraction(x) / w for x, w in zip(X, self.weights)]
-                signs = logsign(rhs)
                 mags = self.system.solve([abs(r) for r in rhs])
             if mags is None:
                 mags = _log_solve(self.rows, X, self.weights)
-            hit = self.by_ray[key] = (signs, mags)
-        return hit
+            self.by_ray[key] = mags
+        return signs, mags
 
 
 def recover_metric(
@@ -693,7 +693,7 @@ def _classify(
     mode = "diagonal" if sigma is None else "sigma"
     sy = _build_systems(a, k, sigma)
     if sy is None:
-        return _abelian_result(a, k, sigma, tol)
+        return _abelian_result(a, k, sigma)
     aff = sy.aff
     if aff is None:
         return ClassificationResult(
@@ -762,7 +762,7 @@ def _certificate(a, X, delta, k, sigma, dec, tol, warnings, facts) -> EinsteinCe
         tuple(X), k, delta, metric, freedom, residual, exact, dec.note)
 
 
-def _abelian_result(a, k, sigma, tol) -> ClassificationResult:
+def _abelian_result(a, k, sigma) -> ClassificationResult:
     mode = "diagonal" if sigma is None else "sigma"
     if k != 0:
         return ClassificationResult(

@@ -63,12 +63,6 @@ class MatQ:
     def zero(cls, rows: int, cols: int) -> "MatQ":
         return cls(rows, cols, tuple(tuple([Fraction(0)] * cols) for _ in range(rows)))
 
-    def row(self, i: int) -> VecQ:
-        return self.data[i]
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.data[ij[0]][ij[1]]
-
     def transpose(self) -> "MatQ":
         return MatQ(self.cols, self.rows, tuple(zip(*self.data)) if self.data else ())
 

@@ -5,13 +5,14 @@ and everything it reports is exact.  The polynomial condition is exact too:
 one lex Groebner basis of the system with cleared denominators and a
 Rabinowitsch variable, in sympy's sparse ring over QQ (generators built over
 ZZ), decides it, and its real points are listed exactly in the univariate
-ring QQ[v].  When the set is a cone and every exponent row sums to 0 (the
-k = 0 systems), the system is scale invariant and is solved on the gauge
-slice |X_pin| = 1 instead.  The same basis, with the family parameter as
-one more variable, gives the candidate parameter values
-(`parameter_roots`).  One memo per search holds each cone's two gauge
-slices, cut once, and each basis, built once per pair of slices: the -1
-slice's basis is the +1 slice's with signs flipped.
+ring QQ[v], through the radical when no linear form puts the basis in
+shape position.  When the set is a cone and every exponent row sums to 0
+(the k = 0 systems), the system is scale invariant and is solved on the
+gauge slice X_pin = 1 instead: it is invariant under X -> -X too, so an
+orthant with X_pin < 0 is decided as its antipode on that slice.  The same
+basis, with the family parameter as one more variable, gives the candidate
+parameter values (`parameter_roots`).  One memo per search holds each
+cone's slice, cut once, and each basis, built once.
 
 The mod-2 sign condition L prunes the orthant search instead of filtering
 its output: `feasible_orthants` takes L as parity constraints on the sign
@@ -219,15 +220,16 @@ def decide_condition_p(
     `exponents` are integer vectors a_i, `rhs` positive rationals.  Decided
     by one lex Groebner basis of the cleared system (`_p_basis`) on S, or on
     its gauge slice (`_p_leaf`) when S is a cone and every exponent row sums
-    to 0; the basis's real points are listed exactly.  A rational root of a
-    gauged system, the witness included when there are no exponents, is
+    to 0; the basis's real points are listed exactly.  On the slice, an
+    orthant with X_pin < 0 is decided as its complement and the point
+    negated; the slice's points of that orthant are walked from the end, so
+    the point is the one the -1 slice would list first.  A rational root of
+    a gauged system, the witness included when there are no exponents, is
     scaled to |X_0| = 1.  Only a positive-dimensional variety on which no
-    hyperplane cut through the witness finds a point, or a zero-dimensional
-    basis out of shape position, gives a numeric-grade negative
-    (`exact=False`).  `memo` (a dict) is shared by the orthants of one
-    search: it holds each cone's two gauge slices (`_p_leaf`) and each basis
-    with its real points (`_leaf_basis`), the -1 slice's basis mirrored from
-    the +1 slice's when that is known.
+    hyperplane cut through the witness finds a point gives a numeric-grade
+    negative (`exact=False`).  `memo` (a dict) is shared by the orthants of
+    one search: it holds each cone's gauge slice (`_p_leaf`) and each basis
+    with its real points (`_leaf_basis`).
     """
     if not exponents:
         X = S.point(witness_t)
@@ -236,17 +238,16 @@ def decide_condition_p(
         return PDecision(True, True, root_X=tuple(X), root_is_rational=True,
                          note="vacuous")
     memo = {} if memo is None else memo
-    work_S, signs = _p_leaf(S, eps, exponents, memo)
+    work_S, flip, signs = _p_leaf(S, eps, exponents, memo)
+    if flip:
+        eps = tuple(1 - e for e in eps)
     basis = _leaf_basis(memo, work_S, signs, exponents, rhs)
     G, points = basis.G, basis.points
     want = tuple(-1 if e else 1 for e in eps)
     if G == [1]:
         return PDecision(False, True, note="Groebner basis {1}")
-    if _is_zero_dimensional(G):
-        if points is None:
-            return PDecision(False, False, note="zero-dimensional basis not in shape position")
-        note = ""
-    else:
+    note = ""
+    if points is None:
         wt = tuple(witness_t) if work_S is S else orthant_witness(work_S, eps)
         if wt is None:
             raise RuntimeError("the gauge slice misses its orthant")
@@ -259,14 +260,15 @@ def decide_condition_p(
     inside = [pt for pt in points if pt.signs == want]
     if not inside:
         return PDecision(False, True, note="no real point in orthant")
-    pt = next((pt for pt in inside if pt.rational), None)
-    if pt is None:
-        return PDecision(True, True, root_X=inside[0].X, root_is_rational=False,
-                         note="irrational root")
-    if not in_orthant(pt.X, eps) or any(
-            abs_monomial(pt.X, a_row) != r for a_row, r in zip(exponents, rhs)):
+    if flip:    # the -1 slice lists its points in the opposite order
+        inside.reverse()
+    pt = next((pt for pt in inside if pt.rational), inside[0])
+    if pt.rational and (not in_orthant(pt.X, eps) or any(
+            abs_monomial(pt.X, a_row) != r for a_row, r in zip(exponents, rhs))):
         raise RuntimeError("an exact point of the P system failed its recheck")
-    return PDecision(True, True, root_X=pt.X, root_is_rational=True, note=note)
+    return PDecision(True, True, root_X=tuple(-x for x in pt.X) if flip else pt.X,
+                     root_is_rational=pt.rational,
+                     note=note if pt.rational else "irrational root")
 
 
 def parameter_roots(S: AffineSet, orthants: Sequence[Orthant],
@@ -281,7 +283,9 @@ def parameter_roots(S: AffineSet, orthants: Sequence[Orthant],
     with one leaf share its basis, and `memo` shares bases across calls.
     """
     roots: set[Fraction] = set()
-    for leaf in dict.fromkeys(_p_leaf(S, o.eps, exponents, memo) for o in orthants):
+    leaves = {(work_S, signs) for work_S, _, signs in
+              (_p_leaf(S, o.eps, exponents, memo) for o in orthants)}
+    for leaf in leaves:
         roots.update(_eliminant_roots(_leaf_basis(memo, *leaf, exponents, c=c).G, lo, hi))
     return sorted(roots)
 
@@ -293,29 +297,31 @@ def _gauged(S: AffineSet, exponents: Sequence[Sequence[int]]) -> bool:
 
 
 def _p_leaf(S: AffineSet, eps: Sequence[int], exponents: Sequence[Sequence[int]],
-            memo: dict) -> tuple[AffineSet, tuple[int, ...]]:
-    """(S or its gauge slice, signs prod_j sign(X_j)^a_ij) at the orthant eps.
+            memo: dict) -> tuple[AffineSet, bool, tuple[int, ...]]:
+    """(S or its +1 gauge slice, flip, signs prod_j sign(X_j)^a_ij) at the orthant eps.
 
-    The slice is taken when `_gauged`.  Orthants with equal pairs share one
-    basis.  `memo` keeps the two gauge slices of each cone S: the +1 slice
-    is cut once, and the -1 slice is its negation.
+    The slice is taken when `_gauged`, and `memo` keeps it per cone S, cut
+    once.  flip says that eps has X_pin < 0: the system is then invariant
+    under X -> -X (every row sum is 0), so eps is decided as its complement
+    on the +1 slice and the point negated; the row sums are even, so the
+    complement has the same signs.  Orthants with equal (set, signs) share
+    one basis.
     """
+    flip = False
     if _gauged(S, exponents):
         if S not in memo:
-            pin, plus = gauge_slice(S)
-            memo[S] = (pin, plus, _negated(plus))
-        pin, plus, minus = memo[S]
-        S = minus if eps[pin] else plus
-    return S, tuple(-1 if sum(aj for aj, e in zip(a_row, eps) if e) % 2 else 1
-                    for a_row in exponents)
+            memo[S] = gauge_slice(S)
+        pin, S = memo[S]
+        flip = bool(eps[pin])
+    return S, flip, tuple(-1 if sum(aj for aj, e in zip(a_row, eps) if e) % 2 else 1
+                          for a_row in exponents)
 
 
 def gauge_slice(S: AffineSet) -> tuple[int, AffineSet]:
     """Remove the scale gauge of the cone S: (pin, its cut by X_pin = 1).
 
     X_pin is the first non-constant coordinate; every solution ray of a
-    scale-invariant system meets X_pin = +-1 once, and the cut by
-    X_pin = -1 is the negation of this one.
+    scale-invariant system meets X_pin = +-1 once.
     """
     pin = next(j for j in range(S.ambient_dim) if any(b[j] for b in S.basis))
     coeffs = [b[pin] for b in S.basis]
@@ -327,11 +333,6 @@ def gauge_slice(S: AffineSet) -> tuple[int, AffineSet]:
     basis = tuple(tuple(x - (coeffs[i] / cp) * y for x, y in zip(b, bp))
                   for i, b in enumerate(S.basis) if i != pivot)
     return pin, AffineSet(particular, basis)
-
-
-def _negated(S: AffineSet) -> AffineSet:
-    """-S: the same basis through the negated particular point."""
-    return AffineSet(tuple(-x for x in S.particular), S.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -381,44 +382,11 @@ class _LeafBasis:
 def _leaf_basis(memo: dict, S: AffineSet, signs: tuple[int, ...],
                 exponents: Sequence[Sequence[int]], rhs: Sequence[Fraction] = (),
                 c: Optional[tuple] = None) -> _LeafBasis:
-    """`_p_basis(S, signs, exponents, rhs, c)`, built once per pair of mirrored sets.
-
-    When every exponent row has an even sum, the system on -S (`_negated`)
-    is the image of the one on S under phi: t_i -> -t_i,
-    z -> (-1)^|used| z, u fixed, which only changes the signs of terms.
-    The reduced lex basis of an ideal is unique, so once `memo` holds the
-    basis of one of S and -S, the other is phi of it (`_mirrored`).  The
-    two gauge slices of a cone are such a pair.
-    """
-    exponents = tuple(map(tuple, exponents))
-    key = (S, signs, exponents, tuple(rhs), c)
+    """`_p_basis(S, signs, exponents, rhs, c)` with its real points, built once per `memo`."""
+    key = (S, signs, tuple(map(tuple, exponents)), tuple(rhs), c)
     if key not in memo:
-        twin = (memo.get((_negated(S),) + key[1:])
-                if all(sum(a_row) % 2 == 0 for a_row in exponents) else None)
-        if twin is None:
-            G = _p_basis(S, signs, exponents, rhs, c)
-        else:
-            used = sum(1 for col in zip(*exponents) if any(col))
-            G = _mirrored(twin.G, S.dim, used)
-        memo[key] = _LeafBasis(S, G)
+        memo[key] = _LeafBasis(S, _p_basis(S, signs, exponents, rhs, c))
     return memo[key]
-
-
-def _mirrored(G: list, p: int, used: int) -> list:
-    """phi(G) for phi: t_i -> -t_i (the p generators after z), z -> (-1)^used z.
-
-    Each element is made monic again; phi keeps every monomial, so the
-    leading ones and the order of G stay.
-    """
-    def odd(m):
-        return (used * m[0] + sum(m[1:1 + p])) & 1
-
-    R = G[0].ring
-    out = []
-    for g in G:
-        lead = odd(g.LM)
-        out.append(R.from_dict({m: -k if odd(m) != lead else k for m, k in g.items()}))
-    return out
 
 
 def _p_basis(S: AffineSet, signs: Sequence[int], exponents: Sequence[Sequence[int]],
@@ -515,25 +483,34 @@ class _RealPoint:
     value_float: float             # the last generator, for ordering
 
 
-def _real_points(G: list, S: AffineSet) -> Optional[list[_RealPoint]]:
-    """Real points of a zero-dimensional lex basis, ascending in the last t.
+def _real_points(G: list, S: AffineSet) -> list[_RealPoint]:
+    """Real points of a zero-dimensional lex basis, ascending in the last generator.
 
     The basis must be in shape position (t_i = g_i(v), f(v) = 0 for the
-    last generator v); otherwise one separating form w = sum_i (i+1) t_i is
-    added and the basis recomputed.  None when that is not in shape
-    position either.  An irrational point carries the exact signs of X and
-    the nearest doubles to its coordinates.
+    last generator v); otherwise the separating form w = sum_i (i+1) t_i is
+    added and the basis recomputed (`_separated`).  When that is not in
+    shape position either, the ideal is not radical or the form does not
+    separate its points: G is replaced by its radical (`_radical`), and the
+    forms w = sum_i j^i t_i, j = 2, 3, ..., are tried in turn.  For two of
+    the N points, sum_i j^i (P_i - Q_i) is a nonzero polynomial of degree
+    < p in j, so one of 1 + (p-1) N(N-1)/2 forms separates them all, and
+    a radical ideal with a separating last generator is in shape position
+    (the Shape Lemma); past that bound RuntimeError is raised.  An
+    irrational point carries the exact signs of X and the nearest doubles
+    to its coordinates.
     """
-    shape = _shape(G)
+    p = S.dim
+    shape = _shape(G) or _separated(G, range(1, p + 1))
     if shape is None:
-        R = _ring([*map(str, G[0].ring.symbols), "w"])
-        ts = R.gens[1:1 + S.dim]
-        form = R.gens[-1] - sum(((i + 1) * t for i, t in enumerate(ts)), R.zero)
-        shape = _shape(_groebner([g.set_ring(R) for g in G] + [form]))
-        if shape is None:
-            return None
+        G, N = _radical(G)
+        for j in range(2, 3 + (p - 1) * N * (N - 1) // 2):
+            shape = _separated(G, [j ** i for i in range(p)])
+            if shape is not None:
+                break
+        else:
+            raise RuntimeError("no linear form separates the points of a radical ideal")
     f, tpolys = shape
-    tpolys = tpolys[:S.dim]
+    tpolys = tpolys[:p]
     R1 = f.ring
     Xpolys = [sum((tp * _qq(b[j]) for tp, b in zip(tpolys, S.basis)), R1(_qq(S.particular[j])))
               for j in range(S.ambient_dim)]
@@ -557,6 +534,34 @@ def _real_points(G: list, S: AffineSet) -> Optional[list[_RealPoint]]:
             out.append(_RealPoint(tuple(X), False, signs, _float_at(R1.gens[0], q, a, b)))
     out.sort(key=lambda pt: pt.value_float)
     return out
+
+
+def _separated(G: list, weights: Sequence[int]):
+    """`_shape` of the lex basis of G and w - sum_i weights_i t_i, w a new last generator."""
+    R = _ring([*map(str, G[0].ring.symbols), "w"])
+    form = R.gens[-1] - sum((k * t for k, t in zip(weights, R.gens[1:-1])), R.zero)
+    return _shape(_groebner([g.set_ring(R) for g in G] + [form]))
+
+
+def _radical(G: list) -> tuple[list, int]:
+    """(lex basis of the radical of the zero-dimensional ideal (G), N).
+
+    Seidenberg's lemma: the ideal plus the square-free part of each
+    generator's eliminant (from a lex basis with that generator last;
+    `set_ring` maps generators by name) is radical.  A point's t_i is a root
+    of t_i's eliminant, so N, the product of their degrees, bounds the
+    number of points.
+    """
+    R = G[0].ring
+    names = [str(x) for x in R.symbols]
+    added, N = [], 1
+    for i, x in enumerate(names):
+        Rx = _ring([*names[:i], *names[i + 1:], x])
+        f = _groebner([g.set_ring(Rx) for g in G])[-1].sqf_part()
+        added.append(f.set_ring(R))
+        if i:                         # a t; z is a function of them
+            N *= f.degree(Rx.gens[-1])
+    return _groebner(G + added), N
 
 
 def _shape(G: list):
@@ -632,7 +637,7 @@ def _cut_points(G: list, S: AffineSet, want: tuple[int, ...],
             if not _is_zero_dimensional(H):
                 found = walk(H, used | {k})
             else:
-                found = _real_points(H, S) or []
+                found = _real_points(H, S)
             if any(pt.signs == want for pt in found):
                 return found
         return []

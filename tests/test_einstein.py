@@ -379,11 +379,13 @@ def test_exact_magnitudes_solved_once_per_ray(monkeypatch):
     _counting(monkeypatch, einstein.MultiplicativeSystem, "solve", counts)
     _counting(monkeypatch, einstein, "_log_solve", counts)
     _counting(monkeypatch, einstein, "recover_metric", counts)
-    # 32 certificates over 2 rays X; only the signs differ within a ray
+    # 32 certificates over the rays X and -X: only the signs differ, so the
+    # magnitudes are solved once
     res = diagonal_einstein(find_entry("841:48").algebra({"a2": F(2)}), 0)
     assert res.success and len(res.certificates) == 32
     assert len({c.X for c in res.certificates}) == 2
-    assert counts == {"solve": 2, "recover_metric": 32}
+    assert len({tuple(map(abs, c.X)) for c in res.certificates}) == 1
+    assert counts == {"solve": 1, "recover_metric": 32}
 
 
 def test_parameter_solve_builds_one_basis_per_leaf(monkeypatch, families):
@@ -391,8 +393,8 @@ def test_parameter_solve_builds_one_basis_per_leaf(monkeypatch, families):
 
     counts = {}
     _counting(monkeypatch, solver, "_p_basis", counts)
-    # the sign regions of a share their leaves, and the two gauge slices of
-    # the leaf share one basis up to a sign flip, so one basis is built
+    # the sign regions of a share their leaves, and every orthant of the leaf
+    # is decided on its +1 gauge slice, so one basis is built
     assert [u for u, _ in parameter_solve(families["93:86"], k=0)] == [F(-1, 8), F(1, 8)]
     assert counts == {"_p_basis": 1}
 
@@ -416,8 +418,8 @@ def test_p_layer_builds_one_basis_per_pair_of_gauge_slices(monkeypatch):
     counts = {}
     _counting(monkeypatch, solver, "_p_basis", counts)
     _counting(monkeypatch, einstein, "decide_condition_p", counts)
-    # 6 orthants of one leaf, on both gauge slices with the same signs: the
-    # -1 slice's basis {1} is the sign flip of the +1 slice's
+    # 6 orthants of one leaf with the same signs, those with X_pin < 0
+    # decided as their antipodes on the +1 slice: one basis {1}
     res = diagonal_einstein(find_entry("8654321:25").algebra(), 0)
     assert (res.success, res.failed_at, res.detail) == (False, "P", "Groebner basis {1}")
     assert counts == {"decide_condition_p": 6, "_p_basis": 1}
@@ -446,11 +448,13 @@ def test_float_magnitudes_fitted_once_per_ray(monkeypatch):
     _counting(monkeypatch, einstein.MultiplicativeSystem, "solve", counts)
     _counting(monkeypatch, einstein, "_log_solve", counts)
     _counting(monkeypatch, einstein, "recover_metric", counts)
-    # exact X, but the Smith form needs fractional powers: the log-space fit
+    # exact X, but the Smith form needs fractional powers: the log-space fit,
+    # once for every sign variant of the ray
     res = diagonal_einstein(find_entry("8542:15a").algebra({"a2": F(2)}), 0)
     assert res.success and len(res.certificates) == 16
     assert not any(c.exact for c in res.certificates)
-    assert counts == {"solve": 4, "_log_solve": 4, "recover_metric": 16}
+    assert len({tuple(map(abs, c.X)) for c in res.certificates}) == 1
+    assert counts == {"solve": 1, "_log_solve": 1, "recover_metric": 16}
 
 
 def test_recover_metric_checks_every_sign_pattern_on_a_solved_ray(algebras):
@@ -462,7 +466,7 @@ def test_recover_metric_checks_every_sign_pattern_on_a_solved_ray(algebras):
     for cert in res.certificates:
         assert recover_metric(a, cert.X, cert.delta, facts=facts) == (
             cert.metric, cert.freedom)
-    assert len(facts.by_ray) == len({c.X for c in res.certificates})
+    assert len(facts.by_ray) == len({tuple(map(abs, c.X)) for c in res.certificates})
     bad = tuple(1 - d for d in res.certificates[0].delta[:1]) + res.certificates[0].delta[1:]
     with pytest.raises(ValueError, match="mod-2"):
         recover_metric(a, res.certificates[0].X, bad, facts=facts)

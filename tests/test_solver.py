@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from nice_einstein.linalg import (AffineSet, EnumerationCapExceeded, StrictSystem,
                                   _int_scale, in_orthant, orthant_witness, vec_q)
-from nice_einstein.solver import (ORTHANT_CAP, _eliminant_roots, _leaf_basis, _negated,
-                                  _p_basis, abs_monomial, decide_condition_p,
-                                  feasible_orthants, gauge_slice)
+from nice_einstein.solver import (ORTHANT_CAP, PDecision, _cut_points, _eliminant_roots,
+                                  _is_zero_dimensional, _p_basis, _real_points,
+                                  abs_monomial, decide_condition_p, feasible_orthants,
+                                  gauge_slice, parameter_roots)
 
 
 # The exact decider, one case per outcome, on small synthetic sets.
@@ -243,7 +244,7 @@ def test_integral_generators_with_fractional_coefficients():
 
 
 # ---------------------------------------------------------------------------
-# The -1 gauge slice's basis derived from the +1 slice's by a sign flip
+# Orthants with X_pin < 0 decided on the +1 gauge slice
 
 
 def _zero_sum_row(rng: random.Random, m: int, digits) -> tuple[int, ...]:
@@ -282,51 +283,119 @@ def _mirror_case(rng: random.Random, kind: str):
     return AffineSet((F(0),) * m, basis), exponents, signs, rhs, c
 
 
-def test_minus_slice_basis_is_the_sign_flip_of_the_plus_slice(monkeypatch):
-    # phi: t -> -t, z -> (-1)^|used| z, u fixed maps the system on the +1
-    # slice to the one on the -1 slice; the reduced lex basis is unique, so
-    # the derived basis must equal the one built on the -1 slice.  A flip
-    # of u as well would negate the eliminant's roots, which the
-    # asymmetric cases catch.
-    import nice_einstein.solver as solver
+def _signs(eps, exponents):
+    return tuple(-1 if sum(a for a, e in zip(row, eps) if e) % 2 else 1 for row in exponents)
 
-    built = []
-    build = solver._p_basis
-    monkeypatch.setattr(solver, "_p_basis", lambda *args: built.append(args) or build(*args))
+
+def _decide_on_minus_slice(S, eps, exponents, rhs, bases):
+    """The P decision of an X_pin < 0 orthant made on the -1 gauge slice, as
+    decide_condition_p made it before that slice was dropped; `bases` holds
+    the slice's bases by signs."""
+    _, plus = gauge_slice(S)
+    minus = AffineSet(tuple(-x for x in plus.particular), plus.basis)
+    signs = _signs(eps, exponents)
+    if signs not in bases:
+        bases[signs] = _p_basis(minus, signs, exponents, rhs)
+    G = bases[signs]
+    want = tuple(-1 if e else 1 for e in eps)
+    if G == [1]:
+        return PDecision(False, True, note="Groebner basis {1}")
+    note = ""
+    if _is_zero_dimensional(G):
+        points = _real_points(G, minus)
+    else:
+        points = _cut_points(G, minus, want, orthant_witness(minus, eps))
+        if not points:
+            return PDecision(False, False, note=(
+                "positive-dimensional variety: no real point found on "
+                "hyperplane cuts through the witness"))
+        note = "hyperplane cut"
+    inside = [pt for pt in points if pt.signs == want]
+    if not inside:
+        return PDecision(False, True, note="no real point in orthant")
+    pt = next((pt for pt in inside if pt.rational), None)
+    if pt is None:
+        return PDecision(True, True, root_X=inside[0].X, root_is_rational=False,
+                         note="irrational root")
+    return PDecision(True, True, root_X=pt.X, root_is_rational=True, note=note)
+
+
+def test_minus_orthants_are_decided_as_antipodes_on_the_plus_slice():
+    # A k = 0 system is invariant under X -> -X, so an orthant with
+    # X_pin < 0 is decided as its complement on the +1 slice and the point
+    # negated.  The decision, floats included, and the parameter roots must
+    # be those made on the -1 slice itself; the memo holds one slice per cone.
     rng = random.Random(13)
-    seen, cones = set(), 0
+    seen, notes, cones = set(), set(), 0
     while cones < 240:
         kind = ("rhs", "c", "c-points")[cones % 3]
         case = _mirror_case(rng, kind)
         if case is None:
             continue
-        S, exponents, signs, rhs, c = case
-        _, plus = gauge_slice(S)
-        minus = _negated(plus)
+        S, exponents, _, rhs, c = case
+        pin, plus = gauge_slice(S)
+        orthants = feasible_orthants(S)
         memo = {}
-        _leaf_basis(memo, plus, signs, exponents, rhs, c)
-        derived = _leaf_basis(memo, minus, signs, exponents, rhs, c).G
-        assert len(built) == cones + 1          # the -1 slice built nothing
-        assert derived == build(minus, signs, exponents, rhs, c)
+        if c is None:
+            bases = {}
+            for o in orthants:
+                if o.eps[pin]:
+                    got = decide_condition_p(S, o.eps, o.witness_t, exponents, rhs, memo)
+                    assert got == _decide_on_minus_slice(S, o.eps, exponents, rhs, bases)
+                    notes.add(got.note)
+        else:
+            roots = parameter_roots(S, orthants, exponents, c, None, None, memo)
+            minus = AffineSet(tuple(-x for x in plus.particular), plus.basis)
+            want = set()
+            for o in orthants:
+                G = _p_basis(minus if o.eps[pin] else plus, _signs(o.eps, exponents),
+                             exponents, c=c)
+                want.update(_eliminant_roots(G, None, None))
+            assert roots == sorted(want)
+            seen.add((kind, bool(roots) and roots != sorted(-r for r in roots)))
+        assert memo.get(S, (pin, plus)) == (pin, plus)
+        assert all(key[0] == plus for key in memo if key != S)
         cones += 1
-        used = sum(1 for col in zip(*exponents) if any(col))
-        roots = _eliminant_roots(derived, None, None) if c is not None else []
-        seen.add((kind, used % 2, bool(roots) and roots != sorted(-r for r in roots)))
-    # odd and even |used|, with and without c; asymmetric roots in u
-    assert {(kind, odd) for kind, odd, _ in seen} >= {
-        (kind, odd) for kind in ("rhs", "c") for odd in (0, 1)}
-    assert ("c-points", 1, True) in seen
+        seen.add((kind, sum(1 for col in zip(*exponents) if any(col)) % 2))
+    # odd and even |used|, with and without c; asymmetric roots in u; rational
+    # and irrational points, and points outside the orthant
+    assert seen >= {(kind, odd) for kind in ("rhs", "c") for odd in (0, 1)}
+    assert ("c-points", True) in seen
+    assert {"", "irrational root", "hyperplane cut", "no real point in orthant"} <= notes
 
 
-def test_odd_row_sums_are_not_mirrored():
-    # The flip maps the system on S to the one on -S only when every row
-    # sum is even; with an odd one both bases are built.
-    S = AffineSet((F(1), F(0)), ((F(1), F(1)),))
-    memo = {}
-    _leaf_basis(memo, S, (1,), [(1, 0)], (F(2),))
-    got = _leaf_basis(memo, _negated(S), (1,), [(1, 0)], (F(2),)).G
-    assert got == _p_basis(_negated(S), (1,), [(1, 0)], (F(2),))
-    assert got != _p_basis(S, (1,), [(1, 0)], (F(2),))
+def test_fat_point_is_decided_exactly():
+    # On the cone X = (t0, t1, t2, t0 + t1, t0 + t2), |X_4|^2 = 4 |X_1 X_2|
+    # and |X_5|^2 = 4 |X_1 X_3| cut the slice X_1 = 1 in the fat point
+    # ((t1 - 1)^2, (t2 - 1)^2), which no linear form puts in shape position.
+    # Its radical is, and X = (1, 1, 1, 2, 2) is found on the positive
+    # orthant, its negation on the negative one.
+    cone = AffineSet((F(0),) * 5, tuple(tuple(map(F, row)) for row in (
+        (1, 0, 0, 1, 1), (0, 1, 0, 1, 0), (0, 0, 1, 0, 1))))
+    exponents = [(-1, -1, 0, 2, 0), (-1, 0, -1, 0, 2)]
+    root = tuple(map(F, (1, 1, 1, 2, 2)))
+    for eps, X in (((0,) * 5, root), ((1,) * 5, tuple(-x for x in root))):
+        dec = _decide(cone, eps, exponents, [4, 4])
+        assert dec == PDecision(True, True, root_X=X, root_is_rational=True)
+
+
+def test_cut_walk_recurses_until_zero_dimensional(monkeypatch):
+    # |X_1 X_2 X_3 / X_4| = 1/2 on X = (t0, t1, t2, t0 + t1 + t2 + 1) is a
+    # surface: the cut t0 = 1 leaves a curve, so the walk recurses, and
+    # t1 = 1 then leaves points, among them (1, 1, 3, 6).
+    import nice_einstein.solver as solver
+
+    S = AffineSet((F(0), F(0), F(0), F(1)), tuple(tuple(map(F, row)) for row in (
+        (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1))))
+    zero_dim = []
+    test = solver._is_zero_dimensional
+    monkeypatch.setattr(solver, "_is_zero_dimensional",
+                        lambda G: zero_dim.append(test(G)) or zero_dim[-1])
+    dec = _decide(S, (0, 0, 0, 0), [(1, 1, 1, -1)], [F(1, 2)])
+    assert dec == PDecision(True, True, root_X=tuple(map(F, (1, 1, 3, 6))),
+                            root_is_rational=True, note="hyperplane cut")
+    # the surface, the curve after one cut, the points after two
+    assert zero_dim[:3] == [False, False, True]
 
 
 # ---------------------------------------------------------------------------
