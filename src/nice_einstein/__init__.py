@@ -73,7 +73,7 @@ from .linalg import (
     smith_normal_form,
     solve_affine,
     solve_multiplicative,
-    strict_sign_feasible,
+    strict_sign_witness,
     symmetric_signature,
 )
 
@@ -95,6 +95,7 @@ __all__ = [
     "root_matrix", "scalar_curvature", "sigma_arrow_action",
     "sigma_eigenspace_involutivity", "sigma_einstein", "sigma_gram",
     "sigma_signature", "smith_normal_form", "solve_affine",
-    "solve_multiplicative", "strict_sign_feasible", "sufficient_condition", "symmetric_signature",
+    "solve_multiplicative", "strict_sign_witness", "sufficient_condition",
+    "symmetric_signature",
     "tilde_c", "to_string", "validate_nice",
 ]

@@ -19,15 +19,22 @@ arithmetic, and nothing else differs:
   denominators, det and adjugate of G come from fraction-free (Bareiss)
   elimination, or are read off when G is monomial (one nonzero per row and
   column, as for every diagonal and sigma-diagonal metric), every sum runs
-  on Python ints, and each nonzero result entry is one division into a
-  Fraction at the end.  Every zero entry, of a result
-  and of `LieBrackets.from_nice`'s constants, is one shared Fraction(0), so
-  the mostly-zero Ricci operator of a diagonal or sigma-diagonal metric
-  makes no Fractions there.  All-int inputs are exact too.
+  on Python ints, the Ricci sums over the nonzero connection entries only,
+  and each nonzero result entry is one division into a Fraction at the end.
+  The constants are scaled once per `LieBrackets` (`int_table`), and
+  `LieBrackets.from_nice` keeps its result on the frozen algebra, so
+  repeated calls on one algebra scale only their Gram matrices.  Every zero
+  entry, of a result and of `LieBrackets.from_nice`'s constants, is one
+  shared Fraction(0), so the mostly-zero Ricci operator of a diagonal or
+  sigma-diagonal metric makes no Fractions there, and a check of
+  op = lambda id (the certificate check in `einstein`) compares entries
+  with lambda and counts that zero before it builds any residual.  All-int
+  inputs are exact too.
 - float path, otherwise: the entries are converted to floats, G is inverted
   by Gauss-Jordan elimination, and the same nonzero terms are summed in the
   same index order as the dense Koszul and Ricci formulas, so the rounding
-  does not depend on the sparse traversal.
+  does not depend on the sparse traversal.  The dense order is a rule of
+  this path alone.
 """
 
 from __future__ import annotations
@@ -58,7 +65,14 @@ class LieBrackets:
 
     @classmethod
     def from_nice(cls, a: NiceLieAlgebra) -> "LieBrackets":
-        """Dense constants of a nice algebra, with `table` read off its sparse brackets."""
+        """Dense constants of a nice algebra, with `table` read off its sparse brackets.
+
+        The algebra is frozen, so the result is kept on it: every later call
+        on the same instance returns the same object.
+        """
+        cached = a.__dict__.get("_lie_brackets")
+        if cached is not None:
+            return cached
         n = a.n
         c = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
         table = {}
@@ -70,6 +84,7 @@ class LieBrackets:
                 table[(j - 1, i - 1)] = ((k - 1, -cv),)
         out = cls(n, tuple(tuple(tuple(row) for row in plane) for plane in c))
         out.__dict__["table"] = dict(sorted(table.items()))   # fills the cached property
+        a.__dict__["_lie_brackets"] = out
         return out
 
     @cached_property
@@ -81,6 +96,19 @@ class LieBrackets:
                 if any(row):
                     out[(a, b)] = tuple((k, v) for k, v in enumerate(row) if v)
         return out
+
+    @cached_property
+    def int_table(self) -> Optional[tuple[int, dict]]:
+        """(M, `table` times M) with M the lcm of the denominators, so every value is an int.
+
+        None when some constant is neither a Fraction nor an int.
+        """
+        consts = [v for terms in self.table.values() for _, v in terms]
+        if not all(issubclass(t, (int, Fraction)) for t in set(map(type, consts))):
+            return None
+        M = math.lcm(1, *(v.denominator for v in consts))
+        return M, {ab: tuple((k, v.numerator * (M // v.denominator)) for k, v in terms)
+                   for ab, terms in self.table.items()}
 
 
 def diagonal_gram(g: Sequence) -> list[list]:
@@ -217,20 +245,19 @@ class _Scaled:
 
     @classmethod
     def of(cls, brackets: LieBrackets, gram: Sequence[Sequence]) -> "_Scaled":
-        table = brackets.table
+        """Scales the Gram matrix; the constants come scaled from `brackets.int_table`."""
         entries = [x for row in gram for x in row]
-        consts = [v for terms in table.values() for _, v in terms]
-        if all(issubclass(t, (int, Fraction)) for t in set(map(type, entries + consts))):
+        rational = all(issubclass(t, (int, Fraction)) for t in set(map(type, entries)))
+        if rational and brackets.int_table is not None:
+            M, c = brackets.int_table
             L = math.lcm(1, *(x.denominator for x in entries if x))
-            M = math.lcm(1, *(v.denominator for v in consts))
             return cls(True,
                        [[x.numerator * (L // x.denominator) if x else 0 for x in row]
                         for row in gram],
-                       {ab: tuple((k, v.numerator * (M // v.denominator)) for k, v in terms)
-                        for ab, terms in table.items()},
-                       L, M)
+                       c, L, M)
         return cls(False, [[float(x) for x in row] for row in gram],
-                   {ab: tuple((k, float(v)) for k, v in terms) for ab, terms in table.items()},
+                   {ab: tuple((k, float(v)) for k, v in terms)
+                    for ab, terms in brackets.table.items()},
                    1, 1)
 
     def lowered(self) -> dict[tuple[int, int], list[tuple[int, object]]]:
@@ -379,8 +406,8 @@ def ricci_tensor(brackets: LieBrackets, gram: Sequence[Sequence]) -> tuple[list,
                 continue
             rows_a = rows[a]
             xs, ys = rows_a[a], rows_b[a]    # the nonzero D[a][a][t] and D[b][a][t]
-            if xs and ys:
-                # per t the x term, then the y term: the dense sum's order
+            if xs and ys and not f.s.exact:
+                # per t the x term, then the y term: the dense sum's float rounding
                 Daa, Dba = D[a][a], Db[a]
                 for t in range(n):
                     x = Daa[t]

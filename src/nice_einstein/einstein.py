@@ -19,7 +19,14 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import NiceLieAlgebra, ParseError, tilde_c
-from .curvature import LieBrackets, diagonal_gram, einstein_residual, ricci_tensor, sigma_gram
+from .curvature import (
+    LieBrackets,
+    _ZERO,
+    diagonal_gram,
+    einstein_residual,
+    ricci_tensor,
+    sigma_gram,
+)
 from .diagram import Permutation, root_matrix, sigma_arrow_action
 from .linalg import (
     AffineSet,
@@ -324,7 +331,7 @@ class _Recovery:
     each sigma-orbit, which forces an invariant metric; `orb_of` maps a
     node to its orbit (sigma only).  `system` is the multiplicative system
     on `rows`, prepared once.  `by_ray` holds the magnitudes `solve` found
-    for each |X|.
+    for each |X|, and `by_X` its whole answer for each X.
     """
 
     M2: MatF2
@@ -334,6 +341,7 @@ class _Recovery:
     freedom: MetricFreedom
     system: MultiplicativeSystem
     by_ray: dict = field(default_factory=dict, compare=False, repr=False)
+    by_X: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, a: NiceLieAlgebra, sigma: Optional[Permutation]) -> "_Recovery":
@@ -359,21 +367,28 @@ class _Recovery:
 
         The signs are None when X is not rational.  The magnitudes are exact
         through the Smith form when X is rational and no fractional power
-        arises, floats from the log-space fit otherwise.  They depend only
-        on |X|, so every sign variant of a ray shares one solve.
+        arises, floats from the log-space fit otherwise.  The answer is kept
+        per X, so the sign patterns delta of one X share one rhs and logsign.
+        The magnitudes depend only on |X| and are kept per |X| as well, so
+        rays that differ only in sign share one multiplicative solve.
         """
         rational = all(isinstance(x, (Fraction, int)) for x in X)
+        key = (rational, tuple(X))  # a float X never meets a rational one's entry
+        out = self.by_X.get(key)
+        if out is not None:
+            return out
         rhs = [Fraction(x) / w for x, w in zip(X, self.weights)] if rational else None
         signs = logsign(rhs) if rational else None
-        key = (rational, tuple(abs(x) for x in X))  # a float X never meets a rational one's entry
-        mags = self.by_ray.get(key)
+        ray = (rational, tuple(abs(x) for x in X))
+        mags = self.by_ray.get(ray)
         if mags is None:
             if rational:
                 mags = self.system.solve([abs(r) for r in rhs])
             if mags is None:
                 mags = _log_solve(self.rows, X, self.weights)
-            self.by_ray[key] = mags
-        return signs, mags
+            self.by_ray[ray] = mags
+        out = self.by_X[key] = (signs, mags)
+        return out
 
 
 def recover_metric(
@@ -459,11 +474,23 @@ def _log_solve(rows, X, weights) -> tuple[float, ...]:
 
 
 def _oracle_residual(a: NiceLieAlgebra, metric, k: Fraction):
-    """Max |Ric - (k/2) id| entry straight from the curvature oracle."""
+    """Max |Ric - (k/2) id| entry straight from the curvature oracle.
+
+    An exact operator is first compared with (k/2) id entry by entry: its
+    diagonal equals k/2 and every other entry is 0 (counted against the
+    oracle's shared zero, which matches most of them by identity).  The
+    residual is built only when some entry differs.
+    """
     B = LieBrackets.from_nice(a)
     exact = all(isinstance(x, (Fraction, int)) for x in metric.g)
     _, op = ricci_tensor(B, metric.gram())
-    return einstein_residual(op, Fraction(k, 2) if exact else float(k) / 2.0), exact
+    if not exact:
+        return einstein_residual(op, float(k) / 2.0), False
+    lam = Fraction(k, 2)
+    zeros = len(op) - 1 if lam else len(op)
+    if all(row[i] == lam and row.count(_ZERO) == zeros for i, row in enumerate(op)):
+        return _ZERO, True
+    return einstein_residual(op, lam), True
 
 
 @dataclass

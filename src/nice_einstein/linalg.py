@@ -498,10 +498,6 @@ def strict_sign_witness(S: AffineSet, eps: Sequence[int]) -> Optional[VecQ]:
     return X
 
 
-def strict_sign_feasible(S: AffineSet, eps: Sequence[int]) -> bool:
-    return strict_sign_witness(S, eps) is not None
-
-
 def symmetric_signature(G: Sequence[Sequence]) -> tuple[int, int]:
     """Signature (p, q) of a nondegenerate symmetric rational matrix, exactly.
 

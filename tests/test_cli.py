@@ -302,6 +302,68 @@ def test_einstein_json_pinned(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+# ---------------------------------------------------------------------------
+# The whole shipped catalog
+
+
+def test_whole_catalog_matches_and_every_exact_certificate_passes_the_oracle():
+    from nice_einstein.catalog import load_catalog, run_entry
+    from nice_einstein.einstein import DEFAULT_TOL
+
+    checks = [chk for entry in load_catalog() for chk in run_entry(entry, DEFAULT_TOL)]
+    assert len(checks) == 143
+    assert [f"{c.entry} {c.label}" for c in checks if not c.ok] == []
+    results = {id(c.result): c.result for c in checks if c.result is not None}.values()
+    certs = [cert for res in results for cert in res.certificates]
+    exact = [cert for cert in certs if cert.exact]
+    assert (len(certs), len(exact)) == (642, 574)
+    assert all(cert.oracle_residual == 0 for cert in exact)
+
+
+def _catalog_einstein_argvs():
+    """`einstein --out json` argv of every catalog record, plus each parameter solve."""
+    from nice_einstein.catalog import load_catalog
+
+    out = []
+    for entry in load_catalog():
+        for mode, recs in entry.expected.items():
+            for rec in recs:
+                argv = ["einstein", entry.name, "--k", rec.get("k", "0"), "--out", "json"]
+                if mode == "sigma":
+                    argv += ["--mode", "sigma", "--sigma", rec["sigma"]]
+                params = sorted(rec.get("param", {}).items())
+                out.append(argv + [a for n, v in params for a in ("--param", f"{n}={v}")])
+                if rec.get("solve_param"):
+                    out.append(argv + [a for n, v in params if n != rec["solve_param"]
+                                       for a in ("--param", f"{n}={v}")]
+                               + ["--solve-param", rec["solve_param"]])
+    return out
+
+
+# sha256 over argv, exit code and stdout of each run whose certificates are
+# all exact; float certificates print fitted metrics, so they are left out.
+EXACT_CATALOG_SHA256 = "cb36d76fbb4d041af51c89aa0527ba989fa389d1365244ff3816d47b8fb6bdb2"
+
+
+def test_exact_catalog_einstein_json_is_pinned(capsys):
+    import hashlib
+
+    argvs = _catalog_einstein_argvs()
+    assert (len(argvs), sum("--solve-param" in a for a in argvs)) == (88, 8)
+    digest = hashlib.sha256()
+    kept = 0
+    for argv in argvs:
+        code, out = run_cli(capsys, *argv)
+        body = out.split("\n", 1)[1] if out.startswith("solved ") else out
+        recs = json.loads(body)
+        recs = recs if isinstance(recs, list) else [recs]
+        if all(c["exact"] for r in recs for c in r["certificates"]):
+            kept += 1
+            digest.update(f"{' '.join(argv)}\n[exit {code}]\n{out}".encode())
+    assert kept == 82
+    assert digest.hexdigest() == EXACT_CATALOG_SHA256
+
+
 @pytest.mark.parametrize("argv", [
     ["631:6", "--k", "0"],
     ["741:6", "--param", "lambda=1/2", "--mode", "sigma", "--sigma", "(23)(45)"],

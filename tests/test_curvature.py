@@ -395,14 +395,48 @@ def test_float_certificate_residuals_pinned(capsys, argv, residuals):
 
 
 def test_from_nice_table_matches_the_dense_scan():
+    """The table and integer constants kept on the algebra equal a fresh dense scan's."""
+    import math
+
     from nice_einstein.catalog import load_catalog
 
     for entry in load_catalog():
         fam = entry.family()
-        a = fam.substitute({p: 3 for p in fam.params()})
+        a = fam.substitute({p: F(3, 2) for p in fam.params()})
         B = LieBrackets.from_nice(a)
-        scanned = LieBrackets(B.n, B.c).table
-        assert list(B.table.items()) == list(scanned.items())
+        M, scaled = B.int_table
+        assert LieBrackets.from_nice(a) is B
+        fresh = LieBrackets(B.n, B.c)
+        assert list(B.table.items()) == list(fresh.table.items())
+        assert B.int_table == fresh.int_table
+        consts = [v for terms in fresh.table.values() for _, v in terms]
+        assert M == math.lcm(1, *(v.denominator for v in consts))
+        assert scaled == {ab: tuple((k, int(M * v)) for k, v in terms)
+                          for ab, terms in fresh.table.items()}
+        assert all(type(v) is int for terms in scaled.values() for _, v in terms)
+
+
+def test_from_nice_is_kept_per_algebra_instance(algebras):
+    import dataclasses
+
+    a = algebras["631:6"]
+    B = LieBrackets.from_nice(a)
+    assert LieBrackets.from_nice(a) is B
+    b = dataclasses.replace(a, c=tuple(F(2, 3) * x for x in a.c))
+    Bb = LieBrackets.from_nice(b)
+    assert Bb is not B and LieBrackets.from_nice(b) is Bb
+    assert Bb.c == tuple(tuple(tuple(F(2, 3) * v for v in row) for row in plane)
+                         for plane in B.c)
+    assert (B.int_table[0], Bb.int_table[0]) == (1, 3)
+    G = diagonal_gram([F(1), F(-2), F(3), F(1, 3), F(-3, 2), F(2, 5)])
+    assert ricci_tensor(Bb, G) == dense_ricci(Bb, G) != ricci_tensor(B, G)
+    # constants that are not all rational take the float path
+    Bf = LieBrackets(b.n, tuple(tuple(tuple(float(v) for v in row) for row in plane)
+                                for plane in Bb.c))
+    assert Bf.int_table is None
+    got = ricci_tensor(Bf, G)
+    assert any(type(x) is float for row in got[1] for x in row)
+    assert got == dense_ricci(Bf, G)
 
 
 def test_einstein_residual_matches_the_dense_formula():

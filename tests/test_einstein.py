@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -455,6 +456,65 @@ def test_float_magnitudes_fitted_once_per_ray(monkeypatch):
     assert not any(c.exact for c in res.certificates)
     assert len({tuple(map(abs, c.X)) for c in res.certificates}) == 1
     assert counts == {"solve": 1, "_log_solve": 1, "recover_metric": 16}
+
+
+def test_signs_and_magnitudes_solved_once_per_ray(monkeypatch):
+    import nice_einstein.einstein as einstein
+    from nice_einstein.catalog import find_entry
+    from nice_einstein.einstein import _Recovery
+
+    a = find_entry("831:37").algebra()
+    res = diagonal_einstein(a, 0)
+    assert res.exact and len(res.certificates) == 64
+    rays = {tuple(c.X) for c in res.certificates}
+    facts = _Recovery.of(a, None)
+    counts = {}
+    _counting(monkeypatch, einstein, "logsign", counts)
+    _counting(monkeypatch, einstein.MultiplicativeSystem, "solve", counts)
+    for cert in res.certificates:
+        assert recover_metric(a, cert.X, cert.delta, facts=facts) == (
+            cert.metric, cert.freedom)
+    # one rhs and logsign per X, one multiplicative solve per |X|
+    assert len(rays) == len(facts.by_X) == counts["logsign"] == 2
+    assert len(facts.by_ray) == counts["solve"] == len({tuple(map(abs, X)) for X in rays})
+
+
+@pytest.mark.parametrize("name, k", [("631:6", 0), ("842:121a", 1)])
+def test_exact_certificate_check_fails_on_a_perturbed_metric(monkeypatch, name, k):
+    import dataclasses
+
+    import nice_einstein.einstein as einstein
+    from nice_einstein.catalog import find_entry
+    from nice_einstein.curvature import LieBrackets, einstein_residual, ricci_tensor
+
+    a = find_entry(name).algebra()
+    cert = diagonal_einstein(a, k).certificates[0]
+    assert cert.exact and einstein._oracle_residual(a, cert.metric, F(k)) == (0, True)
+    bad = dataclasses.replace(cert.metric, g=(2 * cert.metric.g[0],) + cert.metric.g[1:])
+    _, op = ricci_tensor(LieBrackets.from_nice(a), bad.gram())
+    want = einstein_residual(op, F(k, 2))
+    got, exact = einstein._oracle_residual(a, bad, F(k))
+    assert type(got) is F and got == want != 0 and exact
+    monkeypatch.setattr(einstein, "recover_metric", lambda *args: (bad, cert.freedom))
+    dec = SimpleNamespace(root_is_rational=True, note="")
+    with pytest.raises(AssertionError, match="curvature oracle"):
+        einstein._certificate(a, cert.X, cert.delta, F(k), None, dec, 1e-9, [], None)
+
+
+def test_exact_check_compares_every_entry_with_lambda(monkeypatch):
+    import nice_einstein.einstein as einstein
+
+    a = parse("(0,0,e^{12})")
+    metric = SimpleNamespace(g=(F(1), F(1), F(1)), gram=lambda: None)
+    lam = F(-1, 2)
+    # fresh zeros, not the oracle's shared one: they still count as zero
+    cases = [([[lam, F(0), F(0)], [F(0), lam, F(0)], [F(0), F(0), lam]], 0),
+             ([[lam, F(0), F(0)], [F(1, 10), lam, F(0)], [F(0), F(0), lam]], F(1, 10)),
+             ([[lam, F(0), F(0)], [F(0), F(0), F(0)], [F(0), F(0), lam]], F(1, 2))]
+    for op, want in cases:
+        monkeypatch.setattr(einstein, "ricci_tensor", lambda B, G, op=op: (None, op))
+        got = einstein._oracle_residual(a, metric, F(-1))
+        assert got == (want, True) and type(got[0]) is F
 
 
 def test_recover_metric_checks_every_sign_pattern_on_a_solved_ray(algebras):

@@ -22,7 +22,6 @@ from nice_einstein.linalg import (
     smith_normal_form,
     solve_affine,
     solve_multiplicative,
-    strict_sign_feasible,
     strict_sign_witness,
     symmetric_signature,
     vec_q,
@@ -147,14 +146,14 @@ def test_f2_solve_all_image_membership():
 def test_strict_sign_631_6(algebras):
     M, _ = root_matrix(algebras["631:6"].diagram)
     S = solve_affine(M.transpose(), [F(0)] * 6)
-    assert strict_sign_feasible(S, (0, 1, 1, 0))
-    assert strict_sign_feasible(S, (1, 0, 0, 1))
-    assert not strict_sign_feasible(S, (0, 0, 0, 0))
+    assert strict_sign_witness(S, (0, 1, 1, 0)) is not None
+    assert strict_sign_witness(S, (1, 0, 0, 1)) is not None
+    assert strict_sign_witness(S, (0, 0, 0, 0)) is None
 
 
 def test_strict_sign_zero_set():
     S = AffineSet(vec_q([0, 0]), ())
-    assert not strict_sign_feasible(S, (0, 0))
+    assert strict_sign_witness(S, (0, 0)) is None
 
 
 def test_strict_sign_75432_3_all_four_orthants(algebras):
