@@ -10,31 +10,40 @@ inverted.
 
 The connection is driven by the lowered brackets <[x,y],z>: each one is a
 term of three Koszul sums, so only the index pairs that have a term are
-visited.  The Ricci tensor then walks only nonzero connection rows, and the
-Gram matrix is inverted once.  The type of the input entries picks the
-arithmetic, and nothing else differs:
+visited.  G is scanned once, into its nonzero entries by row, and inverted
+once; from then on the oracle reads only the nonzero entries of G and of
+its inverse (by columns for the connection, by rows for the operator
+G^-1 Ric), and the Ricci tensor walks only nonzero connection rows.  The
+type of the input entries picks the arithmetic, and nothing else differs:
 
 - integer path, when every Gram entry and structure constant is a Fraction
   or an int: G and the constants are scaled to integers by the lcm of their
-  denominators, det and adjugate of G come from fraction-free (Bareiss)
-  elimination, or are read off when G is monomial (one nonzero per row and
-  column, as for every diagonal and sigma-diagonal metric), every sum runs
-  on Python ints, the Ricci sums over the nonzero connection entries only,
-  and each nonzero result entry is one division into a Fraction at the end.
+  denominators.  det and adjugate of G are read off when G is monomial (one
+  nonzero h_i = G[i][p(i)] per row and column, as for every diagonal and
+  sigma-diagonal metric: det = sign(p) * prod h_i, and the adjugate has the
+  one entry det / h_i at [p(i)][i]); any other G goes through fraction-free
+  (Bareiss) elimination.  Every sum runs on Python ints over nonzero entries
+  only.  The first Ricci sum, sum_a (D_a D_b)[a][cc], is taken once
+  through H[t] = sum_a D~[a][a][t], with both products summed over every a:
+  their a = b terms are equal, so they cancel exactly.  Each nonzero result entry is
+  one division into a Fraction at the end.
   The constants are scaled once per `LieBrackets` (`int_table`), and
   `LieBrackets.from_nice` keeps its result on the frozen algebra, so
   repeated calls on one algebra scale only their Gram matrices.  Every zero
-  entry, of a result and of `LieBrackets.from_nice`'s constants, is one
-  shared Fraction(0), so the mostly-zero Ricci operator of a diagonal or
-  sigma-diagonal metric makes no Fractions there, and a check of
-  op = lambda id (the certificate check in `einstein`) compares entries
-  with lambda and counts that zero before it builds any residual.  All-int
-  inputs are exact too.
-- float path, otherwise: the entries are converted to floats, G is inverted
-  by Gauss-Jordan elimination, and the same nonzero terms are summed in the
-  same index order as the dense Koszul and Ricci formulas, so the rounding
-  does not depend on the sparse traversal.  The dense order is a rule of
-  this path alone.
+  entry, of a result, of `LieBrackets.from_nice`'s constants and of an exact
+  `diagonal_gram` or `sigma_gram`, is one shared Fraction(0), so the
+  mostly-zero Ricci operator of a diagonal or sigma-diagonal metric makes no
+  Fractions there, and a check of op = lambda id (the certificate check in
+  `einstein`) compares entries with lambda and counts that zero before it
+  builds any residual.  All-int inputs are exact too.
+- float path, otherwise: the entries are converted to floats.  A monomial G
+  is read off as 1/h_i, which is what Gauss-Jordan elimination gives, bit
+  for bit; any other G is inverted by Gauss-Jordan.  The same nonzero terms
+  are summed in the same index order as the dense Koszul and Ricci
+  formulas (the Ricci sums per t from a dense connection array, skipping
+  a = b), so the rounding does not depend on the sparse traversal.  The
+  dense order is a rule of this path alone.  Every zero of Ric and of the
+  operator is 0 * G[0][0].
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from .algebra import NiceLieAlgebra
@@ -111,9 +120,14 @@ class LieBrackets:
                    for ab, terms in self.table.items()}
 
 
+def _zero_of(x):
+    """The zero entry next to x: the shared Fraction(0) for exact x, else 0 * x (its sign kept)."""
+    return _ZERO if isinstance(x, (int, Fraction)) else 0 * x
+
+
 def diagonal_gram(g: Sequence) -> list[list]:
-    """Gram matrix of sum_i g_i e^i (x) e^i; row i's zeros are 0 * g_i."""
-    G = [[0 * x] * len(g) for x in g]
+    """Gram matrix of sum_i g_i e^i (x) e^i; row i's zeros are `_zero_of(g_i)`."""
+    G = [[_zero_of(x)] * len(g) for x in g]
     for i, x in enumerate(g):
         G[i][i] = x
     return G
@@ -122,7 +136,7 @@ def diagonal_gram(g: Sequence) -> list[list]:
 def sigma_gram(g: Sequence, sigma: Sequence[int]) -> list[list]:
     """Gram matrix of sum_i g_i e^i (x) e^{sigma(i)}; sigma 1-based images."""
     n = len(g)
-    zero = 0 * g[0]
+    zero = _zero_of(g[0])
     G = [[zero] * n for _ in range(n)]
     for i in range(n):
         G[i][sigma[i] - 1] = g[i]
@@ -146,28 +160,11 @@ def _invert(G: Sequence[Sequence]) -> list[list]:
     return [row[n:] for row in A]
 
 
-def _adjugate(A: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+def _bareiss_adjugate(A: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     """(d, d * A^-1) for a nonsingular integer matrix A, where d = +-det A.
 
-    A monomial A (one nonzero entry A[i][p(i)] per row and per column, as the
-    Gram matrix of every diagonal and sigma-diagonal metric) is read off;
-    any other A is eliminated.
-    """
-    perm = []
-    for row in A:
-        support = [j for j, x in enumerate(row) if x]
-        if len(support) != 1:
-            return _bareiss_adjugate(A)
-        perm.append(support[0])
-    if len(set(perm)) < len(A):
-        return _bareiss_adjugate(A)
-    return _monomial_adjugate(A, perm)
-
-
-def _bareiss_adjugate(A: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(d, d * A^-1) by fraction-free Gauss-Jordan elimination (Bareiss 1968).
-
-    Every division is exact, so all intermediate entries stay integers.
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): every division is
+    exact, so all intermediate entries stay integers.
     """
     n = len(A)
     M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
@@ -190,24 +187,6 @@ def _bareiss_adjugate(A: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]
                 M[i] = [p * x // prev for x in Mi]
         prev = p
     return prev, [row[n:] for row in M]
-
-
-def _monomial_adjugate(A: Sequence[Sequence[int]],
-                       perm: list[int]) -> tuple[int, list[list[int]]]:
-    """(det A, adj A) for A whose nonzero entries are exactly A[i][perm[i]].
-
-    det A = sign(perm) * prod_i A[i][perm[i]], and adj A has the one nonzero
-    adj[perm[i]][i] = det A / A[i][perm[i]] per row, an exact division.
-    """
-    n = len(A)
-    inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
-    det = -1 if inversions % 2 else 1
-    for i, j in enumerate(perm):
-        det *= A[i][j]
-    adj = [[0] * n for _ in range(n)]
-    for i, j in enumerate(perm):
-        adj[j][i] = det // A[i][j]
-    return det, adj
 
 
 def _mat_mul(A, B):
@@ -234,35 +213,35 @@ class _Scaled:
     """Gram matrix and nonzero structure constants in the oracle's arithmetic.
 
     Integer path: G = L * gram and c = M * constants, with L and M the lcm of
-    their denominators.  Float path: both as floats, and L = M = 1.
+    their denominators.  Float path: both as floats, and L = M = 1.  G is
+    kept by its nonzero entries only: rows[i] lists (z, G[i][z]), z ascending.
     """
 
     exact: bool
-    G: list
+    rows: list
     c: dict     # LieBrackets.table with scaled values
     L: int
     M: int
+    zero: object    # the zero the float sums start from, 0 * G[0][0]; 0 on the integer path
 
     @classmethod
     def of(cls, brackets: LieBrackets, gram: Sequence[Sequence]) -> "_Scaled":
-        """Scales the Gram matrix; the constants come scaled from `brackets.int_table`."""
-        entries = [x for row in gram for x in row]
-        rational = all(issubclass(t, (int, Fraction)) for t in set(map(type, entries)))
-        if rational and brackets.int_table is not None:
+        """Scales G in one scan; the constants come scaled from `brackets.int_table`."""
+        types = set(map(type, chain.from_iterable(gram)))
+        if all(issubclass(t, (int, Fraction)) for t in types) and brackets.int_table is not None:
             M, c = brackets.int_table
-            L = math.lcm(1, *(x.denominator for x in entries if x))
-            return cls(True,
-                       [[x.numerator * (L // x.denominator) if x else 0 for x in row]
-                        for row in gram],
-                       c, L, M)
-        return cls(False, [[float(x) for x in row] for row in gram],
+            rows = [[(z, x) for z, x in enumerate(row) if x is not _ZERO and x] for row in gram]
+            L = math.lcm(1, *(x.denominator for row in rows for _, x in row))
+            return cls(True, [[(z, x.numerator * (L // x.denominator)) for z, x in row]
+                              for row in rows], c, L, M, 0)
+        return cls(False, [[(z, x) for z, x in enumerate(map(float, row)) if x] for row in gram],
                    {ab: tuple((k, float(v)) for k, v in terms)
                     for ab, terms in brackets.table.items()},
-                   1, 1)
+                   1, 1, 0 * float(gram[0][0]))
 
     def lowered(self) -> dict[tuple[int, int], list[tuple[int, object]]]:
         """<[e_x, e_y], e_z> in the scaled arithmetic: (x, y) -> [(z, value), ...] nonzero."""
-        rows = [[(z, g) for z, g in enumerate(row) if g] for row in self.G]
+        rows = self.rows
         out = {}
         for xy, terms in self.c.items():
             acc = {}
@@ -275,19 +254,28 @@ class _Scaled:
 
 @dataclass(frozen=True)
 class _Frame:
-    """One oracle call: the scaled inputs and the one inverse of G.
+    """One oracle call: the scaled inputs and the one inverse of G, by its nonzero entries.
 
     The connection is D = (conn . K) / d_den for the lowered Koszul terms K;
     Ric = R / d_den^2 with R = sum D~ D~ - kappa * c . D~ over the connection
-    numerators D~; and the Ricci operator is L * (inv . R) / op_den.
+    numerators D~; and the Ricci operator is L * (inv . R) / op_den.  cols[d]
+    lists the nonzero (c, conn[c][d]) and inv[i] the nonzero (t, inv[i][t]),
+    indices ascending.
 
     Integer path: conn = inv = adj(G), det = +-det(G), d_den = 2 M det,
     kappa = 2 det, op_den = det * d_den^2.  Float path: conn = G^-1 / 2,
     inv = G^-1, and every other factor 1.
+
+    A monomial G, with one nonzero h_i = G[i][p(i)] per row and column (as
+    for every diagonal and sigma-diagonal metric), is read off: G^-1 has the
+    one nonzero 1/h_i at [p(i)][i], so adj(G) has det / h_i there, with
+    det = sign(p) * prod h_i; in floats 1/h_i is what Gauss-Jordan gives.
+    Any other G is eliminated, by Bareiss on integers and by Gauss-Jordan
+    on floats.
     """
 
     s: _Scaled
-    conn: list
+    cols: list
     inv: list
     d_den: int
     kappa: int
@@ -296,12 +284,33 @@ class _Frame:
     @classmethod
     def of(cls, brackets: LieBrackets, gram: Sequence[Sequence]) -> "_Frame":
         s = _Scaled.of(brackets, gram)
+        n = len(s.rows)
+        perm = [row[0][0] for row in s.rows if len(row) == 1]
+        if len(perm) == n and len(set(perm)) == n:
+            h = [row[0][1] for row in s.rows]
+            if s.exact:
+                inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
+                det = (-1) ** inversions * math.prod(h)
+                entries = [det // x for x in h]
+            else:
+                det = 1
+                entries = [1 / x for x in h]
+            inv = [None] * n
+            for i, (p, x) in enumerate(zip(perm, entries)):
+                inv[p] = [(i, x)]
+            cols = [[(p, x)] for p, x in zip(perm, entries)]
+        else:
+            G = [[0] * n for _ in range(n)]     # with its zeros, for elimination
+            for Gi, row in zip(G, s.rows):
+                for z, x in row:
+                    Gi[z] = x
+            det, adj = _bareiss_adjugate(G) if s.exact else (1, _invert(G))
+            inv = [[(t, x) for t, x in enumerate(row) if x] for row in adj]
+            cols = [[(c, x) for c, x in enumerate(col) if x] for col in zip(*adj)]
         if s.exact:
-            det, adj = _adjugate(s.G)
             d_den = 2 * s.M * det
-            return cls(s, adj, adj, d_den, 2 * det, det * d_den * d_den)
-        inv = _invert(s.G)
-        return cls(s, [[x / 2 for x in row] for row in inv], inv, 1, 1, 1)
+            return cls(s, cols, inv, d_den, 2 * det, det * d_den * d_den)
+        return cls(s, [[(c, x / 2) for c, x in col] for col in cols], inv, 1, 1, 1)
 
     def quotient(self, num, den):
         if not self.s.exact:
@@ -309,8 +318,8 @@ class _Frame:
         return Fraction(num, den) if num else _ZERO
 
 
-def _connection(f: _Frame) -> tuple[list, list]:
-    """Connection numerators D~ and their nonzero entries by row.
+def _connection(f: _Frame, dense: bool) -> tuple[list, Optional[list]]:
+    """Connection numerators D~ by nonzero row, and as a dense array when asked.
 
     D~[a][c][b] = d_den * (e_c-component of nabla_{e_a} e_b), from the Koszul
     formula for left-invariant metrics:
@@ -318,9 +327,11 @@ def _connection(f: _Frame) -> tuple[list, list]:
     A lowered bracket <[x,y],z> = w is the first term at (a, b, d) = (x, y, z),
     the second at (z, x, y) and the third at (y, z, x), so only the pairs
     (a, b) with a term are visited.  rows[a][c] lists the nonzero
-    (b, D~[a][c][b]), b ascending.
+    (b, D~[a][c][b]), b ascending.  The dense D (None unless asked) holds
+    every summed entry, a float that cancelled to zero included, and int 0
+    elsewhere.
     """
-    n = len(f.s.G)
+    n = len(f.s.rows)
     low = f.s.lowered()
     # (a, b) -> {d: (t1 - t2) + t3}, one term kind per pass: the dense
     # formula's float rounding
@@ -337,8 +348,8 @@ def _connection(f: _Frame) -> tuple[list, list]:
             if at is None:
                 at = koszul[(y, z)] = {}
             at[x] = at.get(x, 0) + w
-    conn_cols = [[(c, p) for c, p in enumerate(col) if p] for col in zip(*f.conn)]
-    D = [[[0] * n for _ in range(n)] for _ in range(n)]
+    cols = f.cols
+    D = [[[0] * n for _ in range(n)] for _ in range(n)] if dense else None
     rows = [[[] for _ in range(n)] for _ in range(n)]
     for (a, b) in sorted(koszul):
         at = koszul[(a, b)]
@@ -346,20 +357,23 @@ def _connection(f: _Frame) -> tuple[list, list]:
         for d in sorted(at):
             kd = at[d]
             if kd:
-                for c, p in conn_cols[d]:
+                for c, p in cols[d]:
                     col[c] = col.get(c, 0) + p * kd
-        Da, rows_a = D[a], rows[a]
+        rows_a = rows[a]
         for c, v in col.items():
-            Da[c][b] = v
             if v:
                 rows_a[c].append((b, v))
-    return D, rows
+        if dense:
+            Da = D[a]
+            for c, v in col.items():
+                Da[c][b] = v
+    return rows, D
 
 
 def levi_civita(brackets: LieBrackets, gram: Sequence[Sequence]) -> list:
     """Connection matrices D[a], with D[a][c][b] the e_c-component of nabla_{e_a} e_b."""
     f = _Frame.of(brackets, gram)
-    D, _ = _connection(f)
+    _, D = _connection(f, dense=True)
     return [[[f.quotient(x, f.d_den) for x in row] for row in Da] for Da in D]
 
 
@@ -384,30 +398,56 @@ def riemann_endomorphisms(brackets: LieBrackets, gram: Sequence[Sequence]) -> di
     return R
 
 
-def ricci_tensor(brackets: LieBrackets, gram: Sequence[Sequence]) -> tuple[list, list]:
-    """(Ricci tensor matrix, Ricci operator matrix).
+def _exact_ricci(f: _Frame, rows: list) -> list[list[int]]:
+    """R[b][cc] = sum_t H[t] D~[b][t][cc] - sum_a sum_t D~[b][a][t] D~[a][t][cc] - kappa c . D~.
 
-    Ric(x, y) = trace of z -> R(z, x) y; the operator is G^{-1} Ric.  Only
-    the needed components of R are formed, not the full tensor, from the
-    nonzero connection entries.
+    Ric(b, cc) = sum_a (D_a D_b - D_b D_a - D_[a,b])[a][cc], where the first
+    product summed over a is H . D_b with H[t] = sum_a D~[a][a][t], taken once.
+    Both sums run over every a: their a = b terms are equal, so they cancel
+    exactly in integers.
     """
-    f = _Frame.of(brackets, gram)
-    n = brackets.n
-    D, rows = _connection(f)
+    n = len(rows)
+    H = {}
+    for a, rows_a in enumerate(rows):
+        for t, x in rows_a[a]:
+            H[t] = H.get(t, 0) + x
+    H = [(t, h) for t, h in H.items() if h]
+    lin = [[] for _ in range(n)]     # b -> (a, k, kappa * c[a][b][k])
+    for (a, b), terms in f.s.c.items():
+        lin[b].extend((a, k, f.kappa * v) for k, v in terms)
+    R = []
+    for rows_b, lin_b in zip(rows, lin):
+        acc = [0] * n
+        for t, h in H:
+            for cc, v in rows_b[t]:
+                acc[cc] += h * v
+        for rows_a, ys in zip(rows, rows_b):
+            for t, y in ys:
+                for cc, v in rows_a[t]:
+                    acc[cc] -= y * v
+        for a, k, kv in lin_b:
+            for cc, v in rows[k][a]:
+                acc[cc] -= kv * v
+        R.append(acc)
+    return R
+
+
+def _float_ricci(f: _Frame, rows: list, D: list) -> list[list[float]]:
+    """The Ricci numerators in floats, each sum in the dense formula's index order."""
+    n = len(rows)
     lin = {ab: tuple((k, f.kappa * v) for k, v in terms) for ab, terms in f.s.c.items()}
-    zero = 0 * f.s.G[0][0]
     R = []
     for b in range(n):
         # Ric(b, cc) = sum_a (D_a D_b - D_b D_a - D_[a,b])[a][cc]
-        acc = [zero] * n
+        acc = [f.s.zero] * n
         Db, rows_b = D[b], rows[b]
         for a in range(n):
             if a == b:     # its two products cancel exactly, but not in floats
                 continue
             rows_a = rows[a]
             xs, ys = rows_a[a], rows_b[a]    # the nonzero D[a][a][t] and D[b][a][t]
-            if xs and ys and not f.s.exact:
-                # per t the x term, then the y term: the dense sum's float rounding
+            if xs and ys:
+                # per t the x term, then the y term: the dense sum's rounding
                 Daa, Dba = D[a][a], Db[a]
                 for t in range(n):
                     x = Daa[t]
@@ -429,8 +469,30 @@ def ricci_tensor(brackets: LieBrackets, gram: Sequence[Sequence]) -> tuple[list,
                 for cc, v in rows[k][a]:
                     acc[cc] -= kv * v
         R.append(acc)
-    op = _mat_mul(f.inv, R)
-    if not f.s.exact:
+    return R
+
+
+def ricci_tensor(brackets: LieBrackets, gram: Sequence[Sequence]) -> tuple[list, list]:
+    """(Ricci tensor matrix, Ricci operator matrix).
+
+    Ric(x, y) = trace of z -> R(z, x) y; the operator is G^{-1} Ric.  Only
+    the needed components of R are formed, not the full tensor, from the
+    nonzero connection entries.
+    """
+    f = _Frame.of(brackets, gram)
+    exact = f.s.exact
+    rows, D = _connection(f, dense=not exact)
+    R = _exact_ricci(f, rows) if exact else _float_ricci(f, rows, D)
+    n = len(R)
+    op = []
+    for inv_i in f.inv:
+        acc = [f.s.zero] * n
+        for t, p in inv_i:
+            for j, x in enumerate(R[t]):
+                if x:
+                    acc[j] += p * x
+        op.append(acc)
+    if not exact:
         return R, op
     ric_den, L, op_den = f.d_den * f.d_den, f.s.L, f.op_den
     return ([[Fraction(x, ric_den) if x else _ZERO for x in row] for row in R],

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -362,6 +363,30 @@ def test_exact_catalog_einstein_json_is_pinned(capsys):
             digest.update(f"{' '.join(argv)}\n[exit {code}]\n{out}".encode())
     assert kept == 82
     assert digest.hexdigest() == EXACT_CATALOG_SHA256
+
+
+def _readme_cli_argvs():
+    """argv of every `nice-einstein ...` line of README's command-line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("nice-einstein ")]
+
+
+# sha256 over argv, exit code and stdout of every README example, in order.
+README_CLI_SHA256 = "e691aabaddc1b1086748075096170ef9456c6468526a5366fe5adb806da1a1ea"
+
+
+def test_readme_command_line_examples_are_pinned(capsys):
+    import hashlib
+
+    argvs = _readme_cli_argvs()
+    assert [a[0] for a in argvs].count("verify") == 2 and len(argvs) == 13
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out = run_cli(capsys, *argv)
+        digest.update(f"{shlex.join(argv)}\n[exit {code}]\n{out}".encode())
+    assert digest.hexdigest() == README_CLI_SHA256
 
 
 @pytest.mark.parametrize("argv", [

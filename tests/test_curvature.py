@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -10,11 +11,12 @@ import sympy
 from nice_einstein import parse
 from nice_einstein.cli import main
 from nice_einstein.curvature import (
+    _ZERO,
     DegenerateMetricError,
     LieBrackets,
-    _adjugate,
     _bareiss_adjugate,
     _derived_subalgebra_rows,
+    _Frame,
     _invert,
     _mat_mul,
     ad_invariance_check,
@@ -246,7 +248,7 @@ def dense_ricci(B, gram, D=None):
                         s -= c[a][b][k] * D[k][a][cc]
             ric[b][cc] = s
     Ginv = _invert([list(row) for row in gram])
-    op = [[0] * n for _ in range(n)]
+    op = [[zero] * n for _ in range(n)]
     for i in range(n):
         for t in range(n):
             if Ginv[i][t]:
@@ -311,6 +313,7 @@ def test_float_path_sums_in_dense_order(algebras):
         for G in metrics:
             got, want = ricci_tensor(B, G), dense_ricci(B, G)
             assert repr(got) == repr(want)
+            assert all(type(x) is float for M in got for row in M for x in row)
 
 
 def test_int_gram_is_exact(algebras):
@@ -321,6 +324,27 @@ def test_int_gram_is_exact(algebras):
     assert (ric, op) == ricci_tensor(B, diagonal_gram([F(x) for x in g]))
 
 
+def frame_inverse(A):
+    """(d, d * A^-1) as the oracle's frame holds it, A taken as an exact or float Gram matrix.
+
+    The frame keeps the inverse twice, by nonzero rows and (halved on the
+    float path) by nonzero columns; both must give the same dense matrix.
+    On the integer path d = kappa / 2 = +-det A; on the float path d = 1.
+    """
+    n = len(A)
+    f = _Frame.of(LieBrackets(n, (((0,) * n,) * n,) * n), A)
+    by_rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(f.inv):
+        for t, x in row:
+            by_rows[i][t] = x
+    by_cols = [[0] * n for _ in range(n)]
+    for d, col in enumerate(f.cols):
+        for c, x in col:
+            by_cols[c][d] = x if f.s.exact else 2 * x
+    assert by_rows == by_cols
+    return (f.kappa // 2 if f.s.exact else 1), by_rows
+
+
 def test_adjugate_is_det_times_inverse():
     rng = random.Random(11)
     for _ in range(200):
@@ -329,10 +353,10 @@ def test_adjugate_is_det_times_inverse():
         try:
             inv = _invert([[F(x) for x in row] for row in A])
         except DegenerateMetricError:
-            with pytest.raises(DegenerateMetricError):
-                _adjugate(A)
+            with pytest.raises(DegenerateMetricError, match="^metric is degenerate$"):
+                frame_inverse(A)
             continue
-        d, X = _adjugate(A)
+        d, X = frame_inverse(A)
         assert abs(d) == abs(sympy.Matrix(A).det())
         assert [[F(x, d) for x in row] for row in X] == inv
 
@@ -344,7 +368,7 @@ def _parity(perm):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_monomial_adjugate_matches_bareiss(n):
-    """Signed permutation times diagonal: read off, the same as eliminated."""
+    """Signed permutation times diagonal: read off, the same as eliminated, floats bit for bit."""
     rng = random.Random(f"monomial/{n}")
     parities = set()
     for _ in range(30):
@@ -354,22 +378,32 @@ def test_monomial_adjugate_matches_bareiss(n):
         for i, j in enumerate(perm):
             A[i][j] = rng.choice([1, -1, 2, -3, 5, 6, -12, 49])
         det = sympy.Matrix(A).det()
-        d, X = _adjugate(A)
+        d, X = frame_inverse(A)
         bd, bX = _bareiss_adjugate(A)
         assert d == det and abs(bd) == abs(det)
         inv = _invert([[F(x) for x in row] for row in A])
         assert [[F(x, d) for x in row] for row in X] == inv
         assert [[F(x, bd) for x in row] for row in bX] == inv
         assert all(type(x) is int for row in X for x in row)
+        Af = [[x * 1.1 for x in row] for row in A]
+        _, Xf = frame_inverse(Af)
+        want = [[x if x else 0 for x in row] for row in _invert(Af)]
+        assert repr(Xf) == repr(want)
         parities.add(_parity(perm))
     assert parities == ({0} if n == 1 else {0, 1})
 
 
-def test_monomial_looking_singular_matrices_rejected():
-    for A in ([[2, 0, 0], [0, 0, 0], [0, 0, -1]],      # a zero row
-              [[0, 3, 0], [0, -1, 0], [1, 0, 0]]):     # one nonzero per row, a shared column
-        with pytest.raises(DegenerateMetricError):
-            _adjugate(A)
+def test_monomial_looking_singular_matrices_rejected(algebras):
+    B = bra(algebras["heisenberg"])
+    for G in ([[2, 0, 0], [0, 0, 0], [0, 0, -1]],       # a zero row
+              [[0, 3, 0], [0, -1, 0], [1, 0, 0]],       # one nonzero per row, a shared column
+              [[1, 2, 0], [2, 4, 0], [0, 0, 3]]):       # a singular 2x2 block
+        for gram in (G, [[F(x, 3) for x in row] for row in G],
+                     [[float(x) for x in row] for row in G]):
+            for oracle in (frame_inverse, lambda A: levi_civita(B, A),
+                           lambda A: ricci_tensor(B, A)):
+                with pytest.raises(DegenerateMetricError, match="^metric is degenerate$"):
+                    oracle(gram)
 
 
 def test_singular_dense_gram_rejected(algebras):
@@ -508,6 +542,7 @@ def test_certificate_ricci_matches_the_dense_sums():
         if cert.exact:
             assert got == want
             assert all(type(x) is F for M in got for row in M for x in row)
+            assert all(x is _ZERO for row in gram for x in row if not x)
         else:
             assert repr(got) == repr(want)
         kinds.add((sigma is None, cert.exact))
@@ -564,6 +599,78 @@ def test_oracle_matches_the_dense_sums_on_every_catalog_algebra():
             kinds[exact] += 1
     assert sigma_entries == 17
     assert kinds == {True: 2 * 44 + 17, False: 2 * 44 + 17}
+
+
+def _oracle_and_dense(B, G):
+    """((levi_civita, Ric, op), the same from the dense references)."""
+    D = dense_levi_civita(B, G)
+    return (levi_civita(B, G), *ricci_tensor(B, G)), (D, *dense_ricci(B, G, D))
+
+
+def _partially_sparse_grams(rng, n, sigma):
+    """Exact Gram matrices between monomial and dense, each nondegenerate.
+
+    A sigma-diagonal matrix with one more coupled pair G[i][j] = G[j][i],
+    and a matrix of 2x2 blocks on (1,2), (3,4), ... (the last entry alone
+    when n is odd).
+    """
+    exact = [F(1), F(-2), F(3), F(1, 3), F(-3, 2), F(2, 5)]
+    out = []
+    while len(out) < 2:
+        g = [rng.choice(exact) for _ in range(n)]
+        G = sigma_gram([g[min(i, sigma[i] - 1)] for i in range(n)], sigma)
+        i, j = rng.choice([(i, j) for i, j in combinations(range(n), 2) if not G[i][j]])
+        G[i][j] = G[j][i] = rng.choice(exact)
+        blocks = diagonal_gram([rng.choice(exact) for _ in range(n)])
+        for k in range(0, n - 1, 2):
+            blocks[k][k + 1] = blocks[k + 1][k] = rng.choice(exact)
+        out = []
+        for M in (G, blocks):
+            try:
+                _invert(M)
+            except DegenerateMetricError:
+                continue
+            out.append(M)
+    return out
+
+
+PARTIAL_SIGMAS = {"631:6": (1, 3, 2, 4, 6, 5), "75432:3": (2, 1, 3, 4, 5, 6, 7),
+                  "842:117": (4, 3, 2, 1, 6, 5, 8, 7), "852:30@(1,2)": (1, 3, 2, 5, 4, 6, 8, 7),
+                  "dim10": tuple(range(1, 11))}
+
+
+@pytest.mark.parametrize("name", PARTIAL_SIGMAS)
+def test_partially_sparse_gram_matches_the_dense_sums(algebras, name):
+    """Between monomial and dense G: the sparse frame's connection and Ricci, exactly."""
+    B = bra(algebras[name])
+    rng = random.Random(f"partial/{name}")
+    for G in _partially_sparse_grams(rng, B.n, PARTIAL_SIGMAS[name]):
+        got, want = _oracle_and_dense(B, G)
+        assert got == want
+        assert all(type(x) is F for M in (*got[0], *got[1:]) for row in M for x in row)
+        assert any(ric_row[j] for ric_row in got[1] for j in range(B.n))
+        Gf = [[float(x) for x in row] for row in G]
+        got, want = _oracle_and_dense(B, Gf)
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("name", ["631:6", "842:117", "dim10"])
+def test_three_cycle_monomial_gram_matches_the_dense_sums(algebras, name):
+    """A monomial G whose permutation is no involution, with negative entries: read off exactly."""
+    B = bra(algebras[name])
+    n = B.n
+    perm = [1, 2, 0, *range(3, n)]         # the 3-cycle 1 -> 2 -> 3 -> 1 on e_1, e_2, e_3
+    h = [F(-2), F(3), F(-1, 3), *([F(-3, 2), F(2, 5)] * n)[:n - 3]]
+    G = [[_ZERO] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        G[i][j] = h[i]
+    L = math.lcm(*(x.denominator for x in h))
+    d, X = frame_inverse(G)
+    assert d == sympy.Matrix(G).det() * L ** n    # the det of the scaled G, its sign kept
+    assert [[F(x, d) for x in row] for row in X] == [[x / L for x in row] for row in _invert(G)]
+    got, want = _oracle_and_dense(B, G)
+    assert got == want
+    assert any(x for x in got[1][0])
 
 
 # ---------------------------------------------------------------------------
