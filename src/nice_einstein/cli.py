@@ -374,7 +374,8 @@ def cmd_verify(args) -> int:
     print("Ricci operator diagonal: ("
           + ", ".join(_fmt_frac(op[i][i]) for i in range(alg.n)) + ")")
     print(f"max |Ric - {_fmt_frac(lam)} id| = {_fmt_frac(res)}")
-    ok = res == 0 or float(res) <= tol
+    # an exact residual passes only at 0; the tolerance is for float metrics
+    ok = res == 0 if isinstance(res, (int, Fraction)) else float(res) <= tol
     print("verdict: " + ("PASS" if ok else "FAIL") + f" (tolerance {tol:g})")
     return 0 if ok else 1
 

@@ -8,25 +8,34 @@ norms are one contraction: on a basis with Gram matrix h, the inverse of
 the Lambda^2 Gram matrix is the Lambda^2 metric of h^-1, so only h is
 inverted.
 
-The connection is driven by the lowered brackets <[x,y],z>: each one is a
-term of three Koszul sums, so only the index pairs that have a term are
-visited.  G is scanned once, into its nonzero entries by row, and inverted
-once; from then on the oracle reads only the nonzero entries of G and of
-its inverse (by columns for the connection, by rows for the operator
-G^-1 Ric), and the Ricci tensor walks only nonzero connection rows.  The
-type of the input entries picks the arithmetic, and nothing else differs:
+G must be symmetric (every entry point raises ValueError otherwise,
+checked on its nonzero entries).  G is scanned once, into its nonzero
+entries by row, and inverted once; from then on the oracle reads only the
+nonzero entries of G and of its inverse (by columns for the connection, by
+rows for the operator G^-1 Ric), and the Ricci tensor walks only nonzero
+connection rows.  The type of the input entries picks the arithmetic:
 
 - integer path, when every Gram entry and structure constant is a Fraction
   or an int: G and the constants are scaled to integers by the lcm of their
   denominators.  det and adjugate of G are read off when G is monomial (one
-  nonzero h_i = G[i][p(i)] per row and column, as for every diagonal and
+  nonzero h_i = G[i][p(i)] per row, as for every diagonal and
   sigma-diagonal metric: det = sign(p) * prod h_i, and the adjugate has the
   one entry det / h_i at [p(i)][i]); any other G goes through fraction-free
-  (Bareiss) elimination.  Every sum runs on Python ints over nonzero entries
-  only.  The first Ricci sum, sum_a (D_a D_b)[a][cc], is taken once
-  through H[t] = sum_a D~[a][a][t], with both products summed over every a:
-  their a = b terms are equal, so they cancel exactly.  Each nonzero result entry is
-  one division into a Fraction at the end.
+  (Bareiss) elimination.  The connection is taken in adjoint form: G is
+  symmetric, so adj(G) . G = det * id turns the first Koszul term into
+  det * c~_ab^c, and the numerators are
+  D~[a][c][b] = det * c~_ab^c - A_b[c][a] - A_a[c][b] with
+  A_x = adj(G) . ad_x^T . G, summed over the nonzero constants, adjugate
+  columns and G rows.  The first Ricci sum, sum_a (D_a D_b)[a][cc], is
+  taken once through H[t] = sum_a D~[a][a][t].  On a monomial G the second,
+  sum_a (D_b D_a)[a][cc], walks the sparse connection rows; both run over
+  every a, and their a = b terms are equal, so they cancel exactly.  On an
+  eliminated G, where D~ is mostly nonzero, the second sum is
+  tr(D~_b D~_cc) + kappa * sum c~_{a,cc}^t D~[b][a][t], by the torsion
+  identity D~[a][t][cc] - D~[cc][t][a] = kappa * c~_{a,cc}^t, which holds
+  exactly in the integers; the trace is symmetric in (b, cc), so it is
+  summed once per pair b <= cc.  Each nonzero result entry is one division
+  into a Fraction at the end.
   The constants are scaled once per `LieBrackets` (`int_table`), and
   `LieBrackets.from_nice` keeps its result on the frozen algebra, so
   repeated calls on one algebra scale only their Gram matrices.  Every zero
@@ -36,14 +45,17 @@ type of the input entries picks the arithmetic, and nothing else differs:
   Fractions there, and a check of op = lambda id (the certificate check in
   `einstein`) compares entries with lambda and counts that zero before it
   builds any residual.  All-int inputs are exact too.
-- float path, otherwise: the entries are converted to floats.  A monomial G
-  is read off as 1/h_i, which is what Gauss-Jordan elimination gives, bit
-  for bit; any other G is inverted by Gauss-Jordan.  The same nonzero terms
-  are summed in the same index order as the dense Koszul and Ricci
-  formulas (the Ricci sums per t from a dense connection array, skipping
-  a = b), so the rounding does not depend on the sparse traversal.  The
-  dense order is a rule of this path alone.  Every zero of Ric and of the
-  operator is 0 * G[0][0].
+- float path, otherwise: the entries are converted to floats, the
+  constants once per `LieBrackets` (`float_table`).  A monomial G is read
+  off as 1/h_i, which is what Gauss-Jordan elimination gives, bit for bit;
+  any other G is inverted by Gauss-Jordan.  The connection is driven by the
+  lowered brackets <[x,y],z> (which `ad_invariance_check` reads too): each
+  one is a term of three Koszul sums, so only the index pairs that have a
+  term are visited.  The same nonzero terms are summed in the same index
+  order as the dense Koszul and Ricci formulas (the Ricci sums per t from a
+  dense connection array, skipping a = b), so the rounding does not depend
+  on the sparse traversal.  The dense order is a rule of this path alone.
+  Every zero of Ric and of the operator is 0 * G[0][0].
 """
 
 from __future__ import annotations
@@ -53,6 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
+from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import NiceLieAlgebra
@@ -118,6 +131,11 @@ class LieBrackets:
         M = math.lcm(1, *(v.denominator for v in consts))
         return M, {ab: tuple((k, v.numerator * (M // v.denominator)) for k, v in terms)
                    for ab, terms in self.table.items()}
+
+    @cached_property
+    def float_table(self) -> dict[tuple[int, int], tuple[tuple[int, float], ...]]:
+        """`table` with every constant converted to float."""
+        return {ab: tuple((k, float(v)) for k, v in terms) for ab, terms in self.table.items()}
 
 
 def _zero_of(x):
@@ -208,6 +226,17 @@ def _mat_mul(A, B):
     return out
 
 
+def _require_symmetric(rows: list) -> None:
+    """Raises ValueError unless the matrix with these nonzero rows is its own transpose."""
+    cols = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for z, x in row:
+            cols[z].append((i, x))
+    if cols != rows:
+        i = next(i for i, (row, col) in enumerate(zip(rows, cols)) if row != col)
+        raise ValueError(f"metric is not symmetric in row {i + 1}")
+
+
 @dataclass(frozen=True)
 class _Scaled:
     """Gram matrix and nonzero structure constants in the oracle's arithmetic.
@@ -226,18 +255,21 @@ class _Scaled:
 
     @classmethod
     def of(cls, brackets: LieBrackets, gram: Sequence[Sequence]) -> "_Scaled":
-        """Scales G in one scan; the constants come scaled from `brackets.int_table`."""
+        """Scales G in one scan; the constants come scaled from `brackets.int_table`.
+
+        Raises ValueError unless G is symmetric, checked on its nonzero entries.
+        """
         types = set(map(type, chain.from_iterable(gram)))
         if all(issubclass(t, (int, Fraction)) for t in types) and brackets.int_table is not None:
             M, c = brackets.int_table
             rows = [[(z, x) for z, x in enumerate(row) if x is not _ZERO and x] for row in gram]
             L = math.lcm(1, *(x.denominator for row in rows for _, x in row))
-            return cls(True, [[(z, x.numerator * (L // x.denominator)) for z, x in row]
-                              for row in rows], c, L, M, 0)
-        return cls(False, [[(z, x) for z, x in enumerate(map(float, row)) if x] for row in gram],
-                   {ab: tuple((k, float(v)) for k, v in terms)
-                    for ab, terms in brackets.table.items()},
-                   1, 1, 0 * float(gram[0][0]))
+            rows = [[(z, x.numerator * (L // x.denominator)) for z, x in row] for row in rows]
+            _require_symmetric(rows)
+            return cls(True, rows, c, L, M, 0)
+        rows = [[(z, x) for z, x in enumerate(map(float, row)) if x] for row in gram]
+        _require_symmetric(rows)
+        return cls(False, rows, brackets.float_table, 1, 1, 0 * float(gram[0][0]))
 
     def lowered(self) -> dict[tuple[int, int], list[tuple[int, object]]]:
         """<[e_x, e_y], e_z> in the scaled arithmetic: (x, y) -> [(z, value), ...] nonzero."""
@@ -256,20 +288,22 @@ class _Scaled:
 class _Frame:
     """One oracle call: the scaled inputs and the one inverse of G, by its nonzero entries.
 
-    The connection is D = (conn . K) / d_den for the lowered Koszul terms K;
+    The connection is D = (conn . K) / d_den for the lowered Koszul terms K
+    (on the integer path in adjoint form, see `_exact_connection`);
     Ric = R / d_den^2 with R = sum D~ D~ - kappa * c . D~ over the connection
     numerators D~; and the Ricci operator is L * (inv . R) / op_den.  cols[d]
     lists the nonzero (c, conn[c][d]) and inv[i] the nonzero (t, inv[i][t]),
     indices ascending.
 
-    Integer path: conn = inv = adj(G), det = +-det(G), d_den = 2 M det,
-    kappa = 2 det, op_den = det * d_den^2.  Float path: conn = G^-1 / 2,
-    inv = G^-1, and every other factor 1.
+    Integer path: conn = inv = adj(G) = det * G^-1 with det = +-det(G),
+    d_den = 2 M det, kappa = 2 det, op_den = det * d_den^2.  Float path:
+    conn = G^-1 / 2, inv = G^-1, and every other factor 1 (kappa too).
 
-    A monomial G, with one nonzero h_i = G[i][p(i)] per row and column (as
-    for every diagonal and sigma-diagonal metric), is read off: G^-1 has the
-    one nonzero 1/h_i at [p(i)][i], so adj(G) has det / h_i there, with
-    det = sign(p) * prod h_i; in floats 1/h_i is what Gauss-Jordan gives.
+    A monomial G, with one nonzero h_i = G[i][p(i)] per row (as for every
+    diagonal and sigma-diagonal metric; G is symmetric, so p is an
+    involution), is read off: G^-1 has the one nonzero 1/h_i at [p(i)][i],
+    so adj(G) has det / h_i there, with det = sign(p) * prod h_i and sign(p)
+    = -1 per transposition; in floats 1/h_i is what Gauss-Jordan gives.
     Any other G is eliminated, by Bareiss on integers and by Gauss-Jordan
     on floats.
     """
@@ -277,8 +311,9 @@ class _Frame:
     s: _Scaled
     cols: list
     inv: list
+    monomial: bool
+    det: int
     d_den: int
-    kappa: int
     op_den: int
 
     @classmethod
@@ -286,11 +321,12 @@ class _Frame:
         s = _Scaled.of(brackets, gram)
         n = len(s.rows)
         perm = [row[0][0] for row in s.rows if len(row) == 1]
-        if len(perm) == n and len(set(perm)) == n:
+        monomial = len(perm) == n       # G is symmetric, so perm is an involution
+        if monomial:
             h = [row[0][1] for row in s.rows]
             if s.exact:
-                inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
-                det = (-1) ** inversions * math.prod(h)
+                transpositions = sum(p > i for i, p in enumerate(perm))
+                det = (-1) ** transpositions * math.prod(h)
                 entries = [det // x for x in h]
             else:
                 det = 1
@@ -309,8 +345,8 @@ class _Frame:
             cols = [[(c, x) for c, x in enumerate(col) if x] for col in zip(*adj)]
         if s.exact:
             d_den = 2 * s.M * det
-            return cls(s, cols, inv, d_den, 2 * det, det * d_den * d_den)
-        return cls(s, [[(c, x / 2) for c, x in col] for col in cols], inv, 1, 1, 1)
+            return cls(s, cols, inv, monomial, det, d_den, det * d_den * d_den)
+        return cls(s, [[(c, x / 2) for c, x in col] for col in cols], inv, monomial, 1, 1, 1)
 
     def quotient(self, num, den):
         if not self.s.exact:
@@ -318,18 +354,17 @@ class _Frame:
         return Fraction(num, den) if num else _ZERO
 
 
-def _connection(f: _Frame, dense: bool) -> tuple[list, Optional[list]]:
-    """Connection numerators D~ by nonzero row, and as a dense array when asked.
+def _connection(f: _Frame) -> tuple[list, list]:
+    """Float connection D by nonzero row, and as a dense array.
 
-    D~[a][c][b] = d_den * (e_c-component of nabla_{e_a} e_b), from the Koszul
+    D[a][c][b] is the e_c-component of nabla_{e_a} e_b, from the Koszul
     formula for left-invariant metrics:
     2<nabla_a b, d> = <[a,b],d> - <[b,d],a> + <[d,a],b>.
     A lowered bracket <[x,y],z> = w is the first term at (a, b, d) = (x, y, z),
     the second at (z, x, y) and the third at (y, z, x), so only the pairs
     (a, b) with a term are visited.  rows[a][c] lists the nonzero
-    (b, D~[a][c][b]), b ascending.  The dense D (None unless asked) holds
-    every summed entry, a float that cancelled to zero included, and int 0
-    elsewhere.
+    (b, D[a][c][b]), b ascending.  The dense D holds every summed entry, a
+    float that cancelled to zero included, and int 0 elsewhere.
     """
     n = len(f.s.rows)
     low = f.s.lowered()
@@ -349,7 +384,7 @@ def _connection(f: _Frame, dense: bool) -> tuple[list, Optional[list]]:
                 at = koszul[(y, z)] = {}
             at[x] = at.get(x, 0) + w
     cols = f.cols
-    D = [[[0] * n for _ in range(n)] for _ in range(n)] if dense else None
+    D = [[[0] * n for _ in range(n)] for _ in range(n)]
     rows = [[[] for _ in range(n)] for _ in range(n)]
     for (a, b) in sorted(koszul):
         at = koszul[(a, b)]
@@ -359,21 +394,53 @@ def _connection(f: _Frame, dense: bool) -> tuple[list, Optional[list]]:
             if kd:
                 for c, p in cols[d]:
                     col[c] = col.get(c, 0) + p * kd
-        rows_a = rows[a]
+        rows_a, Da = rows[a], D[a]
         for c, v in col.items():
             if v:
                 rows_a[c].append((b, v))
-        if dense:
-            Da = D[a]
-            for c, v in col.items():
-                Da[c][b] = v
+            Da[c][b] = v
+    return rows, D
+
+
+def _exact_connection(f: _Frame) -> tuple[list, list]:
+    """Integer connection numerators D~, by nonzero row and as a dense int array.
+
+    G is symmetric, so adj(G) . G = det * id, and the adjugate applied to the
+    Koszul terms gives, with A_x = adj(G) . ad_x^T . G,
+
+        D~[a][c][b] = det * c~_ab^c - A_b[c][a] - A_a[c][b].
+
+    A_x[c][j] = sum adj[c][d] * c~_xd^k * G[k][j], over the nonzero
+    constants, adjugate columns and G rows.  rows[a][c] lists the nonzero
+    (b, D~[a][c][b]), b ascending.
+    """
+    n = len(f.s.rows)
+    G, cols, c = f.s.rows, f.cols, f.s.c
+    D = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (x, d), terms in c.items():
+        Dx = D[x]
+        for k, v in terms:
+            Gk = G[k]
+            for cc, p in cols[d]:
+                Dxc, pv = Dx[cc], p * v
+                for j, g in Gk:          # w = A_x[cc][j]: in D~[x][cc][j] and D~[j][cc][x]
+                    w = pv * g
+                    Dxc[j] -= w
+                    D[j][cc][x] -= w
+    det = f.det
+    for (a, b), terms in c.items():
+        Da = D[a]
+        for k, v in terms:
+            Da[k][b] += det * v
+    rows = [[[(b, x) for b, x in enumerate(row) if x] if any(row) else () for row in Da]
+            for Da in D]
     return rows, D
 
 
 def levi_civita(brackets: LieBrackets, gram: Sequence[Sequence]) -> list:
     """Connection matrices D[a], with D[a][c][b] the e_c-component of nabla_{e_a} e_b."""
     f = _Frame.of(brackets, gram)
-    _, D = _connection(f, dense=True)
+    _, D = _exact_connection(f) if f.s.exact else _connection(f)
     return [[[f.quotient(x, f.d_den) for x in row] for row in Da] for Da in D]
 
 
@@ -398,13 +465,18 @@ def riemann_endomorphisms(brackets: LieBrackets, gram: Sequence[Sequence]) -> di
     return R
 
 
-def _exact_ricci(f: _Frame, rows: list) -> list[list[int]]:
+def _exact_ricci(f: _Frame, rows: list, D: list) -> list[list[int]]:
     """R[b][cc] = sum_t H[t] D~[b][t][cc] - sum_a sum_t D~[b][a][t] D~[a][t][cc] - kappa c . D~.
 
     Ric(b, cc) = sum_a (D_a D_b - D_b D_a - D_[a,b])[a][cc], where the first
     product summed over a is H . D_b with H[t] = sum_a D~[a][a][t], taken once.
     Both sums run over every a: their a = b terms are equal, so they cancel
-    exactly in integers.
+    exactly in integers.  On a monomial G the second sum walks the sparse
+    rows.  On an eliminated G, where D~ is mostly nonzero, the connection is
+    torsion free, D~[a][t][cc] - D~[cc][t][a] = kappa * c~_{a,cc}^t, so the
+    second sum is tr(D~_b D~_cc) + kappa * sum_{a,t} c~_{a,cc}^t D~[b][a][t];
+    the trace is symmetric in (b, cc) and is summed once per pair b <= cc,
+    over the dense arrays.
     """
     n = len(rows)
     H = {}
@@ -412,30 +484,44 @@ def _exact_ricci(f: _Frame, rows: list) -> list[list[int]]:
         for t, x in rows_a[a]:
             H[t] = H.get(t, 0) + x
     H = [(t, h) for t, h in H.items() if h]
+    kappa = 2 * f.det
     lin = [[] for _ in range(n)]     # b -> (a, k, kappa * c[a][b][k])
     for (a, b), terms in f.s.c.items():
-        lin[b].extend((a, k, f.kappa * v) for k, v in terms)
+        lin[b].extend((a, k, kappa * v) for k, v in terms)
     R = []
-    for rows_b, lin_b in zip(rows, lin):
+    for rows_b, lin_b, Db in zip(rows, lin, D):
         acc = [0] * n
         for t, h in H:
             for cc, v in rows_b[t]:
                 acc[cc] += h * v
-        for rows_a, ys in zip(rows, rows_b):
-            for t, y in ys:
-                for cc, v in rows_a[t]:
-                    acc[cc] -= y * v
+        if f.monomial:
+            for rows_a, ys in zip(rows, rows_b):
+                for t, y in ys:
+                    for cc, v in rows_a[t]:
+                        acc[cc] -= y * v
+        else:
+            for cc, lin_cc in enumerate(lin):      # the torsion term of the trace form
+                for a, t, kv in lin_cc:
+                    acc[cc] -= kv * Db[a][t]
         for a, k, kv in lin_b:
             for cc, v in rows[k][a]:
                 acc[cc] -= kv * v
         R.append(acc)
+    if not f.monomial:
+        flat = [list(chain.from_iterable(Db)) for Db in D]           # D~[b][a][t]
+        flat_t = [list(chain.from_iterable(zip(*Db))) for Db in D]   # D~[cc][t][a]
+        for b, (Rb, Fb) in enumerate(zip(R, flat)):
+            for cc in range(b, n):
+                tr = sum(map(mul, Fb, flat_t[cc]))
+                Rb[cc] -= tr
+                if cc != b:
+                    R[cc][b] -= tr
     return R
 
 
 def _float_ricci(f: _Frame, rows: list, D: list) -> list[list[float]]:
     """The Ricci numerators in floats, each sum in the dense formula's index order."""
     n = len(rows)
-    lin = {ab: tuple((k, f.kappa * v) for k, v in terms) for ab, terms in f.s.c.items()}
     R = []
     for b in range(n):
         # Ric(b, cc) = sum_a (D_a D_b - D_b D_a - D_[a,b])[a][cc]
@@ -465,7 +551,7 @@ def _float_ricci(f: _Frame, rows: list, D: list) -> list[list[float]]:
                 for t, y in ys:
                     for cc, v in rows_a[t]:
                         acc[cc] -= y * v
-            for k, kv in lin.get((a, b), ()):
+            for k, kv in f.s.c.get((a, b), ()):     # kappa = 1
                 for cc, v in rows[k][a]:
                     acc[cc] -= kv * v
         R.append(acc)
@@ -481,8 +567,7 @@ def ricci_tensor(brackets: LieBrackets, gram: Sequence[Sequence]) -> tuple[list,
     """
     f = _Frame.of(brackets, gram)
     exact = f.s.exact
-    rows, D = _connection(f, dense=not exact)
-    R = _exact_ricci(f, rows) if exact else _float_ricci(f, rows, D)
+    R = _exact_ricci(f, *_exact_connection(f)) if exact else _float_ricci(f, *_connection(f))
     n = len(R)
     op = []
     for inv_i in f.inv:

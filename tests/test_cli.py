@@ -148,6 +148,15 @@ def test_verify_failure(capsys):
     assert "FAIL" in out
 
 
+def test_verify_exact_metric_fails_unless_the_residual_is_zero(capsys):
+    # 1/20000000000 is far below the default tolerance, but the metric is exact
+    code, out = run_cli(capsys, "verify", "631:6",
+                        "--metric", "1,1,1,1,-1,10000000001/10000000000", "--lambda", "0")
+    assert code == 1
+    assert out.splitlines()[-2:] == ["max |Ric - 0 id| = 1/20000000000",
+                                     "verdict: FAIL (tolerance 1e-09)"]
+
+
 def test_verify_sigma_metric(capsys):
     # the delta=1 certificate of the sigma classification
     code, out = run_cli(capsys, "verify", "741:6", "--param", "lambda=1/2",

@@ -267,6 +267,25 @@ def ldlt_gram(rng, n):
              for j in range(n)] for i in range(n)]
 
 
+def hyperbolic_gram(rng, n):
+    """An indefinite Gram matrix P^T H P that is not monomial, with G[0][0] = 0.
+
+    H has hyperbolic blocks [[0,1],[1,0]] (and 1 last when n is odd), and P
+    is unit upper triangular, so elimination of G must swap rows.
+    """
+    H = diagonal_gram([F(1)] * n)
+    for k in range(0, n - 1, 2):
+        H[k][k] = H[k + 1][k + 1] = _ZERO
+        H[k][k + 1] = H[k + 1][k] = F(1)
+    while True:
+        P = [[F(int(r == c)) if c <= r else rng.choice([F(0), F(0), F(1), F(-1), F(2), F(1, 2)])
+              for c in range(n)] for r in range(n)]
+        G = [[sum((P[k][i] * H[k][m] * P[m][j] for k in range(n) for m in range(n)), F(0))
+              for j in range(n)] for i in range(n)]
+        if any(sum(map(bool, row)) > 1 for row in G):
+            return G
+
+
 def scal_identity(B, G):
     """-1/4 sum G^{ac} G^{bd} g([e_a,e_b],[e_c,e_d]): scal of a nilpotent metric Lie algebra."""
     n = B.n
@@ -329,7 +348,7 @@ def frame_inverse(A):
 
     The frame keeps the inverse twice, by nonzero rows and (halved on the
     float path) by nonzero columns; both must give the same dense matrix.
-    On the integer path d = kappa / 2 = +-det A; on the float path d = 1.
+    On the integer path d = +-det A; on the float path d = 1.
     """
     n = len(A)
     f = _Frame.of(LieBrackets(n, (((0,) * n,) * n,) * n), A)
@@ -342,23 +361,26 @@ def frame_inverse(A):
         for c, x in col:
             by_cols[c][d] = x if f.s.exact else 2 * x
     assert by_rows == by_cols
-    return (f.kappa // 2 if f.s.exact else 1), by_rows
+    return f.det, by_rows
 
 
 def test_adjugate_is_det_times_inverse():
+    """Bareiss on any square matrix, and the frame on a symmetric one: d * A^-1, |d| = |det A|."""
     rng = random.Random(11)
     for _ in range(200):
         n = rng.randint(1, 6)
         A = [[rng.choice([0, 0, 1, -1, 2, -3, 7]) for _ in range(n)] for _ in range(n)]
-        try:
-            inv = _invert([[F(x) for x in row] for row in A])
-        except DegenerateMetricError:
-            with pytest.raises(DegenerateMetricError, match="^metric is degenerate$"):
-                frame_inverse(A)
-            continue
-        d, X = frame_inverse(A)
-        assert abs(d) == abs(sympy.Matrix(A).det())
-        assert [[F(x, d) for x in row] for row in X] == inv
+        S = [[A[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        for M, adjugate in ((A, _bareiss_adjugate), (S, frame_inverse)):
+            try:
+                inv = _invert([[F(x) for x in row] for row in M])
+            except DegenerateMetricError:
+                with pytest.raises(DegenerateMetricError, match="^metric is degenerate$"):
+                    adjugate(M)
+                continue
+            d, X = adjugate(M)
+            assert abs(d) == abs(sympy.Matrix(M).det())
+            assert [[F(x, d) for x in row] for row in X] == inv
 
 
 def _parity(perm):
@@ -366,17 +388,27 @@ def _parity(perm):
     return sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:]) % 2
 
 
+def _involution(rng, n):
+    """A random involution of 0..n-1: disjoint transpositions, each pair kept with odds 1/2."""
+    perm = list(range(n))
+    order = list(range(n))
+    rng.shuffle(order)
+    for i, j in zip(order[::2], order[1::2]):
+        if rng.random() < 0.5:
+            perm[i], perm[j] = j, i
+    return perm
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_monomial_adjugate_matches_bareiss(n):
-    """Signed permutation times diagonal: read off, the same as eliminated, floats bit for bit."""
+    """Symmetric signed involution times diagonal: read off, the same as eliminated, floats bit for bit."""
     rng = random.Random(f"monomial/{n}")
     parities = set()
     for _ in range(30):
-        perm = list(range(n))
-        rng.shuffle(perm)
+        perm = _involution(rng, n)
         A = [[0] * n for _ in range(n)]
         for i, j in enumerate(perm):
-            A[i][j] = rng.choice([1, -1, 2, -3, 5, 6, -12, 49])
+            A[i][j] = A[j][i] = rng.choice([1, -1, 2, -3, 5, 6, -12, 49])
         det = sympy.Matrix(A).det()
         d, X = frame_inverse(A)
         bd, bX = _bareiss_adjugate(A)
@@ -395,15 +427,19 @@ def test_monomial_adjugate_matches_bareiss(n):
 
 def test_monomial_looking_singular_matrices_rejected(algebras):
     B = bra(algebras["heisenberg"])
+    oracles = (frame_inverse, lambda A: levi_civita(B, A), lambda A: ricci_tensor(B, A))
     for G in ([[2, 0, 0], [0, 0, 0], [0, 0, -1]],       # a zero row
-              [[0, 3, 0], [0, -1, 0], [1, 0, 0]],       # one nonzero per row, a shared column
               [[1, 2, 0], [2, 4, 0], [0, 0, 3]]):       # a singular 2x2 block
         for gram in (G, [[F(x, 3) for x in row] for row in G],
                      [[float(x) for x in row] for row in G]):
-            for oracle in (frame_inverse, lambda A: levi_civita(B, A),
-                           lambda A: ricci_tensor(B, A)):
+            for oracle in oracles:
                 with pytest.raises(DegenerateMetricError, match="^metric is degenerate$"):
                     oracle(gram)
+    # One nonzero per row with a shared column: no symmetric matrix looks like this.
+    G = [[0, 3, 0], [0, -1, 0], [1, 0, 0]]
+    for oracle in oracles:
+        with pytest.raises(ValueError, match="^metric is not symmetric in row 1$"):
+            oracle(G)
 
 
 def test_singular_dense_gram_rejected(algebras):
@@ -550,7 +586,8 @@ def test_certificate_ricci_matches_the_dense_sums():
 
 
 def _oracle_sweep_metrics(rng, entry):
-    """(algebra, Gram matrix) pairs: diagonal, sigma-diagonal and dense, exact and float.
+    """(algebra, Gram matrix) pairs: diagonal, sigma-diagonal and dense, exact and float,
+    and an exact indefinite P^T H P with zeros on its diagonal.
 
     The algebra is at the parameters of the entry's first record, and at
     those of its first sigma record for the sigma metrics.
@@ -565,7 +602,8 @@ def _oracle_sweep_metrics(rng, entry):
     out = [(a, diagonal_gram([rng.choice(exact) for _ in range(n)])),
            (a, diagonal_gram(floats)),
            (a, ldlt_gram(rng, n)),
-           (a, [[float(x) for x in row] for row in ldlt_gram(rng, n)])]
+           (a, [[float(x) for x in row] for row in ldlt_gram(rng, n)]),
+           (a, hyperbolic_gram(rng, n))]
     sig = entry.expected.get("sigma", [])
     if sig:
         a = entry.algebra({p: F(v) for p, v in sig[0].get("param", {}).items()})
@@ -598,7 +636,7 @@ def test_oracle_matches_the_dense_sums_on_every_catalog_algebra():
                 assert repr(got) == repr(want)
             kinds[exact] += 1
     assert sigma_entries == 17
-    assert kinds == {True: 2 * 44 + 17, False: 2 * 44 + 17}
+    assert kinds == {True: 3 * 44 + 17, False: 2 * 44 + 17}
 
 
 def _oracle_and_dense(B, G):
@@ -655,22 +693,27 @@ def test_partially_sparse_gram_matches_the_dense_sums(algebras, name):
 
 
 @pytest.mark.parametrize("name", ["631:6", "842:117", "dim10"])
-def test_three_cycle_monomial_gram_matches_the_dense_sums(algebras, name):
-    """A monomial G whose permutation is no involution, with negative entries: read off exactly."""
+def test_non_symmetric_gram_rejected(algebras, name):
+    """G[i][j] != G[j][i]: a ValueError from every oracle entry point, int, Fraction or float.
+
+    The exact connection reads adj(G) . G = det * id, which needs G^T = G.
+    Two shapes: a diagonal G with G[3][4] != G[4][3], and a monomial G on
+    the 3-cycle 1 -> 2 -> 3 -> 1 (no symmetric matrix is monomial on a
+    permutation that is not an involution).
+    """
     B = bra(algebras[name])
     n = B.n
-    perm = [1, 2, 0, *range(3, n)]         # the 3-cycle 1 -> 2 -> 3 -> 1 on e_1, e_2, e_3
     h = [F(-2), F(3), F(-1, 3), *([F(-3, 2), F(2, 5)] * n)[:n - 3]]
-    G = [[_ZERO] * n for _ in range(n)]
-    for i, j in enumerate(perm):
-        G[i][j] = h[i]
-    L = math.lcm(*(x.denominator for x in h))
-    d, X = frame_inverse(G)
-    assert d == sympy.Matrix(G).det() * L ** n    # the det of the scaled G, its sign kept
-    assert [[F(x, d) for x in row] for row in X] == [[x / L for x in row] for row in _invert(G)]
-    got, want = _oracle_and_dense(B, G)
-    assert got == want
-    assert any(x for x in got[1][0])
+    pair = diagonal_gram(h)
+    pair[3][4], pair[4][3] = F(1), F(2)
+    cycle = [[_ZERO] * n for _ in range(n)]
+    for i, j in enumerate([1, 2, 0, *range(3, n)]):
+        cycle[i][j] = h[i]
+    for G, row in ((pair, 4), (cycle, 1)):
+        for gram in (G, [[int(30 * x) for x in r] for r in G], [[float(x) for x in r] for r in G]):
+            for oracle in (levi_civita, ricci_tensor, ad_invariance_check):
+                with pytest.raises(ValueError, match=f"^metric is not symmetric in row {row}$"):
+                    oracle(B, gram)
 
 
 # ---------------------------------------------------------------------------
