@@ -22,8 +22,8 @@ from .diagram import (
     ArrowIndex,
     NiceDiagram,
     Permutation,
+    check_involution,
     index_set,
-    is_automorphism,
     root_matrix,
     sigma_arrow_action,
 )
@@ -66,10 +66,6 @@ class Affine:
         if not self.is_constant:
             raise ParseError(f"unresolved parameter(s): {sorted(self.params())}")
         return self.const
-
-
-def _format_rat(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +302,7 @@ def _build_algebra(name, n, consts) -> NiceLieAlgebra:
     alg = NiceLieAlgebra(name, diagram, c)
     residuals = jacobi_residuals(alg)
     if residuals:
-        head = ", ".join(f"d2(e^{k}) has {_format_rat(v)} e^{{{a}{b}{c_}}}"
+        head = ", ".join(f"d2(e^{k}) has {v} e^{{{a}{b}{c_}}}"
                          for (k, (a, b, c_)), v in residuals[:3])
         raise ParseError(f"Jacobi identity fails: {head}")
     return alg
@@ -339,7 +335,7 @@ def to_string(a: NiceLieAlgebra) -> str:
             elif cv == -1:
                 text = f"-e^{{{digits}}}"
             else:
-                text = f"{_format_rat(cv)}e^{{{digits}}}"
+                text = f"{cv}e^{{{digits}}}"
             if chunks and not text.startswith("-"):
                 chunks.append("+")
             chunks.append(text)
@@ -404,10 +400,7 @@ def bracket_vec(a: NiceLieAlgebra, u: Sequence, v: Sequence) -> list:
 
 def tilde_c(a: NiceLieAlgebra, sigma: Permutation) -> tuple[Fraction, ...]:
     """Structure constants transported by an order-two diagram automorphism."""
-    if not is_automorphism(a.diagram, sigma):
-        raise ValueError("sigma is not a diagram automorphism")
-    if any(sigma[sigma[v - 1] - 1] != v for v in range(1, a.n + 1)):
-        raise ValueError("sigma is not an involution")
+    check_involution(a.diagram, sigma)
     mapping, signs = sigma_arrow_action(a.diagram, sigma)
     out = [Fraction(0)] * a.m
     for p in range(a.m):
@@ -501,10 +494,7 @@ def sigma_eigenspace_involutivity(
 
     The eigenspaces are spanned by f_i^+- = e_i +- e_{sigma(i)}.
     """
-    if not is_automorphism(a.diagram, sigma):
-        raise ValueError("sigma is not a diagram automorphism")
-    if any(sigma[sigma[v - 1] - 1] != v for v in range(1, a.n + 1)):
-        raise ValueError("sigma is not an involution")
+    check_involution(a.diagram, sigma)
     if any(sigma[v - 1] == v for v in range(1, a.n + 1)):
         raise ValueError("sigma has fixed points")
     reps = sorted({min(v, sigma[v - 1]) for v in range(1, a.n + 1)})

@@ -86,8 +86,7 @@ def _check_record(entry: CatalogEntry, mode: str, rec: dict, tol: float) -> list
             (parse_permutation(rec["sigma"], fam.n) if rec.get("sigma") else None),
             k, tol)
         want = [str(Fraction(s)) for s in rec.get("solutions", [])]
-        got = [f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-               for v, _ in solved]
+        got = [str(v) for v, _ in solved]
         out.append(CheckOutcome(entry.name, label + f" solve {pname}",
                                 got == want, "{" + ",".join(got) + "}",
                                 "{" + ",".join(want) + "}"))

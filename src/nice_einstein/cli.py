@@ -62,7 +62,7 @@ CSV_COLUMNS = ["name", "mode", "k", "outcome", "half_S", "sigma", "p", "q"]
 
 
 def _tolerance(args) -> float:
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         return float(args.tol)
     env = os.environ.get("NICE_EINSTEIN_TOL")
     return float(env) if env else DEFAULT_TOL
@@ -112,12 +112,6 @@ def _load_algebra(args):
     return fam.substitute(_params_of(args))
 
 
-def _fmt_frac(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return repr(x)
-
-
 # ---------------------------------------------------------------------------
 # Result records
 
@@ -128,8 +122,8 @@ def result_record(res: ClassificationResult, params: dict) -> dict:
         "name": res.algebra,
         "mode": res.mode,
         "sigma": format_permutation(res.sigma) if res.sigma else None,
-        "k": _fmt_frac(res.k),
-        "params": {n: _fmt_frac(v) for n, v in sorted(params.items())},
+        "k": str(res.k),
+        "params": {n: str(v) for n, v in sorted(params.items())},
         "outcome": "metrics" if res.success else "fails",
         "failed_at": res.failed_at,
         "detail": res.detail,
@@ -152,10 +146,10 @@ def result_record(res: ClassificationResult, params: dict) -> dict:
     for c in res.certificates:
         rec["certificates"].append({
             "delta": format_delta(c.delta),
-            "X": [_fmt_frac(x) for x in c.X],
-            "metric": [_fmt_frac(g) for g in c.metric.g],
+            "X": [str(x) for x in c.X],
+            "metric": [str(g) for g in c.metric.g],
             "free_directions": [list(v) for v in c.freedom.exponents],
-            "oracle_residual": _fmt_frac(c.oracle_residual),
+            "oracle_residual": str(c.oracle_residual),
             "exact": c.exact,
         })
     return rec
@@ -267,14 +261,14 @@ def cmd_info(args) -> int:
     kerM = kernel_basis(M)
     print(f"ker M (diagonal derivations), dim {len(kerM)}:")
     for v in kerM:
-        print("   (" + ", ".join(_fmt_frac(x) for x in v) + ")")
+        print("   (" + ", ".join(map(str, v)) + ")")
     kert = kernel_basis(M.transpose())
     print(f"ker tM, dim {len(kert)}:")
     for v in kert:
-        print("   (" + ", ".join(_fmt_frac(x) for x in v) + ")")
+        print("   (" + ", ".join(map(str, v)) + ")")
     w = nonzero_trace_derivation_witness(alg)
     print("nonzero-trace diagonal derivation: "
-          + ("none" if w is None else "(" + ", ".join(_fmt_frac(x) for x in w) + ")"))
+          + ("none" if w is None else "(" + ", ".join(map(str, w)) + ")"))
     auts = automorphisms(alg.diagram)
     print(f"Aut(diagram), order {len(auts)}: "
           + ", ".join(format_permutation(p) for p in auts))
@@ -316,7 +310,7 @@ def cmd_einstein(args) -> int:
                              f"parameter; unresolved: {', '.join(work.params()) or 'none'}")
         sols = parameter_solve(work, sigma, k, tol)
         print(f"solved {args.solve_param}: "
-              + ("{ " + ", ".join(_fmt_frac(s) for s, _ in sols) + " }" if sols else "none"))
+              + ("{ " + ", ".join(str(s) for s, _ in sols) + " }" if sols else "none"))
         for s, res in sols:
             records.append(result_record(res, dict(params, **{args.solve_param: s})))
         _emit_records(records, args.out)
@@ -360,23 +354,21 @@ def _parse_metric(alg, args):
     for i, j in combinations(range(alg.n), 2):
         if G[i][j] != G[j][i]:
             raise ParseError(f"metric is not symmetric: entry ({i + 1},{j + 1}) is "
-                             f"{_fmt_frac(G[i][j])} but ({j + 1},{i + 1}) is {_fmt_frac(G[j][i])}")
+                             f"{G[i][j]} but ({j + 1},{i + 1}) is {G[j][i]}")
     return G
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerance(args)
     alg = _load_algebra(args)
     G = _parse_metric(alg, args)
     lam = _rational(args.lam, "--lambda")
     _, op = ricci_tensor(LieBrackets.from_nice(alg), G)
     res = einstein_residual(op, lam)
     print("Ricci operator diagonal: ("
-          + ", ".join(_fmt_frac(op[i][i]) for i in range(alg.n)) + ")")
-    print(f"max |Ric - {_fmt_frac(lam)} id| = {_fmt_frac(res)}")
-    # an exact residual passes only at 0; the tolerance is for float metrics
-    ok = res == 0 if isinstance(res, (int, Fraction)) else float(res) <= tol
-    print("verdict: " + ("PASS" if ok else "FAIL") + f" (tolerance {tol:g})")
+          + ", ".join(str(op[i][i]) for i in range(alg.n)) + ")")
+    print(f"max |Ric - {lam} id| = {res}")
+    ok = res == 0   # every --metric entry is rational, so the residual is exact
+    print("verdict: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 
 
@@ -385,14 +377,14 @@ def cmd_curvature(args) -> int:
     G = _parse_metric(alg, args)
     B = LieBrackets.from_nice(alg)
     rn = riemann_norm(B, G)
-    print(f"g(R,R)   = {_fmt_frac(rn)}")
+    print(f"g(R,R)   = {rn}")
     try:
         pn = projected_riemann_norm(B, G)
-        print(f"g(R',R') = {_fmt_frac(pn)}")
+        print(f"g(R',R') = {pn}")
     except DegenerateMetricError as exc:
         print(f"g(R',R') = not computed ({exc})")
     s = scalar_curvature(B, G)
-    print(f"scalar curvature = {_fmt_frac(s)}")
+    print(f"scalar curvature = {s}")
     ok, witness = ad_invariance_check(B, G)
     if ok:
         print("ad-invariant: yes")
@@ -487,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help='diagonal entries "g1,g2,..." or matrix rows "a,b;c,d"')
     p.add_argument("--sigma", help="interpret the vector as a sigma-diagonal metric")
     p.add_argument("--lambda", dest="lam", default="0", help="target eigenvalue of the Ricci operator")
-    p.add_argument("--tol", type=float, help="tolerance for float metrics")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("curvature", help="curvature norms, scalar curvature, ad-invariance")

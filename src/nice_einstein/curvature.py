@@ -20,10 +20,13 @@ connection rows.  The type of the input entries picks the arithmetic:
   denominators.  det and adjugate of G are read off when G is monomial (one
   nonzero h_i = G[i][p(i)] per row, as for every diagonal and
   sigma-diagonal metric: det = sign(p) * prod h_i, and the adjugate has the
-  one entry det / h_i at [p(i)][i]); any other G goes through fraction-free
-  (Bareiss) elimination.  The connection is taken in adjoint form: G is
-  symmetric, so adj(G) . G = det * id turns the first Koszul term into
-  det * c~_ab^c, and the numerators are
+  one entry det / h_i at [p(i)][i]); any other G goes through
+  `linalg.bareiss`, the fraction-free elimination that `rref` runs, on
+  [G | I].  Only dense G reach it, and certificates are monomial, so the
+  oracle's check of a certificate shares no code with the K solve.  The
+  connection is taken in adjoint form: G is symmetric, so
+  adj(G) . G = det * id turns the first Koszul term into det * c~_ab^c,
+  and the numerators are
   D~[a][c][b] = det * c~_ab^c - A_b[c][a] - A_a[c][b] with
   A_x = adj(G) . ad_x^T . G, summed over the nonzero constants, adjugate
   columns and G rows.  The first Ricci sum, sum_a (D_a D_b)[a][cc], is
@@ -69,6 +72,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import NiceLieAlgebra
+from .linalg import bareiss
 
 
 _ZERO = Fraction(0)     # every exact zero entry the oracle makes
@@ -178,35 +182,6 @@ def _invert(G: Sequence[Sequence]) -> list[list]:
     return [row[n:] for row in A]
 
 
-def _bareiss_adjugate(A: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(d, d * A^-1) for a nonsingular integer matrix A, where d = +-det A.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968): every division is
-    exact, so all intermediate entries stay integers.
-    """
-    n = len(A)
-    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if M[r][k]), None)
-        if piv is None:
-            raise DegenerateMetricError("metric is degenerate")
-        M[k], M[piv] = M[piv], M[k]
-        Mk = M[k]
-        p = Mk[k]
-        for i in range(n):
-            if i == k:
-                continue
-            Mi = M[i]
-            f = Mi[k]
-            if f:
-                M[i] = [(p * x - f * y) // prev for x, y in zip(Mi, Mk)]
-            elif p != prev:
-                M[i] = [p * x // prev for x in Mi]
-        prev = p
-    return prev, [row[n:] for row in M]
-
-
 def _mat_mul(A, B):
     # zero-skipping pays off: connections on nice algebras are very sparse
     n = len(A)
@@ -304,8 +279,8 @@ class _Frame:
     involution), is read off: G^-1 has the one nonzero 1/h_i at [p(i)][i],
     so adj(G) has det / h_i there, with det = sign(p) * prod h_i and sign(p)
     = -1 per transposition; in floats 1/h_i is what Gauss-Jordan gives.
-    Any other G is eliminated, by Bareiss on integers and by Gauss-Jordan
-    on floats.
+    Any other G is eliminated, by `bareiss` on [G | I] on integers and by
+    Gauss-Jordan on floats.
     """
 
     s: _Scaled
@@ -340,7 +315,14 @@ class _Frame:
             for Gi, row in zip(G, s.rows):
                 for z, x in row:
                     Gi[z] = x
-            det, adj = _bareiss_adjugate(G) if s.exact else (1, _invert(G))
+            if s.exact:
+                det, rows, pivots = bareiss(
+                    [Gi + [int(i == j) for j in range(n)] for i, Gi in enumerate(G)])
+                if pivots[n - 1] != n - 1:
+                    raise DegenerateMetricError("metric is degenerate")
+                adj = [row[n:] for row in rows]
+            else:
+                det, adj = 1, _invert(G)
             inv = [[(t, x) for t, x in enumerate(row) if x] for row in adj]
             cols = [[(c, x) for c, x in enumerate(col) if x] for col in zip(*adj)]
         if s.exact:

@@ -220,6 +220,14 @@ def is_automorphism(d: NiceDiagram, perm: Permutation) -> bool:
     return True
 
 
+def check_involution(d: NiceDiagram, sigma: Permutation) -> None:
+    """Raise ValueError unless sigma is an involutive diagram automorphism."""
+    if not is_automorphism(d, sigma):
+        raise ValueError("sigma is not a diagram automorphism")
+    if any(sigma[sigma[v - 1] - 1] != v for v in range(1, d.n + 1)):
+        raise ValueError("sigma is not an involution")
+
+
 def sigma_arrow_action(
     d: NiceDiagram, perm: Permutation
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -549,14 +549,14 @@ class _Systems:
 
 
 def _build_systems(a: NiceLieAlgebra, k: Fraction,
-                   sigma: Optional[Permutation]) -> Optional[_Systems]:
-    """K, L and P for (a, sigma, k); None for an abelian algebra (no arrows).
+                   sigma: Optional[Permutation]) -> _Systems:
+    """K, L and P for (a, sigma, k).
 
+    An abelian algebra (no arrows) needs no case of its own: K is n rows
+    that read 0 = k, L has no arrow checks, and P has no exponents.
     Raises ValueError unless sigma is an involutive diagram automorphism.
     """
     weights = _weights(a, sigma)
-    if a.m == 0:
-        return None
     M, M2 = root_matrix(a.diagram)
     k_rows = [list(r) for r in M.transpose().data]
     k_rhs = [k] * a.n
@@ -719,8 +719,6 @@ def _classify(
 ) -> ClassificationResult:
     mode = "diagonal" if sigma is None else "sigma"
     sy = _build_systems(a, k, sigma)
-    if sy is None:
-        return _abelian_result(a, k, sigma)
     aff = sy.aff
     if aff is None:
         return ClassificationResult(
@@ -789,32 +787,6 @@ def _certificate(a, X, delta, k, sigma, dec, tol, warnings, facts) -> EinsteinCe
         tuple(X), k, delta, metric, freedom, residual, exact, dec.note)
 
 
-def _abelian_result(a, k, sigma) -> ClassificationResult:
-    mode = "diagonal" if sigma is None else "sigma"
-    if k != 0:
-        return ClassificationResult(
-            a.name, mode, sigma, k, False, "K",
-            "an abelian algebra is flat, so only k = 0 is solvable",
-            True, (), None)
-    from itertools import product as iproduct
-
-    if a.n > 12:
-        raise ValueError("abelian signature enumeration capped at n = 12")
-    deltas = []
-    certs = []
-    for delta in iproduct((0, 1), repeat=a.n):
-        if sigma is not None and not _sigma_invariant(delta, sigma):
-            continue
-        deltas.append(delta)
-        metric, freedom = recover_metric(a, (), delta, sigma)
-        certs.append(EinsteinCertificate(
-            (), Fraction(0), delta, metric, freedom, Fraction(0), True, "abelian"))
-    report = _build_report(deltas, sigma)
-    return ClassificationResult(
-        a.name, mode, sigma, Fraction(0), True, None, "flat", True,
-        tuple(certs), report)
-
-
 def diagonal_einstein(a: NiceLieAlgebra, k=0, tol: float = DEFAULT_TOL) -> ClassificationResult:
     """Decide existence of a diagonal metric with Ric = (k/2) id."""
     return _classify(a, Fraction(k), None, tol)
@@ -836,8 +808,7 @@ def sufficient_condition(a: NiceLieAlgebra, k) -> bool:
     if k == 0:
         raise ValueError("the sufficient condition applies to k != 0 only")
     sy = _build_systems(a, k, None)
-    return (sy is not None and sy.l_system.rank == a.m
-            and sy.aff is not None and not sy.zero)
+    return sy.l_system.rank == a.m and sy.aff is not None and not sy.zero
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +857,7 @@ def parameter_solve(
         except ParseError:  # a coefficient vanishes, or Jacobi fails, at the probe
             continue
         sy = _build_systems(probe, k, sigma)
-        if sy is None or sy.aff is None or sy.zero:
+        if sy.aff is None or sy.zero:
             continue
         found.update(parameter_roots(
             sy.aff, feasible_orthants(sy.aff, parity=sy.parity), sy.alphas,

@@ -4,16 +4,17 @@ Everything in this module is exact: matrix entries are `fractions.Fraction`
 (or plain ints for GF(2), Smith-form and Fourier-Motzkin work) and no
 floating point ever enters.  Sizes are tiny (at most ~15 x 12), so the
 algorithms are the straightforward textbook ones with deterministic
-left-to-right pivoting.  Rational row reduction is fraction-free: `rref`
-scales each row to integers, eliminates on Python ints with Bareiss's exact
-divisions, and forms one `Fraction` per entry at the end.  Reductions that
-serve many right-hand sides are prepared once: `F2Reduction` keeps the row
-operations of one GF(2) reduction, and `MultiplicativeSystem` keeps the
-Smith form of one multiplicative system.  Strict sign feasibility is
-Fourier-Motzkin elimination from the last variable down, kept
-incrementally in primitive integer rows (`StrictSystem`), so that a search
-over sign patterns adds and removes one row per branch instead of
-re-eliminating the whole system.
+left-to-right pivoting.  Row reduction is fraction-free: `bareiss` is the
+one Gauss-Jordan loop on Python ints, with Bareiss's exact divisions.
+`rref` scales each row to integers, runs it, and forms one `Fraction` per
+entry at the end; the curvature oracle runs it on [G | I] for its
+adjugate.  Reductions that serve many right-hand sides are prepared
+once: `F2Reduction` keeps the row operations of one GF(2) reduction, and
+`MultiplicativeSystem` keeps the Smith form of one multiplicative system.
+Strict sign feasibility is Fourier-Motzkin elimination from the last
+variable down, kept incrementally in primitive integer rows
+(`StrictSystem`), so that a search over sign patterns adds and removes one
+row per branch instead of re-eliminating the whole system.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class MatQ:
         return cls(rows, cols, tuple(tuple([Fraction(0)] * cols) for _ in range(rows)))
 
     def transpose(self) -> "MatQ":
-        return MatQ(self.cols, self.rows, tuple(zip(*self.data)) if self.data else ())
+        data = tuple(zip(*self.data)) if self.data else ((),) * self.cols
+        return MatQ(self.cols, self.rows, data)
 
     def mul_vec(self, v: Sequence) -> VecQ:
         if len(v) != self.cols:
@@ -167,19 +169,21 @@ def in_orthant(X: Sequence, eps: Sequence[int]) -> bool:
 # Rational Gaussian elimination
 
 
-def rref(M: MatQ) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; pivots chosen left to right.
+def bareiss(A: list[Sequence[int]]) -> tuple[int, list[Sequence[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss 1968).
 
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968): each row is
-    scaled to a primitive integer row, every update (p * row_i - f * row_r)
-    divides exactly by the previous pivot, and at the end every pivot row
-    holds the same pivot d and is divided by it once.  The reduced form is
-    unique, so the result equals rational elimination's, entry for entry.
+    Pivots are chosen left to right, each the first nonzero entry at or
+    below the current row.  Every update (p * row_i - f * row_r) divides
+    exactly by the previous pivot, so all entries stay integers, and at the
+    end every pivot row holds the same pivot d at its pivot column: the rows
+    are d times the reduced row echelon form.  A is reduced in place.
 
-    Returns (reduced rows, pivot column indices).
+    Returns (d, rows, pivot column indices); d = 1 when there is no pivot.
+    On [A | I] for a square nonsingular A, d = +-det A and the right half
+    is d * A^-1.
     """
-    A = [_int_scale(row) for row in M.data]
-    nrows, ncols = M.rows, M.cols
+    nrows = len(A)
+    ncols = len(A[0]) if A else 0
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -204,7 +208,21 @@ def rref(M: MatQ) -> tuple[list[list[Fraction]], list[int]]:
         prev = d
         pivots.append(c)
         r += 1
-    return [[Fraction(x, prev) for x in row] for row in A], pivots
+    return prev, A, pivots
+
+
+def rref(M: MatQ) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; pivots chosen left to right.
+
+    Each row is scaled to a primitive integer row and eliminated by
+    `bareiss`; every entry is then divided once by the common pivot.  The
+    reduced form is unique, so the result equals rational elimination's,
+    entry for entry.
+
+    Returns (reduced rows, pivot column indices).
+    """
+    d, A, pivots = bareiss([_int_scale(row) for row in M.data])
+    return [[Fraction(x, d) for x in row] for row in A], pivots
 
 
 def rank(M: MatQ) -> int:

@@ -14,6 +14,7 @@ from nice_einstein import (
     parse_permutation,
     root_matrix,
     sigma_eigenspace_involutivity,
+    sigma_einstein,
     tilde_c,
     to_string,
 )
@@ -148,6 +149,17 @@ def test_tilde_c_involution_round_trip(families):
 def test_tilde_c_rejects_non_automorphism(algebras):
     with pytest.raises(ValueError):
         tilde_c(algebras["631:6"], parse_permutation("(12)", 6))
+
+
+@pytest.mark.parametrize("text, sigma, message", [
+    ("(0,0,0,e^{12},e^{13},e^{25}+e^{34})", "(12)", "sigma is not a diagram automorphism"),
+    ("(0,0,0)", "(123)", "sigma is not an involution"),
+])
+@pytest.mark.parametrize("check", [tilde_c, sigma_eigenspace_involutivity, sigma_einstein])
+def test_sigma_must_be_an_involutive_automorphism(text, sigma, message, check):
+    a = parse(text)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(a, parse_permutation(sigma, a.n))
 
 
 def test_diagonal_derivations_dims(algebras):

@@ -153,8 +153,7 @@ def test_verify_exact_metric_fails_unless_the_residual_is_zero(capsys):
     code, out = run_cli(capsys, "verify", "631:6",
                         "--metric", "1,1,1,1,-1,10000000001/10000000000", "--lambda", "0")
     assert code == 1
-    assert out.splitlines()[-2:] == ["max |Ric - 0 id| = 1/20000000000",
-                                     "verdict: FAIL (tolerance 1e-09)"]
+    assert out.splitlines()[-2:] == ["max |Ric - 0 id| = 1/20000000000", "verdict: FAIL"]
 
 
 def test_verify_sigma_metric(capsys):
@@ -275,11 +274,23 @@ def test_catalog_run_subset_csv_deterministic(capsys):
 
 
 def test_tolerance_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("NICE_EINSTEIN_TOL", "1e-3")
-    code, out = run_cli(capsys, "verify", "631:6",
-                        "--metric", "1,1,1,1,-1,1", "--lambda", "0")
-    assert code == 0
-    assert "tolerance 0.001" in out
+    # 8531:60a at k = 1 has two float certificates with oracle residual about 8e-15
+    code, out = run_cli(capsys, "einstein", "8531:60a", "--k", "1")
+    assert code == 0 and "warning" not in out
+    for env, flag in (("1e-30", []), ("1", ["--tol", "1e-30"])):
+        monkeypatch.setenv("NICE_EINSTEIN_TOL", env)
+        code, out = run_cli(capsys, "einstein", "8531:60a", "--k", "1", *flag)
+        assert code == 3
+        warnings = [line for line in out.splitlines() if "warning" in line]
+        assert len(warnings) == 2
+        assert all(w.startswith("  warning: numeric certificate for delta=")
+                   and w.endswith(" above tolerance 1e-30") for w in warnings)
+
+
+def test_verify_has_no_tolerance(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "631:6", "--metric", "1,1,1,1,-1,1", "--tol", "1e-3"])
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -383,7 +394,7 @@ def _readme_cli_argvs():
 
 
 # sha256 over argv, exit code and stdout of every README example, in order.
-README_CLI_SHA256 = "e691aabaddc1b1086748075096170ef9456c6468526a5366fe5adb806da1a1ea"
+README_CLI_SHA256 = "4e5e5667a6e9bb52d312ec2b99c96d564c112b091d2b2b388b1004ee61cc1a58"
 
 
 def test_readme_command_line_examples_are_pinned(capsys):

@@ -23,6 +23,8 @@ from nice_einstein import (
     sigma_signature,
     sufficient_condition,
 )
+from nice_einstein.catalog import load_catalog, run_entry
+from nice_einstein.einstein import DEFAULT_TOL, delta_sort_key
 from nice_einstein.linalg import kernel_basis
 
 
@@ -115,14 +117,28 @@ def test_842_117_einstein_nonzero(algebras):
 
 def test_abelian_k0_all_signatures():
     r = diagonal_einstein(parse("(0,0,0)"), 0)
-    assert r.success
+    assert r.success and (r.detail, r.exact) == ("", True)
     assert len(r.signatures.S) == 8
     assert [format_delta(d) for d in r.signatures.half_S] == ["∅", "1", "2", "3"]
+    assert all(c.X == () and c.exact and c.oracle_residual == 0 for c in r.certificates)
+    assert [c.metric.g for c in r.certificates[:3]] == [(1, 1, 1), (-1, 1, 1), (1, -1, 1)]
 
 
 def test_abelian_k_nonzero_fails():
     r = diagonal_einstein(parse("(0,0)"), 1)
     assert not r.success and r.failed_at == "K"
+    assert r.detail == "the weight system tM X = [k] has no solution"
+
+
+def test_certificates_come_in_delta_sort_key_order():
+    results = [c.result for e in load_catalog() for c in run_entry(e, DEFAULT_TOL)
+               if c.result is not None and c.result.success]
+    results += [diagonal_einstein(parse("(0,0,0)"), 0),
+                sigma_einstein(parse("(0,0)"), (2, 1), 0)]
+    assert len({id(r) for r in results}) == 47   # 45 catalog records with metrics
+    for r in results:
+        keys = [delta_sort_key(c.delta) for c in r.certificates]
+        assert keys == sorted(keys), r.algebra
 
 
 def test_sigma_731_15_trivial_invariant_space(algebras):

@@ -485,6 +485,15 @@ def test_fraction_free_rref_edge_shapes():
     assert _solve_affine_reference(MatQ.from_rows([[1], [1]]), [1, 2]) is None
 
 
+def test_transpose_of_a_matrix_without_rows_has_empty_rows():
+    T = MatQ.zero(0, 3).transpose()
+    assert (T.rows, T.cols, T.data) == (3, 0, ((), (), ()))
+    assert T.transpose() == MatQ.zero(0, 3)
+    # the K system of an abelian algebra: three rows that read 0 = k
+    assert solve_affine(T, [0, 0, 0]) == AffineSet((), ())
+    assert solve_affine(T, [1, 1, 1]) is None
+
+
 @st.composite
 def _f2_matrices(draw):
     nrows = draw(st.integers(0, 6))
