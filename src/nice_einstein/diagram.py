@@ -4,6 +4,12 @@ A labeled diagram has nodes 1..n and arrows i --j--> k (source i, target k,
 label j).  The four axioms checked by `validate_nice` make the diagram
 "nice"; arrows then pair up as {i,j} -> k and are indexed by the set of
 triples ((i, j), k) with i < j, ordered lexicographically by (k, i, j).
+
+A diagram is validated once per process: `NiceDiagram.from_pairs` returns
+the same frozen instance for every (n, arrow set) it has seen, so the
+per-diagram caches (`index_set`, `root_matrix`, and the Einstein
+pipeline's systems for each (diagram, sigma, k)) hit by identity, whatever
+the structure constants of the algebra that was parsed.
 """
 
 from __future__ import annotations
@@ -111,12 +117,20 @@ class NiceDiagram:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int, int]]) -> "NiceDiagram":
-        """Build from unordered-pair arrows {i,j} -> k, validating axioms."""
-        raw = []
-        for (i, j, k) in pairs:
-            raw.append((i, j, k))
-            raw.append((j, i, k))
-        return cls.from_raw(n, raw)
+        """Build from unordered-pair arrows {i,j} -> k, validating axioms.
+
+        Each (n, arrow set) is validated once per process and always gives
+        the same frozen instance, so the per-diagram caches (`root_matrix`,
+        `index_set` and the Einstein pipeline's) hit by identity.  A
+        non-nice input raises ValueError on every call.
+        """
+        return _nice_diagram(
+            n, tuple(sorted({(min(i, j), max(i, j), k) for (i, j, k) in pairs})))
+
+
+@lru_cache(maxsize=None)
+def _nice_diagram(n: int, pairs: tuple[ArrowIndex, ...]) -> NiceDiagram:
+    return NiceDiagram.from_raw(n, [a for (i, j, k) in pairs for a in ((i, j, k), (j, i, k))])
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,17 @@ by a lex Groebner basis of the cleared system (`solver.decide_condition_p`),
 which also yields the candidate values of a family parameter
 (`solver.parameter_roots`).  Every certificate carries the residual of the
 independent curvature oracle.
+
+The structure constants enter the conditions only through the sign shift
+of the weights (L) and the right-hand sides |c|^(2 alpha) (P).  Everything
+else is built once per (diagram, sigma, k) by `_diagram_systems`: K's
+reduced rows and solution set, H's zero coordinates, the L system's GF(2)
+reduction, the exponents alpha, the functional classes and, per L parity,
+the feasible orthants of the unsliced set.  Metric recovery's rows,
+sigma-orbits, kernel freedom and Smith form are built once per
+(diagram, sigma) by `_recovery_base`.  Both caches live for the process,
+like `diagram.root_matrix`, with one entry per distinct key; per algebra
+remain the weights, their signs, P's right-hand sides and the solved rays.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .algebra import NiceLieAlgebra, ParseError, tilde_c
@@ -27,7 +38,7 @@ from .curvature import (
     ricci_tensor,
     sigma_gram,
 )
-from .diagram import Permutation, root_matrix, sigma_arrow_action
+from .diagram import NiceDiagram, Permutation, root_matrix, sigma_arrow_action
 from .linalg import (
     AffineSet,
     F2Reduction,
@@ -37,10 +48,13 @@ from .linalg import (
     _int_scale,
     _rational_root,
     kernel_basis,
+    rref,
     solve_affine,
     symmetric_signature,
 )
 from .solver import (
+    FunctionalClasses,
+    Orthant,
     abs_monomial,
     classify_functionals,
     decide_condition_p,
@@ -324,43 +338,60 @@ def _build_report(deltas: list[SignVec], sigma: Optional[Permutation]) -> Signat
 
 
 @dataclass(frozen=True)
-class _Recovery:
-    """What metric recovery needs of one (algebra, sigma), whatever X and delta.
+class _RecoveryBase:
+    """What metric recovery needs of one (diagram, sigma), whatever the constants.
 
     `rows` are the integer rows of M, or for sigma M's columns summed over
     each sigma-orbit, which forces an invariant metric; `orb_of` maps a
-    node to its orbit (sigma only).  `system` is the multiplicative system
-    on `rows`, prepared once.  `by_ray` holds the magnitudes `solve` found
-    for each |X|, and `by_X` its whole answer for each X.
+    node to its orbit (sigma only).  `freedom` is the kernel of M (or its
+    sigma-invariant part) and `system` the multiplicative system on `rows`,
+    prepared once.  Built once per process by `_recovery_base`.
     """
 
     M2: MatF2
-    weights: list
-    rows: list
+    rows: tuple
     orb_of: Optional[dict]
     freedom: MetricFreedom
     system: MultiplicativeSystem
+
+
+@lru_cache(maxsize=None)
+def _recovery_base(d: NiceDiagram, sigma: Optional[Permutation]) -> _RecoveryBase:
+    M, M2 = root_matrix(d)
+    rows = M.to_int_rows()
+    orb_of = None
+    # Free positive directions: rational kernel of M (or its sigma-invariant part).
+    if sigma is None:
+        ker = kernel_basis(M)
+    else:
+        ker = kernel_basis(MatQ.from_rows(
+            list(M.data) + _difference_rows(_node_pairs(sigma), d.n)))
+        orbits = _orbits(sigma)
+        orb_of = {v: o_i for o_i, orb in enumerate(orbits) for v in orb}
+        rows = [[sum(row[v - 1] for v in orb) for orb in orbits] for row in rows]
+    return _RecoveryBase(M2, tuple(map(tuple, rows)), orb_of,
+                         MetricFreedom(tuple(_int_scale(v) for v in ker)),
+                         MultiplicativeSystem(rows))
+
+
+@dataclass(frozen=True)
+class _Recovery:
+    """What metric recovery needs of one (algebra, sigma), whatever X and delta.
+
+    `base` is the diagram's part, shared by every algebra on it; `weights`
+    are this algebra's.  `by_ray` holds the magnitudes `solve` found for
+    each |X|, and `by_X` its whole answer for each X.
+    """
+
+    base: _RecoveryBase
+    weights: list
     by_ray: dict = field(default_factory=dict, compare=False, repr=False)
     by_X: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, a: NiceLieAlgebra, sigma: Optional[Permutation]) -> "_Recovery":
-        M, M2 = root_matrix(a.diagram)
         weights = _weights(a, sigma)
-        rows = M.to_int_rows()
-        orb_of = None
-        # Free positive directions: rational kernel of M (or its sigma-invariant part).
-        if sigma is None:
-            ker = kernel_basis(M)
-        else:
-            ker = kernel_basis(MatQ.from_rows(
-                list(M.data) + _difference_rows(_node_pairs(sigma), a.n)))
-            orbits = _orbits(sigma)
-            orb_of = {v: o_i for o_i, orb in enumerate(orbits) for v in orb}
-            rows = [[sum(row[v - 1] for v in orb) for orb in orbits] for row in rows]
-        return cls(M2, weights, rows, orb_of,
-                   MetricFreedom(tuple(_int_scale(v) for v in ker)),
-                   MultiplicativeSystem(rows))
+        return cls(_recovery_base(a.diagram, sigma), weights)
 
     def solve(self, X: Sequence) -> tuple[Optional[SignVec], tuple]:
         """(logsign of X_I / weight_I, |g| on the columns of `rows`) for ray X.
@@ -383,9 +414,9 @@ class _Recovery:
         mags = self.by_ray.get(ray)
         if mags is None:
             if rational:
-                mags = self.system.solve([abs(r) for r in rhs])
+                mags = self.base.system.solve([abs(r) for r in rhs])
             if mags is None:
-                mags = _log_solve(self.rows, X, self.weights)
+                mags = _log_solve(self.base.rows, X, self.weights)
             self.by_ray[ray] = mags
         out = self.by_X[key] = (signs, mags)
         return out
@@ -419,13 +450,14 @@ def recover_metric(
     if facts is None:
         facts = _Recovery.of(a, sigma)
     signs, mags = facts.solve(X)
-    if signs is not None and tuple(facts.M2.mul_vec(delta)) != signs:
+    base = facts.base
+    if signs is not None and tuple(base.M2.mul_vec(delta)) != signs:
         raise ValueError("sign pattern violates the mod-2 condition")
     if sigma is not None:
-        mags = [mags[facts.orb_of[v]] for v in range(1, a.n + 1)]
+        mags = [mags[base.orb_of[v]] for v in range(1, a.n + 1)]
     g = tuple(-m if d else m for d, m in zip(delta, mags))
     metric = DiagonalMetric(g, delta) if sigma is None else SigmaMetric(sigma, g, delta)
-    return metric, facts.freedom
+    return metric, base.freedom
 
 
 def _orbits(sigma: Permutation) -> list[tuple[int, ...]]:
@@ -501,19 +533,76 @@ class _Winner:
 
 
 @dataclass(frozen=True)
+class _DiagramSystems:
+    """The K, H, L and P structure of one (diagram, sigma, k), constants aside.
+
+    K (tM X = [k], then X_p = X_q for sigma-paired arrows), the L system
+    and the P exponents depend on the diagram, sigma and k alone; the
+    structure constants enter only through `_Systems`.  Built once per
+    process by `_diagram_systems` and shared by every algebra on the
+    diagram; nothing in it changes after that but its two memos.
+    """
+
+    k_rows: tuple               # the nonzero rows of rref[K | k], without the k column
+    k_rhs: tuple                # their k column
+    aff: Optional[AffineSet]    # solutions of K; None when inconsistent
+    zero: tuple[int, ...]       # coordinates vanishing identically on aff
+    l_system: F2Reduction       # of M2, then delta_v + delta_w for sigma-paired nodes
+    alphas: tuple               # P exponents: primitive kernel vectors of K
+    by_parity: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def classes(self) -> FunctionalClasses:
+        """`classify_functionals(aff)`; aff is not None."""
+        return classify_functionals(self.aff)
+
+    def orthants(self, parity: tuple[tuple[int, int], ...]) -> tuple[Orthant, ...]:
+        """`feasible_orthants(aff)` under the parity constraints, kept per parity."""
+        out = self.by_parity.get(parity)
+        if out is None:
+            out = self.by_parity[parity] = tuple(
+                feasible_orthants(self.aff, parity=parity, classes=self.classes))
+        return out
+
+
+@lru_cache(maxsize=None)
+def _diagram_systems(d: NiceDiagram, sigma: Optional[Permutation],
+                     k: Fraction) -> _DiagramSystems:
+    """K, L and the P exponents for (d, sigma, k).
+
+    An abelian diagram (no arrows) needs no case of its own: K is n rows
+    that read 0 = k, L has no arrow checks, and P has no exponents.
+    K is kept reduced: a slice's rows join its pivot rows, which span the
+    same rows as K and k, so the slice's solution set is the same.
+    """
+    M, M2 = root_matrix(d)
+    augmented = [[*r, k] for r in M.transpose().data]   # [K | k]
+    l_system = M2
+    if sigma is not None:
+        mapping, _ = sigma_arrow_action(d, sigma)
+        augmented += [[*r, Fraction(0)] for r in _difference_rows(
+            [(p, q) for p, q in enumerate(mapping) if q > p], M.rows)]
+        node_rows = _difference_rows(_node_pairs(sigma), d.n)
+        if node_rows:
+            l_system = M2.stack(MatF2.from_rows(node_rows))
+    R, pivots = rref(MatQ.from_rows(augmented))
+    R = R[:len(pivots)]
+    rows = tuple(tuple(r[:-1]) for r in R)
+    rhs = tuple(r[-1] for r in R)
+    aff = solve_affine(MatQ(len(rows), M.rows, rows), rhs)
+    return _DiagramSystems(
+        rows, rhs, aff, () if aff is None else aff.zero_coords(), F2Reduction(l_system),
+        () if aff is None else tuple(_int_scale(v) for v in aff.basis))
+
+
+@dataclass(frozen=True)
 class _Systems:
     """The K, L and P systems of one (algebra, sigma, k); see `_build_systems`."""
 
     a: NiceLieAlgebra
     sigma: Optional[Permutation]
-    k: Fraction
-    k_rows: list                # tM, then X_p - X_q for sigma-paired arrows
-    k_rhs: list                 # [k] * n, then zeros
-    aff: Optional[AffineSet]    # solutions of K; None when inconsistent
-    zero: tuple[int, ...]       # coordinates vanishing identically on aff
-    l_system: F2Reduction       # of M2, then delta_v + delta_w for sigma-paired nodes
+    base: _DiagramSystems
     shift: tuple[int, ...]      # logsign of the weights: M2 delta = eps + shift
-    alphas: list                # P exponents: primitive kernel vectors of K
     p_rhs: list                 # |c|^(2 alpha) for each exponent row
 
     @cached_property
@@ -527,7 +616,7 @@ class _Systems:
         """
         m = len(self.shift)
         shift = sum(s << j for j, s in enumerate(self.shift))
-        masks = [c & ((1 << m) - 1) for c in self.l_system.checks]
+        masks = [c & ((1 << m) - 1) for c in self.base.l_system.checks]
         return tuple((mask, (mask & shift).bit_count() & 1) for mask in masks)
 
     def deltas(self, eps: Sequence[int]) -> list[SignVec]:
@@ -535,9 +624,9 @@ class _Systems:
 
         eps satisfies `parity`, so there is at least one; none raises.
         """
+        l_system = self.base.l_system
         target = [e ^ s for e, s in zip(eps, self.shift)]
-        out = self.l_system.solve_all(
-            target + [0] * (self.l_system.rows - len(target)))
+        out = l_system.solve_all(target + [0] * (l_system.rows - len(target)))
         if not out:
             raise RuntimeError("an orthant that satisfies the L parity checks has no L solution")
         return out
@@ -550,32 +639,14 @@ class _Systems:
 
 def _build_systems(a: NiceLieAlgebra, k: Fraction,
                    sigma: Optional[Permutation]) -> _Systems:
-    """K, L and P for (a, sigma, k).
+    """K, L and P for (a, sigma, k): the diagram's part, then the constants'.
 
-    An abelian algebra (no arrows) needs no case of its own: K is n rows
-    that read 0 = k, L has no arrow checks, and P has no exponents.
     Raises ValueError unless sigma is an involutive diagram automorphism.
     """
     weights = _weights(a, sigma)
-    M, M2 = root_matrix(a.diagram)
-    k_rows = [list(r) for r in M.transpose().data]
-    k_rhs = [k] * a.n
-    l_system = M2
-    if sigma is not None:
-        mapping, _ = sigma_arrow_action(a.diagram, sigma)
-        arrow_rows = _difference_rows(
-            [(p, q) for p, q in enumerate(mapping) if q > p], a.m)
-        k_rows += arrow_rows
-        k_rhs += [Fraction(0)] * len(arrow_rows)
-        node_rows = _difference_rows(_node_pairs(sigma), a.n)
-        if node_rows:
-            l_system = M2.stack(MatF2.from_rows(node_rows))
-    aff = solve_affine(MatQ.from_rows(k_rows), k_rhs)
-    alphas = [] if aff is None else [_int_scale(v) for v in aff.basis]
-    return _Systems(
-        a, sigma, k, k_rows, k_rhs, aff, () if aff is None else aff.zero_coords(),
-        F2Reduction(l_system), logsign(weights), alphas,
-        [abs_monomial(a.c, row) ** 2 for row in alphas])
+    base = _diagram_systems(a.diagram, sigma, k)
+    return _Systems(a, sigma, base, logsign(weights),
+                    [abs_monomial(a.c, row) ** 2 for row in base.alphas])
 
 
 def _coord_names(coords) -> str:
@@ -660,13 +731,15 @@ def _binomial_pattern(fc, a_row, R: Fraction):
 def _explore(ctx: _Search, extra_rows: list, extra_rhs: list,
              remaining: tuple[int, ...]) -> None:
     sy = ctx.sy
-    aff = sy.aff
+    base = sy.base
+    aff, fc = base.aff, base.classes
     if extra_rows:
-        aff = solve_affine(MatQ.from_rows(sy.k_rows + extra_rows), sy.k_rhs + extra_rhs)
-    if aff is None:
-        ctx.block("H", "a forced linear slice is inconsistent")
-        return
-    fc = classify_functionals(aff)
+        aff = solve_affine(MatQ.from_rows([*base.k_rows, *extra_rows]),
+                           [*base.k_rhs, *extra_rhs])
+        if aff is None:
+            ctx.block("H", "a forced linear slice is inconsistent")
+            return
+        fc = classify_functionals(aff)
     if fc.zero_coords:
         ctx.block("H", f"coordinate(s) {_coord_names(fc.zero_coords)} vanish identically")
         return
@@ -674,7 +747,7 @@ def _explore(ctx: _Search, extra_rows: list, extra_rhs: list,
     # Exact reduction: consume constant equations, branch on binomial ones.
     rest = list(remaining)
     for ei in list(rest):
-        pat = _binomial_pattern(fc, sy.alphas[ei], sy.p_rhs[ei])
+        pat = _binomial_pattern(fc, base.alphas[ei], sy.p_rhs[ei])
         if pat is None:
             continue
         kind, payload = pat
@@ -691,14 +764,15 @@ def _explore(ctx: _Search, extra_rows: list, extra_rhs: list,
 
     # Leaf: enumerate the orthants that pass L, then solve what remains.
     # Some orthant is feasible here, so an empty list means all fail L.
-    orthants = feasible_orthants(aff, parity=sy.parity, classes=fc)
+    orthants = (feasible_orthants(aff, parity=sy.parity, classes=fc) if extra_rows
+                else base.orthants(sy.parity))
     if not orthants:
         ctx.block("L", "a feasible sign pattern is not attainable mod 2")
     for o in orthants:
         deltas = sy.deltas(o.eps)
         dec = decide_condition_p(
             aff, o.eps, o.witness_t,
-            [sy.alphas[ei] for ei in rest], [sy.p_rhs[ei] for ei in rest],
+            [base.alphas[ei] for ei in rest], [sy.p_rhs[ei] for ei in rest],
             memo=ctx.bases)
         if dec.solvable:
             ctx.winners.append(_Winner(o.eps, deltas, dec))
@@ -719,25 +793,25 @@ def _classify(
 ) -> ClassificationResult:
     mode = "diagonal" if sigma is None else "sigma"
     sy = _build_systems(a, k, sigma)
-    aff = sy.aff
+    aff = sy.base.aff
     if aff is None:
         return ClassificationResult(
             a.name, mode, sigma, k, False, "K",
             "the weight system tM X = [k] has no solution"
             + ("" if sigma is None else " with X sigma-invariant"),
             True, (), None)
-    if sy.zero:
+    if sy.base.zero:
         extra_note = ""
         if sigma is not None and aff.dim == 0 and all(x == 0 for x in aff.particular):
             extra_note = " (the sigma-invariant solution space is trivial)"
         return ClassificationResult(
             a.name, mode, sigma, k, False, "H",
-            f"coordinate(s) {_coord_names(sy.zero)} vanish identically on the solution set"
+            f"coordinate(s) {_coord_names(sy.base.zero)} vanish identically on the solution set"
             + extra_note,
             True, (), None)
 
     ctx = _Search(sy)
-    _explore(ctx, [], [], tuple(range(len(sy.alphas))))
+    _explore(ctx, [], [], tuple(range(len(sy.base.alphas))))
 
     if ctx.winners:
         certs = []
@@ -807,8 +881,8 @@ def sufficient_condition(a: NiceLieAlgebra, k) -> bool:
     k = Fraction(k)
     if k == 0:
         raise ValueError("the sufficient condition applies to k != 0 only")
-    sy = _build_systems(a, k, None)
-    return sy.l_system.rank == a.m and sy.aff is not None and not sy.zero
+    base = _diagram_systems(a.diagram, None, k)
+    return base.l_system.rank == a.m and base.aff is not None and not base.zero
 
 
 # ---------------------------------------------------------------------------
@@ -857,10 +931,11 @@ def parameter_solve(
         except ParseError:  # a coefficient vanishes, or Jacobi fails, at the probe
             continue
         sy = _build_systems(probe, k, sigma)
-        if sy.aff is None or sy.zero:
+        base = sy.base
+        if base.aff is None or base.zero:
             continue
         found.update(parameter_roots(
-            sy.aff, feasible_orthants(sy.aff, parity=sy.parity), sy.alphas,
+            base.aff, base.orthants(sy.parity), base.alphas,
             tuple(affine[idx] for idx in probe.indices()), lo, hi, bases))
 
     confirmed = []

@@ -22,6 +22,7 @@ from nice_einstein import (
     sigma_einstein,
     sigma_signature,
     sufficient_condition,
+    to_string,
 )
 from nice_einstein.catalog import load_catalog, run_entry
 from nice_einstein.einstein import DEFAULT_TOL, delta_sort_key
@@ -373,19 +374,49 @@ def _counting(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_recovery_facts_built_once_per_classification(monkeypatch):
+def _clear_diagram_caches():
+    """Empty the per-diagram caches, so the next classification builds everything."""
+    import nice_einstein.diagram as diagram
+    import nice_einstein.einstein as einstein
+
+    diagram._nice_diagram.cache_clear()
+    einstein._diagram_systems.cache_clear()
+    einstein._recovery_base.cache_clear()
+
+
+def _rescaled(a, s):
+    """a in the basis e'_i = s_i e_i, parsed again from its structure string."""
+    import dataclasses
+
+    c = tuple(cv * F(s[i - 1]) * s[j - 1] / s[k - 1]
+              for (i, j, k), cv in zip(a.indices(), a.c))
+    assert c != a.c
+    return parse(to_string(dataclasses.replace(a, c=c)))
+
+
+def test_recovery_facts_built_once_per_diagram(monkeypatch):
+    import nice_einstein.diagram as diagram
     import nice_einstein.einstein as einstein
     import nice_einstein.linalg as linalg
     from nice_einstein.catalog import find_entry
 
+    _clear_diagram_caches()
     counts = {}
+    _counting(monkeypatch, diagram, "validate_nice", counts)
     _counting(monkeypatch, einstein, "kernel_basis", counts)
     _counting(monkeypatch, linalg, "smith_normal_form", counts)
+    _counting(monkeypatch, einstein, "F2Reduction", counts)
     _counting(monkeypatch, einstein, "recover_metric", counts)
-    res = diagonal_einstein(find_entry("841:48").algebra({"a2": F(2)}), 0)
+    a = find_entry("841:48").algebra({"a2": F(2)})
+    res = diagonal_einstein(a, 0)
     assert res.success and len(res.certificates) == 32
-    assert counts == {"kernel_basis": 1, "smith_normal_form": 1, "recover_metric": 32}
-
+    assert counts == {"validate_nice": 1, "kernel_basis": 1, "smith_normal_form": 1,
+                      "F2Reduction": 1, "recover_metric": 32}
+    # the same diagram in another basis: new constants, nothing rebuilt
+    counts.clear()
+    again = diagonal_einstein(_rescaled(a, (2, 3, 1, 1, 1, 1, 1, 1)), 0)
+    assert again.success and len(again.certificates) == 32
+    assert counts == {"recover_metric": 32}
 
 
 def test_exact_magnitudes_solved_once_per_ray(monkeypatch):
@@ -548,11 +579,14 @@ def test_recover_metric_checks_every_sign_pattern_on_a_solved_ray(algebras):
         recover_metric(a, res.certificates[0].X, bad, facts=facts)
 
 
-def test_l_system_reduced_once_per_classification(monkeypatch):
+def test_l_system_reduced_once_per_diagram(monkeypatch):
+    import nice_einstein.diagram as diagram
     import nice_einstein.einstein as einstein
     from nice_einstein.catalog import find_entry
 
+    _clear_diagram_caches()
     counts = {}
+    _counting(monkeypatch, diagram, "validate_nice", counts)
     _counting(monkeypatch, einstein, "F2Reduction", counts)
     returned, solved = [], []
     enumerate_orthants, solve_deltas = einstein.feasible_orthants, einstein._Systems.deltas
@@ -569,7 +603,79 @@ def test_l_system_reduced_once_per_classification(monkeypatch):
     monkeypatch.setattr(einstein._Systems, "deltas", recorded_deltas)
     # a catalog-nonlinear record: many orthants, one L system serving every
     # orthant that L's parity checks let through
-    res = diagonal_einstein(find_entry("86532:6").algebra(), 1)
+    a = find_entry("86532:6").algebra()
+    res = diagonal_einstein(a, 1)
     assert res.success
-    assert counts["F2Reduction"] == 1
+    assert counts == {"validate_nice": 1, "F2Reduction": 1}
     assert len(solved) == len(returned) == 13 and all(solved)
+    # in another basis the diagram's orthants are enumerated no more; each
+    # one's sign patterns are solved again, against the new weights
+    counts.clear()
+    again = diagonal_einstein(_rescaled(a, (1, 2, 1, 1, 3, 1, 1, 1)), 1)
+    assert again.success and counts == {}
+    assert len(returned) == 13 and solved[13:] == solved[:13]
+
+
+def test_cold_and_warm_caches_give_equal_records():
+    from nice_einstein.catalog import find_entry
+
+    names = ("631:6", "86532:6", "841:48", "852:30", "741:6", "8654321:19")
+    _clear_diagram_caches()
+    cold = [run_entry(find_entry(name), DEFAULT_TOL) for name in names]
+    warm = [run_entry(find_entry(name), DEFAULT_TOL) for name in names]
+    assert cold == warm and all(chk.ok for checks in cold for chk in checks)
+
+
+def test_each_diagram_sigma_and_k_builds_its_own_systems(monkeypatch):
+    import nice_einstein.einstein as einstein
+    from nice_einstein.catalog import find_entry
+
+    _clear_diagram_caches()
+    counts = {}
+    _counting(monkeypatch, einstein, "F2Reduction", counts)
+    a = find_entry("86532:6").algebra()
+    sigma = parse_permutation("(12)(45)(78)", a.n)
+    results = [diagonal_einstein(a, 0), diagonal_einstein(a, 1), sigma_einstein(a, sigma, 1)]
+    assert [(r.success, r.failed_at) for r in results] == [
+        (False, "H"), (True, None), (True, None)]
+    assert counts == {"F2Reduction": 3}
+    assert einstein._diagram_systems.cache_info().currsize == 3
+    bases = [einstein._diagram_systems(a.diagram, s, F(k))
+             for s, k in ((None, 0), (None, 1), (sigma, 1))]
+    assert len({id(b) for b in bases}) == 3
+    assert bases[0].k_rhs != bases[1].k_rhs and bases[0].zero and not bases[1].zero
+    assert bases[1].aff != bases[2].aff and bases[2].l_system.rows > a.m
+
+
+def test_a_diagram_is_validated_once_and_shared(monkeypatch):
+    import nice_einstein.diagram as diagram
+    from nice_einstein import NiceDiagram, ParseError
+
+    _clear_diagram_caches()
+    counts = {}
+    _counting(monkeypatch, diagram, "validate_nice", counts)
+    first = parse("(0,0,e^{12},e^{13})")
+    assert parse("(0,0,e^{12},2 e^{13})").diagram is first.diagram
+    assert NiceDiagram.from_pairs(4, [(2, 1, 3), (1, 3, 4)]) is first.diagram
+    assert counts == {"validate_nice": 1}
+    # a failed validation is not kept: every parse raises again
+    for _ in range(2):
+        with pytest.raises(ParseError, match="not a nice diagram"):
+            parse("(0,0,e^{12},e^{12})")
+        with pytest.raises(ValueError, match="not a nice diagram"):
+            NiceDiagram.from_pairs(4, [(1, 2, 3), (1, 2, 4)])
+    assert counts == {"validate_nice": 5}
+
+
+def test_a_classification_leaves_the_shared_k_rows_as_they_were():
+    import nice_einstein.einstein as einstein
+    from nice_einstein.catalog import find_entry
+
+    # 8654321:19 slices K before its leaf, so its search adds rows to K's
+    a = find_entry("8654321:19").algebra()
+    base = einstein._diagram_systems(a.diagram, None, F(0))
+    before = base.k_rows, base.k_rhs
+    assert isinstance(base.k_rows, tuple) and all(isinstance(r, tuple) for r in base.k_rows)
+    first = diagonal_einstein(a, 0)
+    assert (base.k_rows, base.k_rhs) == before
+    assert diagonal_einstein(a, 0) == first and first.failed_at == "L"
