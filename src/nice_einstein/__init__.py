@@ -49,14 +49,11 @@ from .einstein import (
     EinsteinCertificate,
     SigmaMetric,
     SignatureReport,
-    condition_P_holds_exact,
-    condition_P_residual,
     diagonal_einstein,
     format_delta,
     halved_signatures,
     logsign,
     parameter_solve,
-    parse_delta,
     recover_metric,
     ricci_diagonal,
     ricci_sigma,
@@ -73,7 +70,6 @@ from .linalg import (
     smith_normal_form,
     solve_affine,
     solve_multiplicative,
-    strict_sign_witness,
     symmetric_signature,
 )
 
@@ -84,18 +80,16 @@ __all__ = [
     "DiagonalMetric", "EinsteinCertificate", "LieBrackets", "MatF2", "MatQ",
     "NiceDiagram", "NiceLieAlgebra", "ParseError", "SigmaMetric",
     "SignatureReport", "ad_invariance_check", "automorphisms",
-    "condition_P_holds_exact", "condition_P_residual", "diagonal_derivations",
-    "diagonal_einstein", "diagonal_gram", "eigendistribution_involutive",
-    "f2_solve_all", "format_delta", "format_permutation", "fundamental_domain",
-    "halved_signatures", "index_set", "involutions", "jacobi_residuals",
-    "kernel_basis", "levi_civita", "logsign", "nonzero_trace_derivation_witness",
-    "parameter_solve", "parse", "parse_delta", "parse_family",
-    "parse_permutation", "projected_riemann_norm", "recover_metric",
-    "ricci_diagonal", "ricci_sigma", "ricci_tensor", "riemann_norm",
-    "root_matrix", "scalar_curvature", "sigma_arrow_action",
+    "diagonal_derivations", "diagonal_einstein", "diagonal_gram",
+    "eigendistribution_involutive", "f2_solve_all", "format_delta",
+    "format_permutation", "fundamental_domain", "halved_signatures", "index_set",
+    "involutions", "jacobi_residuals", "kernel_basis", "levi_civita", "logsign",
+    "nonzero_trace_derivation_witness", "parameter_solve", "parse",
+    "parse_family", "parse_permutation", "projected_riemann_norm",
+    "recover_metric", "ricci_diagonal", "ricci_sigma", "ricci_tensor",
+    "riemann_norm", "root_matrix", "scalar_curvature", "sigma_arrow_action",
     "sigma_eigenspace_involutivity", "sigma_einstein", "sigma_gram",
     "sigma_signature", "smith_normal_form", "solve_affine",
-    "solve_multiplicative", "strict_sign_witness", "sufficient_condition",
-    "symmetric_signature",
+    "solve_multiplicative", "sufficient_condition", "symmetric_signature",
     "tilde_c", "to_string", "validate_nice",
 ]

@@ -97,19 +97,24 @@ def _load_family(args) -> AlgebraFamily:
     return entry.family()
 
 
-def _params_of(args) -> dict:
+def _params_of(args, fam: AlgebraFamily) -> dict:
+    """The --param values; each NAME must be a parameter of the family."""
     out = {}
+    known = fam.params()
     for item in getattr(args, "param", None) or []:
         if "=" not in item:
             raise ParseError(f"bad --param {item!r}, expected NAME=RATIONAL")
         name, val = (x.strip() for x in item.split("=", 1))
+        if name not in known:
+            raise ParseError(f"--param {name} is not a parameter of the input; "
+                             f"parameters: {', '.join(known) or 'none'}")
         out[name] = _rational(val, f"--param {name}")
     return out
 
 
 def _load_algebra(args):
     fam = _load_family(args)
-    return fam.substitute(_params_of(args))
+    return fam.substitute(_params_of(args, fam))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +235,7 @@ def cmd_validate(args) -> int:
     except ParseError as exc:
         print(f"invalid: {exc}")
         return 1
-    params = _params_of(args)
+    params = _params_of(args, fam)
     missing = [p for p in fam.params() if p not in params]
     if missing:
         print(f"invalid: family parameters {missing} need --param values")
@@ -297,7 +302,7 @@ def cmd_einstein(args) -> int:
     if args.solve_param and args.mode == "sigma" and not args.sigma:
         raise ParseError("--mode sigma with --solve-param needs --sigma")
     fam = _load_family(args)
-    params = _params_of(args)
+    params = _params_of(args, fam)
     k = _rational(args.k, "--k")
     sigma = parse_permutation(args.sigma, fam.n) if args.sigma else None
     records = []

@@ -93,19 +93,6 @@ def format_delta(delta: SignVec) -> str:
     return "".join("0" if i == 10 else str(i) for i in idx)
 
 
-def parse_delta(text: str, n: int) -> SignVec:
-    """Inverse of format_delta: digit list with 0 for node 10."""
-    out = [0] * n
-    if text in ("", "∅"):
-        return tuple(out)
-    for ch in text:
-        v = 10 if ch == "0" else int(ch)
-        if not 1 <= v <= n:
-            raise ValueError(f"node {v} out of range")
-        out[v - 1] = 1
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Ricci by the weight formula
 
@@ -244,28 +231,6 @@ class ClassificationResult:
 # Helper algebra shared by both modes
 
 
-def condition_P_residual(X: Sequence, c: Sequence, alphas: Sequence[Sequence]) -> list[float]:
-    """Log-form residuals sum_j a_ij (log|X_j| - 2 log|c_j|), as floats."""
-    out = []
-    for a_row in alphas:
-        s = 0.0
-        for aj, xj, cj in zip(a_row, X, c):
-            if aj:
-                s += float(aj) * (math.log(abs(float(xj))) - 2 * math.log(abs(float(cj))))
-        out.append(s)
-    return out
-
-
-def condition_P_holds_exact(X: Sequence[Fraction], c: Sequence[Fraction],
-                            alphas: Sequence[Sequence]) -> bool:
-    """Exact multiplicative test |X|^a = |c|^(2a) for rational X."""
-    for a_row in alphas:
-        a_int = _int_scale(tuple(Fraction(x) for x in a_row))
-        if abs_monomial(X, a_int) != abs_monomial(c, a_int) ** 2:
-            return False
-    return True
-
-
 def halved_signatures(S) -> list[SignVec]:
     """One representative per complementary pair, ordered by (length, indices)."""
     items = sorted(set(tuple(d) for d in S), key=delta_sort_key)
@@ -363,15 +328,17 @@ def _recovery_base(d: NiceDiagram, sigma: Optional[Permutation]) -> _RecoveryBas
     # Free positive directions: rational kernel of M (or its sigma-invariant part).
     if sigma is None:
         ker = kernel_basis(M)
+        cols = d.n
     else:
-        ker = kernel_basis(MatQ.from_rows(
-            list(M.data) + _difference_rows(_node_pairs(sigma), d.n)))
+        ker_rows = (*M.data, *map(tuple, _difference_rows(_node_pairs(sigma), d.n)))
+        ker = kernel_basis(MatQ(len(ker_rows), d.n, ker_rows))
         orbits = _orbits(sigma)
         orb_of = {v: o_i for o_i, orb in enumerate(orbits) for v in orb}
         rows = [[sum(row[v - 1] for v in orb) for orb in orbits] for row in rows]
+        cols = len(orbits)
     return _RecoveryBase(M2, tuple(map(tuple, rows)), orb_of,
                          MetricFreedom(tuple(_int_scale(v) for v in ker)),
-                         MultiplicativeSystem(rows))
+                         MultiplicativeSystem(rows, cols))
 
 
 @dataclass(frozen=True)
@@ -440,13 +407,6 @@ def recover_metric(
     """
     if sigma is not None and not _sigma_invariant(delta, sigma):
         raise ValueError("sign pattern is not sigma-invariant")
-    if a.m == 0:
-        g = tuple(Fraction(-1 if d else 1) for d in delta)
-        freedom = MetricFreedom(tuple(
-            tuple(int(i == j) for j in range(a.n)) for i in range(a.n)))
-        metric = DiagonalMetric(g, tuple(delta)) if sigma is None else \
-            SigmaMetric(sigma, g, tuple(delta))
-        return metric, freedom
     if facts is None:
         facts = _Recovery.of(a, sigma)
     signs, mags = facts.solve(X)

@@ -27,7 +27,6 @@ from operator import mul
 from itertools import chain, product
 from typing import Iterable, Optional, Sequence
 
-Rat = Fraction
 VecQ = tuple[Fraction, ...]
 VecF2 = tuple[int, ...]
 
@@ -500,22 +499,6 @@ def orthant_witness(S: AffineSet, eps: Sequence[int]) -> Optional[tuple[Fraction
     return tuple(system.witness())
 
 
-def strict_sign_witness(S: AffineSet, eps: Sequence[int]) -> Optional[VecQ]:
-    """A point X in S with sign(X_j) = (-1)^eps_j for all j, or None.
-
-    The witness is rechecked exactly before being returned.
-    """
-    if len(eps) != S.ambient_dim:
-        raise ValueError("dimension mismatch")
-    t = orthant_witness(S, eps)
-    if t is None:
-        return None
-    X = S.point(t)
-    if not in_orthant(X, eps):
-        raise AssertionError("Fourier-Motzkin witness failed recheck")
-    return X
-
-
 def symmetric_signature(G: Sequence[Sequence]) -> tuple[int, int]:
     """Signature (p, q) of a nondegenerate symmetric rational matrix, exactly.
 
@@ -583,12 +566,16 @@ def symmetric_signature(G: Sequence[Sequence]) -> tuple[int, int]:
 
 
 def smith_normal_form(
-    M: Sequence[Sequence[int]],
+    M: Sequence[Sequence[int]], cols: int,
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """U, S, V with U*M*V = S, U and V unimodular, S in Smith form."""
+    """U, S, V with U*M*V = S, U and V unimodular, S in Smith form.
+
+    M has `cols` columns; a matrix without rows has V = I of that size.
+    """
     A = [[int(x) for x in row] for row in M]
-    nr = len(A)
-    nc = len(A[0]) if nr else 0
+    if any(len(row) != cols for row in A):
+        raise ValueError(f"every row must have {cols} entries")
+    nr, nc = len(A), cols
     U = [[int(i == j) for j in range(nr)] for i in range(nr)]
     V = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
@@ -727,12 +714,13 @@ def _valuation(n: int, b: int) -> int:
 class MultiplicativeSystem:
     """prod_j g_j^(M_ij) = rhs_i over (Q*)^n, prepared once for the integer matrix M.
 
-    Holds what does not depend on rhs: the Smith form U M V = D.
+    M has n = `cols` columns.  Holds what does not depend on rhs: the Smith
+    form U M V = D.  A system without rows solves to g = 1.
     """
 
-    def __init__(self, M: Sequence[Sequence[int]]):
+    def __init__(self, M: Sequence[Sequence[int]], cols: int):
         self.M = [[int(x) for x in row] for row in M]
-        self._U, S, self._V = smith_normal_form(self.M)
+        self._U, S, self._V = smith_normal_form(self.M, cols)
         self._diag = [S[i][i] for i in range(min(len(S), len(self._V))) if S[i][i]]
 
     def solve(self, rhs: Sequence[Fraction]) -> Optional[VecQ]:
@@ -782,11 +770,11 @@ class MultiplicativeSystem:
 
 
 def solve_multiplicative(
-    M: Sequence[Sequence[int]], rhs: Sequence[Fraction]
+    M: Sequence[Sequence[int]], cols: int, rhs: Sequence[Fraction]
 ) -> Optional[VecQ]:
-    """One g in (Q*)^n with prod_j g_j^(M_ij) = rhs_i for all i, or None.
+    """One g in (Q*)^cols with prod_j g_j^(M_ij) = rhs_i for all i, or None.
 
     Prepares one `MultiplicativeSystem`; callers with many right-hand sides
     for one matrix keep the system instead.
     """
-    return MultiplicativeSystem(M).solve(rhs)
+    return MultiplicativeSystem(M, cols).solve(rhs)

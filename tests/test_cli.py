@@ -233,6 +233,15 @@ def test_einstein_rejects_inconsistent_options(capsys, argv, message):
     (["verify", "631:6", "--metric", "1,1,1,1,1,1", "--lambda", "1/0"], "bad --lambda '1/0'"),
     (["verify", "631:6", "--metric", "1,1/0,1,1,1,1"], "bad --metric entry '1/0'"),
     (["curvature", "62:4a", "--metric", "1,0;0,1/0"], "bad --metric entry '1/0'"),
+    (["einstein", "631:6", "--param", "foo=1", "--out", "json"],
+     "--param foo is not a parameter of the input; parameters: none"),
+    (["validate", "631:6", "--param", "lambda=2"],
+     "--param lambda is not a parameter of the input; parameters: none"),
+    (["einstein", "852:30", "--param", "a1=1", "--param", "b=2", "--mode", "sigma",
+      "--sigma", "(23)(45)(78)", "--solve-param", "a2"],
+     "--param b is not a parameter of the input; parameters: a1, a2"),
+    (["verify", "741:6", "--param", "lamda=1/2", "--metric", "1,1,1,1,1,1,1"],
+     "--param lamda is not a parameter of the input; parameters: lambda"),
 ])
 def test_malformed_input_is_an_error_not_a_traceback(capsys, argv, message):
     code = main(argv)
@@ -407,6 +416,17 @@ def test_readme_command_line_examples_are_pinned(capsys):
         code, out = run_cli(capsys, *argv)
         digest.update(f"{shlex.join(argv)}\n[exit {code}]\n{out}".encode())
     assert digest.hexdigest() == README_CLI_SHA256
+
+
+def test_readme_library_example_runs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    res = names["res"]
+    assert res.success and res.exact
+    assert res.certificates[0].oracle_residual == 0
+    assert names["alg"].n == 7
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,15 @@
-"""Every function, class and method of the package is used elsewhere in it."""
+"""Every function, class and method of the package is used elsewhere in it,
+and every name it exports is documented in README.md or used by its modules."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import nice_einstein
 
 PACKAGE = Path(nice_einstein.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -77,3 +80,49 @@ def test_a_method_is_used_only_through_an_attribute(tmp_path):
         "    return m.col(), row\n\n\n"
         "use(M())\n")
     assert unreferenced_definitions(tmp_path) == ["m.M.row"]
+
+
+def _uses(tree: ast.AST) -> Counter:
+    """Plain names and attribute names; an import alone is not a use."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+    return out
+
+
+def undocumented_exports(package: Path, readme: str) -> list[str]:
+    """Each name of the package's `__all__` that the README text never names
+    and that no module but `__init__` uses outside the name's own definition."""
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted(package.glob("*.py"))}
+    exported = next(ast.literal_eval(node.value) for node in ast.walk(modules.pop("__init__"))
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    uses = sum((_uses(t) for t in modules.values()), Counter())
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, DEFS) and node.name in exported:
+                uses[node.name] -= _uses(node)[node.name]
+    documented = set(re.findall(r"\w+", readme))
+    return [name for name in exported if name not in documented and uses[name] <= 0]
+
+
+def test_every_export_is_documented_or_used():
+    assert undocumented_exports(PACKAGE, README.read_text(encoding="utf-8")) == []
+
+
+def test_an_export_needs_the_readme_or_a_caller(tmp_path):
+    # `dead` is exported and calls itself, but nothing else uses it and the
+    # README does not name it; `used` has a caller, `documented` a README line
+    (tmp_path / "__init__.py").write_text(
+        "from .m import dead, documented, used\n\n"
+        "__all__ = [\"dead\", \"documented\", \"used\"]\n")
+    (tmp_path / "m.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def documented():\n    return 2\n\n\n"
+        "def dead(n):\n    return dead(n - 1) if n else used()\n")
+    readme = "`documented(x)` returns 2; `deadline` is another word.\n"
+    assert undocumented_exports(tmp_path, readme) == ["dead"]

@@ -16,13 +16,14 @@ from nice_einstein.linalg import (
     MatQ,
     MultiplicativeSystem,
     f2_solve_all,
+    in_orthant,
     kernel_basis,
+    orthant_witness,
     rank,
     rref,
     smith_normal_form,
     solve_affine,
     solve_multiplicative,
-    strict_sign_witness,
     symmetric_signature,
     vec_q,
 )
@@ -143,6 +144,16 @@ def test_f2_solve_all_image_membership():
     assert f2_solve_all(M2, [1, 0, 0]) == []
 
 
+def strict_sign_witness(S, eps):
+    """A point X of S with sign(X_j) = (-1)^eps_j for all j, or None; rechecked."""
+    t = orthant_witness(S, eps)
+    if t is None:
+        return None
+    X = S.point(t)
+    assert in_orthant(X, eps)
+    return X
+
+
 def test_strict_sign_631_6(algebras):
     M, _ = root_matrix(algebras["631:6"].diagram)
     S = solve_affine(M.transpose(), [F(0)] * 6)
@@ -170,13 +181,13 @@ def test_strict_sign_75432_3_all_four_orthants(algebras):
 
 
 def test_smith_identity():
-    U, S, V = smith_normal_form([[1, 0], [0, 1]])
+    U, S, V = smith_normal_form([[1, 0], [0, 1]], 2)
     assert S == [[1, 0], [0, 1]]
 
 
 def test_smith_631_6(algebras):
     M, _ = root_matrix(algebras["631:6"].diagram)
-    U, S, V = smith_normal_form(M.to_int_rows())
+    U, S, V = smith_normal_form(M.to_int_rows(), M.cols)
     diag = [S[i][i] for i in range(4)]
     assert diag == [1, 1, 1, 0]
 
@@ -208,7 +219,7 @@ def test_smith_random_property():
     rng = random.Random(11)
     for _ in range(20):
         A = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(4)]
-        U, S, V = smith_normal_form(A)
+        U, S, V = smith_normal_form(A, 6)
         assert _mat_mul_int(_mat_mul_int(U, A), V) == S
         assert abs(_det_int(U)) == 1
         assert abs(_det_int(V)) == 1
@@ -226,26 +237,35 @@ def test_solve_multiplicative_631_6(algebras):
     # g4 = g1 g2, g5 = -g1 g3, g6 = g1 g2 g3 at X = (1, -1, -1, 1)
     M, _ = root_matrix(algebras["631:6"].diagram)
     rhs = [F(1), F(-1), F(-1), F(1)]
-    g = solve_multiplicative(M.to_int_rows(), rhs)
+    g = solve_multiplicative(M.to_int_rows(), M.cols, rhs)
     assert g is not None
     assert g[3] == g[0] * g[1]
     assert g[4] == -g[0] * g[2]
     assert g[5] == g[0] * g[1] * g[2]
 
 
+def test_a_system_without_rows_takes_its_columns_from_the_argument():
+    # an abelian algebra's recovery: no equation, so g = 1 on every column
+    U, S, V = smith_normal_form([], 3)
+    assert (U, S, V) == ([], [], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert MultiplicativeSystem([], 3).solve([]) == (F(1),) * 3
+    with pytest.raises(ValueError):
+        smith_normal_form([[1, 2]], 3)
+
+
 def test_solve_multiplicative_fractional_power_fails():
     # g^2 = 2 has no rational solution
-    assert solve_multiplicative([[2]], [F(2)]) is None
+    assert solve_multiplicative([[2]], 1, [F(2)]) is None
 
 
 def test_solve_multiplicative_negative_right_hand_sides():
     # an even power is never negative; an odd one takes the negative root
-    assert solve_multiplicative([[2]], [F(-4)]) is None
-    assert solve_multiplicative([[2]], [F(4, 9)]) == (F(2, 3),)
-    assert solve_multiplicative([[3]], [F(-8, 27)]) == (F(-2, 3),)
+    assert solve_multiplicative([[2]], 1, [F(-4)]) is None
+    assert solve_multiplicative([[2]], 1, [F(4, 9)]) == (F(2, 3),)
+    assert solve_multiplicative([[3]], 1, [F(-8, 27)]) == (F(-2, 3),)
     # g1 g2 = -1 and g1 = g2 (g1 / g2 = 1): g1^2 = -1 has no solution
-    assert solve_multiplicative([[1, 1], [1, -1]], [F(-1), F(1)]) is None
-    assert solve_multiplicative([[1, 1], [1, -1]], [F(-1), F(-1)]) is not None
+    assert solve_multiplicative([[1, 1], [1, -1]], 2, [F(-1), F(1)]) is None
+    assert solve_multiplicative([[1, 1], [1, -1]], 2, [F(-1), F(-1)]) is not None
 
 
 def test_symmetric_signature():
@@ -529,7 +549,7 @@ def test_vec_q_keeps_fractions_and_converts_the_rest():
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_prepared_multiplicative_system_matches_fresh(nr, nc, data):
     M = [data.draw(st.lists(st.integers(-2, 2), min_size=nc, max_size=nc)) for _ in range(nr)]
-    system = MultiplicativeSystem(M)
+    system = MultiplicativeSystem(M, nc)
     values = st.sampled_from([F(1), F(-1), F(2), F(-3), F(1, 2), F(5, 3), F(-4, 9)])
     for _ in range(3):
         if data.draw(st.booleans()):
@@ -542,7 +562,7 @@ def test_prepared_multiplicative_system_matches_fresh(nr, nc, data):
         else:
             rhs = data.draw(st.lists(values, min_size=nr, max_size=nr))
         got = system.solve(rhs)
-        assert got == solve_multiplicative(M, rhs)
+        assert got == solve_multiplicative(M, nc, rhs)
         if got is not None:
             for row, q in zip(M, rhs):
                 prod = F(1)
@@ -551,7 +571,7 @@ def test_prepared_multiplicative_system_matches_fresh(nr, nc, data):
                 assert prod == q
 
 
-def _solve_multiplicative_reference(M, rhs):
+def _solve_multiplicative_reference(M, nc, rhs):
     """The per-prime solve: signs over GF(2), then one Smith solve per prime."""
     from sympy import factorint
 
@@ -560,12 +580,10 @@ def _solve_multiplicative_reference(M, rhs):
 
     M = [[int(x) for x in row] for row in M]
     nr = len(M)
-    nc = len(M[0]) if nr else 0
-    signs = F2Reduction(MatF2.from_rows([[x % 2 for x in row] for row in M]))
-    U, S, V = smith_normal_form(M)
+    signs = F2Reduction(MatF2(nr, nc, tuple(tuple(x % 2 for x in row) for row in M)))
+    U, S, V = smith_normal_form(M, nc)
     diag = [S[i][i] for i in range(min(nr, nc))]
     r = sum(1 for d in diag if d != 0)
-    nc = signs.cols
     rhs = [F(x) for x in rhs]
     if any(x == 0 for x in rhs):
         return None
@@ -610,7 +628,8 @@ _signed_q = st.builds(F, st.integers(-12, 12).filter(bool), st.integers(1, 12))
 
 @st.composite
 def _integer_matrices(draw):
-    """Integer matrices up to 6 x 6, entries in -3..3, zero rows and dependent rows included."""
+    """(rows, column count) of integer matrices up to 6 x 6, entries in -3..3,
+    zero rows and dependent rows included."""
     nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     rows = [draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
             for _ in range(nrows)]
@@ -620,19 +639,19 @@ def _integer_matrices(draw):
         s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
         i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
         rows.append([s * x + t * y for x, y in zip(rows[i], rows[j])])
-    return rows
+    return rows, ncols
 
 
 @settings(max_examples=300, deadline=None)
 @given(_integer_matrices(), st.data())
-def test_smith_form_solve_matches_the_per_prime_reference(M, data):
+def test_smith_form_solve_matches_the_per_prime_reference(shape, data):
     # Both solves return g = V y with y = U e / d in exponents, so g grows
     # with the Smith transforms, whose entries reach 3 * 10^7 on these
     # matrices; past 100 one solve can take minutes, in the reference too.
-    U, _, V = smith_normal_form(M)
+    M, nc = shape
+    U, _, V = smith_normal_form(M, nc)
     assume(max((abs(x) for T in (U, V) for row in T for x in row), default=0) <= 100)
-    nc = len(M[0]) if M else 0
-    system = MultiplicativeSystem(M)
+    system = MultiplicativeSystem(M, nc)
     for _ in range(3):
         if data.draw(st.booleans()):
             # the monomials of a signed g, so perfect powers occur
@@ -646,7 +665,7 @@ def test_smith_form_solve_matches_the_per_prime_reference(M, data):
         else:
             rhs = data.draw(st.lists(_signed_q, min_size=len(M), max_size=len(M)))
         got = system.solve(rhs)
-        want = _solve_multiplicative_reference(M, rhs)
+        want = _solve_multiplicative_reference(M, nc, rhs)
         assert (got is None) == (want is None)
         if got is None:
             continue
