@@ -39,6 +39,21 @@ connection rows.  The type of the input entries picks the arithmetic:
   exactly in the integers; the trace is symmetric in (b, cc), so it is
   summed once per pair b <= cc.  Each nonzero result entry is one division
   into a Fraction at the end.
+  Repeated keys: the certificates of one classification share |g| and
+  differ only in signs.  A monomial G whose key (p, |h|) equals that of the
+  last exact monomial call on the same `LieBrackets` is not summed again.
+  On the first repeat `_exact_connection` and `_exact_ricci` run once on
+  `_Signed` scalars of the sign ring Z[s]/(s_o^2 - 1), one s_o per orbit o
+  of p, with G[i][p(i)] = s_o * |h_i| (`_Frame.signed`); that call and every
+  later one with the key evaluate the Ricci numerators at the signs of their
+  h, and take the operator from them in integers, as the integer path does.
+  Evaluation at a point of {+-1}^n is a ring homomorphism to Z, and those
+  sums use only +, -, * and zero tests that skip zero terms, so each call
+  gets exactly the integers the integer sums give, divided once as before.
+  The key and the form are one entry on the `LieBrackets`, so at most one
+  form exists per `LieBrackets`; the first call with a key, dense G and the
+  float path are summed as described, and the symmetry check runs on every
+  call.
   The constants are scaled once per `LieBrackets` (`int_table`), and
   `LieBrackets.from_nice` keeps its result on the frozen algebra, so
   repeated calls on one algebra scale only their Gram matrices.  Every zero
@@ -64,7 +79,7 @@ connection rows.  The type of the input entries picks the arithmetic:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
@@ -80,6 +95,84 @@ _ZERO = Fraction(0)     # every exact zero entry the oracle makes
 
 class DegenerateMetricError(ValueError):
     pass
+
+
+class _Signed(dict):
+    """sum v * s^mask in Z[s_0, s_1, ...]/(s_i^2 - 1), as the dict {mask: v} of its nonzero terms.
+
+    A product XORs the masks.  Ints mix in as constants (mask 0), so the
+    integer oracle sums run unchanged on these scalars, and an empty dict is
+    the false zero.  `at` evaluates at a sign point: a ring homomorphism to Z.
+    No operation changes a value once built, so x + 0 may return x itself.
+    """
+
+    __slots__ = ()
+
+    def __neg__(self):
+        out = _Signed()
+        for m, v in self.items():
+            out[m] = -v
+        return out
+
+    def __add__(self, other):
+        if type(other) is not _Signed:
+            if not other:
+                return self
+            other = {0: other}
+        out = _Signed(self)
+        for m, v in other.items():
+            v += out.get(m, 0)
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+        return out
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is not _Signed:
+            return self + -other
+        out = _Signed(self)
+        for m, v in other.items():
+            v = out.get(m, 0) - v
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+        return out
+
+    def __rsub__(self, other):
+        return -self + other if other else -self
+
+    def __mul__(self, other):
+        out = _Signed()
+        if type(other) is not _Signed:
+            if other:
+                for m, v in self.items():
+                    out[m] = v * other
+            return out
+        a, b = (self, other) if len(self) >= len(other) else (other, self)
+        if len(b) == 1:     # a monomial permutes the masks: nothing cancels
+            (mb, vb), = b.items()
+            for m, v in a.items():
+                out[m ^ mb] = v * vb
+            return out
+        for mb, vb in b.items():
+            for m, v in a.items():
+                m ^= mb
+                v = out.get(m, 0) + v * vb
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+        return out
+
+    __rmul__ = __mul__
+
+    def at(self, neg: int) -> int:
+        """The value at s_i = -1 for the bits i of neg and s_i = 1 elsewhere."""
+        return sum(-v if (m & neg).bit_count() & 1 else v for m, v in self.items())
 
 
 @dataclass(frozen=True)
@@ -306,10 +399,7 @@ class _Frame:
             else:
                 det = 1
                 entries = [1 / x for x in h]
-            inv = [None] * n
-            for i, (p, x) in enumerate(zip(perm, entries)):
-                inv[p] = [(i, x)]
-            cols = [[(p, x)] for p, x in zip(perm, entries)]
+            inv, cols = _permuted(perm, entries)
         else:
             G = [[0] * n for _ in range(n)]     # with its zeros, for elimination
             for Gi, row in zip(G, s.rows):
@@ -334,6 +424,35 @@ class _Frame:
         if not self.s.exact:
             return num
         return Fraction(num, den) if num else _ZERO
+
+    def signed(self) -> "_Frame":
+        """This exact monomial frame over the sign ring, with G[i][p(i)] = s_o(i) * |h_i|.
+
+        One sign s_o per orbit o(i) = min(i, p(i)) of p, since a symmetric G
+        has h_i = h_p(i).  With s_o^2 = 1, det = sign(p) * prod |h_i| * s^all,
+        all the XOR of the orbit bits of every row, and the adjugate entry of
+        row i is sign(p) * (prod |h| / |h_i|) * s^(all - o(i)): read off, no
+        ring division.  Evaluated at the signs of h this is the frame itself.
+        """
+        perm = [row[0][0] for row in self.s.rows]
+        bits = [1 << min(i, p) for i, p in enumerate(perm)]
+        h = [abs(row[0][1]) for row in self.s.rows]
+        every = 0
+        for b in bits:
+            every ^= b
+        det = (-1) ** sum(p > i for i, p in enumerate(perm)) * math.prod(h)
+        inv, cols = _permuted(perm, [_Signed({every ^ b: det // x}) for b, x in zip(bits, h)])
+        rows = [[(p, _Signed({b: x}))] for p, b, x in zip(perm, bits, h)]
+        return replace(self, s=replace(self.s, rows=rows), cols=cols, inv=inv,
+                       det=_Signed({every: det}))
+
+
+def _permuted(perm: list, entries: list) -> tuple[list, list]:
+    """(inv, cols) of the monomial inverse with entries[i] at [perm[i]][i]."""
+    inv = [None] * len(perm)
+    for i, (p, x) in enumerate(zip(perm, entries)):
+        inv[p] = [(i, x)]
+    return inv, [[(p, x)] for p, x in zip(perm, entries)]
 
 
 def _connection(f: _Frame) -> tuple[list, list]:
@@ -540,6 +659,37 @@ def _float_ricci(f: _Frame, rows: list, D: list) -> list[list[float]]:
     return R
 
 
+def _exact_numerators(brackets: LieBrackets, f: _Frame) -> list[list[int]]:
+    """The integer Ricci numerators R of an exact frame.
+
+    A monomial frame whose key (p, |h|) equals that of the last exact monomial
+    call on these brackets evaluates R off the sign-ring form of that key at
+    the signs of its h.  The form is compiled on the first repeat and kept on
+    the brackets as one entry, so each holds at most one.  Any other frame,
+    and the first call with a key, runs the integer sums.
+    """
+    if f.monomial:
+        key = tuple((row[0][0], abs(row[0][1])) for row in f.s.rows)
+        memo = brackets.__dict__.get("_signed")
+        if memo is not None and memo[0] == key:
+            form = memo[1]
+            if form is None:
+                g = f.signed()
+                form = [(i, j, x) for i, row in enumerate(_exact_ricci(g, *_exact_connection(g)))
+                        for j, x in enumerate(row) if x]
+                brackets.__dict__["_signed"] = (key, form)
+            neg = 0
+            for i, ((p, x),) in enumerate(f.s.rows):
+                if x < 0:
+                    neg |= 1 << min(i, p)
+            R = [[0] * len(key) for _ in key]
+            for i, j, x in form:
+                R[i][j] = x.at(neg)
+            return R
+        brackets.__dict__["_signed"] = (key, None)
+    return _exact_ricci(f, *_exact_connection(f))
+
+
 def ricci_tensor(brackets: LieBrackets, gram: Sequence[Sequence]) -> tuple[list, list]:
     """(Ricci tensor matrix, Ricci operator matrix).
 
@@ -549,7 +699,7 @@ def ricci_tensor(brackets: LieBrackets, gram: Sequence[Sequence]) -> tuple[list,
     """
     f = _Frame.of(brackets, gram)
     exact = f.s.exact
-    R = _exact_ricci(f, *_exact_connection(f)) if exact else _float_ricci(f, *_connection(f))
+    R = _exact_numerators(brackets, f) if exact else _float_ricci(f, *_connection(f))
     n = len(R)
     op = []
     for inv_i in f.inv:

@@ -1,8 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from nice_einstein import parse, parse_family
+
+
+# CI runs the property tests with --hypothesis-profile=ci: every run draws the
+# same examples.  Without the option they draw fresh ones.
+settings.register_profile("ci", derandomize=True)
 
 
 STRUCTURES = {

@@ -727,6 +727,96 @@ def test_non_symmetric_gram_rejected(algebras, name):
 
 
 # ---------------------------------------------------------------------------
+# Repeated monomial keys: the sign-ring form against the integer sums
+
+
+def _fresh(B):
+    """The same constants on a new LieBrackets, whose memo is empty."""
+    return LieBrackets(B.n, B.c)
+
+
+def _scalars_of_exact_ricci(monkeypatch):
+    """Counts, by the type of det, of the frames `_exact_ricci` sums: int runs and ring compiles."""
+    import collections
+
+    import nice_einstein.curvature as curvature
+
+    seen = collections.Counter()
+    sums = curvature._exact_ricci
+
+    def spy(f, rows, D):
+        seen[type(f.det).__name__] += 1
+        return sums(f, rows, D)
+
+    monkeypatch.setattr(curvature, "_exact_ricci", spy)
+    return seen
+
+
+def test_one_ring_compile_serves_the_certificates_of_631_6(monkeypatch):
+    import nice_einstein.einstein as einstein
+    from nice_einstein import diagonal_einstein
+
+    a = parse("(0,0,0,e^{12},e^{13},e^{25}+e^{34})")
+    seen = _scalars_of_exact_ricci(monkeypatch)
+    calls = []
+
+    def counted(B, gram):
+        calls.append(B)
+        return ricci_tensor(B, gram)
+
+    monkeypatch.setattr(einstein, "ricci_tensor", counted)
+    res = diagonal_einstein(a, 0)
+    assert len(res.certificates) == len(calls) == 16
+    assert all(B is calls[0] for B in calls)
+    assert all(c.exact and c.oracle_residual is _ZERO for c in res.certificates)
+    # one integer run, one ring compile, and 14 calls that only evaluate
+    assert dict(seen) == {"int": 1, "_Signed": 1}
+
+
+def test_abelian_certificates_share_one_ring_compile(monkeypatch):
+    from nice_einstein import diagonal_einstein
+
+    seen = _scalars_of_exact_ricci(monkeypatch)
+    res = diagonal_einstein(parse("(0,0,0,0,0,0,0,0,0,0)"), 0)
+    assert len(res.certificates) == 1024
+    assert all(c.exact and c.oracle_residual == 0 for c in res.certificates)
+    assert dict(seen) == {"int": 1, "_Signed": 1}
+
+
+def test_primed_memo_keeps_validation_and_the_other_paths(families):
+    """After a compile for a sigma key: a non-symmetric G still raises, float and
+    dense G take their own paths, and the key still evaluates to the integer sums."""
+    from nice_einstein import parse_permutation
+
+    B = _fresh(bra(families["741:6"].substitute({"lambda": F(1, 2)})))
+    sigma = parse_permutation("(23)(45)", 7)
+    g = [F(1), F(2), F(2), F(-3, 2), F(-3, 2), F(1, 3), F(5)]
+    flipped = [-x if i in (1, 2, 6) else x for i, x in enumerate(g)]
+    for h in (g, flipped):
+        assert ricci_tensor(B, sigma_gram(h, sigma)) == ricci_tensor(_fresh(B), sigma_gram(h, sigma))
+    key, form = B.__dict__["_signed"]
+    assert form is not None
+
+    skew = list(g)
+    skew[1] = -skew[1]      # |h| unchanged, but G[1][2] != G[2][1]
+    with pytest.raises(ValueError, match="^metric is not symmetric in row 2$"):
+        ricci_tensor(B, sigma_gram(skew, sigma))
+
+    floats = sigma_gram([float(x) for x in g], sigma)
+    assert repr(ricci_tensor(B, floats)) == repr(ricci_tensor(_fresh(B), floats))
+    dense = sigma_gram(g, sigma)
+    dense[0][6] = dense[6][0] = F(1, 2)
+    assert ricci_tensor(B, dense) == ricci_tensor(_fresh(B), dense) == dense_ricci(B, dense)
+    assert B.__dict__["_signed"] == (key, form)
+
+    last = [-x if i in (0, 3, 4) else x for i, x in enumerate(g)]
+    got = ricci_tensor(B, sigma_gram(last, sigma))
+    assert got == ricci_tensor(_fresh(B), sigma_gram(last, sigma))
+    assert all(x is _ZERO for M in got for row in M for x in row if not x)
+    assert B.__dict__["_signed"][1] is form
+
+
+# ---------------------------------------------------------------------------
 # The curvature norms against the Lambda^2 Gram inversion they replace.  The
 # four helpers below are that code, verbatim, and the two reference norms are
 # the old bodies of riemann_norm and projected_riemann_norm.

@@ -2,6 +2,10 @@
 
 import random
 from fractions import Fraction as F
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nice_einstein import (
     LieBrackets,
@@ -17,6 +21,7 @@ from nice_einstein import (
     tilde_c,
 )
 from nice_einstein.catalog import load_catalog
+from nice_einstein.curvature import _ZERO
 from nice_einstein.diagram import involutions
 from nice_einstein.einstein import _int_scale
 from nice_einstein.linalg import f2_solve_all, kernel_basis
@@ -182,3 +187,52 @@ def test_certificates_pass_oracle_within_tolerance():
                 assert cert.oracle_residual == 0
             else:
                 assert float(abs(cert.oracle_residual)) <= 1e-9
+
+
+MAGNITUDES = tuple(F(x) for x in ("1", "2", "3", "1/2", "1/3", "2/3", "3/2"))
+
+
+@lru_cache(maxsize=None)
+def einstein_magnitudes(i: int):
+    """|g| of the first diagonal k = 0 certificate of ALGEBRAS[i], or None."""
+    res = diagonal_einstein(ALGEBRAS[i], 0)
+    if not res.success or not res.certificates[0].exact:
+        return None
+    return tuple(abs(x) for x in res.certificates[0].metric.g)
+
+
+@st.composite
+def sign_runs(draw):
+    """(algebra, sigma or None, 2-6 metrics): one |g|, each metric with its own signs.
+
+    sigma-invariant for sigma; the magnitudes are those of an Einstein
+    certificate (diagonal, when the algebra has one) or drawn, and so
+    almost never Einstein.
+    """
+    i = draw(st.integers(0, len(ALGEBRAS) - 1))
+    a = ALGEBRAS[i]
+    sigma = draw(st.sampled_from([None] + [s for s, _ in involutions(a.diagram)]))
+    orbit = range(a.n) if sigma is None else [min(v, sigma[v] - 1) for v in range(a.n)]
+    mags = einstein_magnitudes(i) if sigma is None and draw(st.booleans()) else None
+    if mags is None:
+        mags = [draw(st.sampled_from(MAGNITUDES)) for _ in range(a.n)]
+    runs = draw(st.lists(st.lists(st.sampled_from((1, -1)), min_size=a.n, max_size=a.n),
+                         min_size=2, max_size=6))
+    return a, sigma, [[signs[o] * mags[o] for o in orbit] for signs in runs]
+
+
+@given(sign_runs())
+@settings(max_examples=80, deadline=None)
+def test_sign_ring_form_matches_the_integer_sums(case):
+    """A run of sign patterns of one |g| on one LieBrackets: the first takes the
+    integer sums, the rest the sign-ring form; each equals the integer sums on
+    a fresh LieBrackets, entry by entry, with the shared zero."""
+    a, sigma, metrics = case
+    base = LieBrackets.from_nice(a)
+    B = LieBrackets(base.n, base.c)
+    for g in metrics:
+        gram = diagonal_gram(g) if sigma is None else sigma_gram(g, sigma)
+        got = ricci_tensor(B, gram)
+        assert got == ricci_tensor(LieBrackets(base.n, base.c), gram)
+        assert all(x is _ZERO for M in got for row in M for x in row if not x)
+    assert B.__dict__["_signed"][1] is not None
