@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -61,13 +60,6 @@ SCHEMA_VERSION = 1
 CSV_COLUMNS = ["name", "mode", "k", "outcome", "half_S", "sigma", "p", "q"]
 
 
-def _tolerance(args) -> float:
-    if args.tol is not None:
-        return float(args.tol)
-    env = os.environ.get("NICE_EINSTEIN_TOL")
-    return float(env) if env else DEFAULT_TOL
-
-
 def _read_input_file(text: str) -> str:
     """The structure string in the file that '@path' names."""
     try:
@@ -88,9 +80,9 @@ def _rational(text: str, what: str) -> Fraction:
 def _load_family(args) -> AlgebraFamily:
     text = args.input
     if text.startswith("@"):
-        return parse_family(_read_input_file(text), name=getattr(args, "name", None))
+        return parse_family(_read_input_file(text), name=args.name)
     if text.startswith("("):
-        return parse_family(text, name=getattr(args, "name", None))
+        return parse_family(text, name=args.name)
     entry = find_entry(text)
     if entry is None:
         raise ParseError(f"{text!r} is neither a structure string nor a catalog name")
@@ -98,16 +90,18 @@ def _load_family(args) -> AlgebraFamily:
 
 
 def _params_of(args, fam: AlgebraFamily) -> dict:
-    """The --param values; each NAME must be a parameter of the family."""
+    """The --param values; each NAME must be a parameter of the family, given once."""
     out = {}
     known = fam.params()
-    for item in getattr(args, "param", None) or []:
+    for item in args.param or []:
         if "=" not in item:
             raise ParseError(f"bad --param {item!r}, expected NAME=RATIONAL")
         name, val = (x.strip() for x in item.split("=", 1))
         if name not in known:
             raise ParseError(f"--param {name} is not a parameter of the input; "
                              f"parameters: {', '.join(known) or 'none'}")
+        if name in out:
+            raise ParseError(f"--param {name} is given more than once")
         out[name] = _rational(val, f"--param {name}")
     return out
 
@@ -221,33 +215,14 @@ def _emit_records(records: list[dict], out: str) -> None:
 
 
 def cmd_validate(args) -> int:
-    text = args.input
-    if not text.startswith("(") and not text.startswith("@"):
-        entry = find_entry(text)
-        if entry is None:
-            print(f"unknown catalog name {text!r}")
-            return 1
-        text = entry.structure
-    elif text.startswith("@"):
-        text = _read_input_file(text)
-    try:
-        fam = parse_family(text, name=getattr(args, "name", None))
-    except ParseError as exc:
-        print(f"invalid: {exc}")
-        return 1
-    params = _params_of(args, fam)
-    missing = [p for p in fam.params() if p not in params]
-    if missing:
-        print(f"invalid: family parameters {missing} need --param values")
-        return 1
-    try:
-        alg = fam.substitute(params)
-    except ParseError as exc:
-        print(f"invalid: {exc}")
-        return 1
+    alg = _load_algebra(args)
     print(f"valid nice Lie algebra: {to_string(alg)}"
-          + (f"  [{alg.name}]" if alg.name else ""))
+          + (f"  [{args.name}]" if args.name else ""))
     return 0
+
+
+def _indices(idxs) -> str:
+    return ", ".join(f"{{{i},{j}}}->{k}" for (i, j, k) in idxs)
 
 
 def cmd_info(args) -> int:
@@ -256,8 +231,7 @@ def cmd_info(args) -> int:
     print(f"name: {alg.name or '(unnamed)'}")
     print(f"structure: {to_string(alg)}")
     print(f"nodes: {alg.n}   arrows: {alg.m}")
-    print("index set: " + ", ".join(
-        f"{{{i},{j}}}->{k}" for (i, j, k) in index_set(alg.diagram)))
+    print("index set: " + _indices(index_set(alg.diagram)))
     print("root matrix:")
     for row in M.data:
         print("   [" + " ".join(f"{int(x):2d}" for x in row) + "]")
@@ -282,21 +256,13 @@ def cmd_info(args) -> int:
         format_permutation(p) + (" [fixed-point-free]" if f else "")
         for p, f in invs) or "none"))
     fd = fundamental_domain(alg)
-
-    def fmt_idx(idx):
-        i, j, k = idx
-        return f"{{{i},{j}}}->{k}"
-
-    print("fundamental domain: set to 1: "
-          + (", ".join(fmt_idx(i) for i in fd.normalized_to_one) or "-")
-          + "; set to +-1: "
-          + (", ".join(fmt_idx(i) for i in fd.normalized_to_pm_one) or "-")
-          + "; free: " + (", ".join(fmt_idx(i) for i in fd.free) or "-"))
+    print("fundamental domain: set to 1: " + (_indices(fd.normalized_to_one) or "-")
+          + "; set to +-1: " + (_indices(fd.normalized_to_pm_one) or "-")
+          + "; free: " + (_indices(fd.free) or "-"))
     return 0
 
 
 def cmd_einstein(args) -> int:
-    tol = _tolerance(args)
     if args.sigma and args.mode != "sigma":
         raise ParseError("--sigma needs --mode sigma")
     if args.solve_param and args.mode == "sigma" and not args.sigma:
@@ -313,7 +279,7 @@ def cmd_einstein(args) -> int:
         if work.params() != [args.solve_param]:
             raise ParseError(f"--solve-param {args.solve_param} must name the one unresolved "
                              f"parameter; unresolved: {', '.join(work.params()) or 'none'}")
-        sols = parameter_solve(work, sigma, k, tol)
+        sols = parameter_solve(work, sigma, k, args.tol)
         print(f"solved {args.solve_param}: "
               + ("{ " + ", ".join(str(s) for s, _ in sols) + " }" if sols else "none"))
         for s, res in sols:
@@ -325,13 +291,13 @@ def cmd_einstein(args) -> int:
 
     alg = fam.substitute(params)
     if args.mode == "diagonal":
-        results = [diagonal_einstein(alg, k, tol)]
+        results = [diagonal_einstein(alg, k, args.tol)]
     else:
         sigmas = [sigma] if sigma else [p for p, _ in involutions(alg.diagram)]
         if not sigmas:
             print("no diagram involutions exist")
             return 2
-        results = [sigma_einstein(alg, s, k, tol) for s in sigmas]
+        results = [sigma_einstein(alg, s, k, args.tol) for s in sigmas]
     records = [result_record(r, params) for r in results]
     _emit_records(records, args.out)
     if args.timings:
@@ -399,18 +365,19 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    tol = _tolerance(args)
-    entries = load_catalog()
-    if args.filter:
-        entries = [e for e in entries if fnmatch.fnmatchcase(e.name, args.filter)]
+    entries = [e for e in load_catalog()
+               if not args.filter or fnmatch.fnmatchcase(e.name, args.filter)]
     if not entries:
-        print("no catalog entries match")
-        return 1
+        raise ParseError(f"no catalog entries match {args.filter!r}")
+    if args.action == "list":
+        for e in entries:
+            print(f"{e.name:12s} {e.structure}")
+        return 0
     all_ok = True
     rows = []
     t0 = time.time()
     for entry in entries:
-        for chk in run_entry(entry, tol):
+        for chk in run_entry(entry, DEFAULT_TOL):
             all_ok = all_ok and chk.ok
             rows.append(chk)
     if args.out == "json":
@@ -451,12 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "an independent curvature oracle.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_params=True):
+    def add_common(p):
         p.add_argument("input", help="structure string, catalog name, or @file")
         p.add_argument("--name", help="label for ad-hoc structure strings")
-        if with_params:
-            p.add_argument("--param", action="append", metavar="NAME=RAT",
-                           help="substitute a family parameter (repeatable)")
+        p.add_argument("--param", action="append", metavar="NAME=RAT",
+                       help="substitute a family parameter (once per NAME)")
 
     p = sub.add_parser("validate", help="check the nice axioms and the Jacobi identity")
     add_common(p)
@@ -474,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solve-param", dest="solve_param", metavar="NAME",
                    help="solve for the named family parameter instead of fixing it")
     p.add_argument("--out", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--tol", type=float, help="verification tolerance for numeric certificates")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="verification tolerance for numeric certificates")
     p.add_argument("--timings", action="store_true", help="print elapsed time to stderr")
     p.set_defaults(func=cmd_einstein)
 
@@ -496,31 +463,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["run", "list"])
     p.add_argument("--filter", help='glob on names, e.g. "7*"')
     p.add_argument("--out", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--tol", type=float)
     p.add_argument("--timings", action="store_true")
-    p.set_defaults(func=cmd_catalog_dispatch)
+    p.set_defaults(func=cmd_catalog)
 
     return ap
-
-
-def cmd_catalog_dispatch(args) -> int:
-    if args.action == "list":
-        for e in load_catalog():
-            if args.filter and not fnmatch.fnmatchcase(e.name, args.filter):
-                continue
-            print(f"{e.name:12s} {e.structure}")
-        return 0
-    return cmd_catalog(args)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:   # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

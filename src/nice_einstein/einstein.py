@@ -357,8 +357,7 @@ class _Recovery:
 
     @classmethod
     def of(cls, a: NiceLieAlgebra, sigma: Optional[Permutation]) -> "_Recovery":
-        weights = _weights(a, sigma)
-        return cls(_recovery_base(a.diagram, sigma), weights)
+        return cls(_recovery_base(a.diagram, sigma), _weights(a, sigma))
 
     def solve(self, X: Sequence) -> tuple[Optional[SignVec], tuple]:
         """(logsign of X_I / weight_I, |g| on the columns of `rows`) for ray X.
@@ -562,6 +561,7 @@ class _Systems:
     a: NiceLieAlgebra
     sigma: Optional[Permutation]
     base: _DiagramSystems
+    weights: list               # _weights(a, sigma)
     shift: tuple[int, ...]      # logsign of the weights: M2 delta = eps + shift
     p_rhs: list                 # |c|^(2 alpha) for each exponent row
 
@@ -594,7 +594,7 @@ class _Systems:
     @cached_property
     def recovery(self) -> _Recovery:
         """Metric recovery's facts, built on first use: once a winner exists."""
-        return _Recovery.of(self.a, self.sigma)
+        return _Recovery(_recovery_base(self.a.diagram, self.sigma), self.weights)
 
 
 def _build_systems(a: NiceLieAlgebra, k: Fraction,
@@ -605,7 +605,7 @@ def _build_systems(a: NiceLieAlgebra, k: Fraction,
     """
     weights = _weights(a, sigma)
     base = _diagram_systems(a.diagram, sigma, k)
-    return _Systems(a, sigma, base, logsign(weights),
+    return _Systems(a, sigma, base, weights, logsign(weights),
                     [abs_monomial(a.c, row) ** 2 for row in base.alphas])
 
 

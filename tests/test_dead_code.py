@@ -1,12 +1,15 @@
 """Every function, class and method of the package is used elsewhere in it,
-and every name it exports is documented in README.md or used by its modules."""
+every name it exports is documented in README.md or used by its modules, and
+every command-line option is named in README.md."""
 
+import argparse
 import ast
 import re
 from collections import Counter
 from pathlib import Path
 
 import nice_einstein
+from nice_einstein.cli import build_parser
 
 PACKAGE = Path(nice_einstein.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -126,3 +129,32 @@ def test_an_export_needs_the_readme_or_a_caller(tmp_path):
         "def dead(n):\n    return dead(n - 1) if n else used()\n")
     readme = "`documented(x)` returns 2; `deadline` is another word.\n"
     assert undocumented_exports(tmp_path, readme) == ["dead"]
+
+
+def undocumented_options(parser: argparse.ArgumentParser, readme: str) -> list[str]:
+    """`command --option` for each option of each subcommand that the README never names."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    out = []
+    for command, p in sub.choices.items():
+        for action in p._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            for opt in action.option_strings:
+                if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme):
+                    out.append(f"{command} {opt}")
+    return out
+
+
+def test_every_option_is_documented():
+    assert undocumented_options(build_parser(), README.read_text(encoding="utf-8")) == []
+
+
+def test_an_option_needs_its_own_readme_mention():
+    ap = argparse.ArgumentParser()
+    sub = ap.add_subparsers()
+    p = sub.add_parser("run")
+    p.add_argument("--out")
+    p.add_argument("--outdir")
+    p.add_argument("--k")
+    # `--outdir` does not name `--out`, nor does `--kx` name `--k`
+    assert undocumented_options(ap, "use `--outdir` or `--kx`") == ["run --out", "run --k"]

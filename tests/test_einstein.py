@@ -456,6 +456,24 @@ def test_exact_magnitudes_solved_once_per_ray(monkeypatch):
     assert counts == {"solve": 1, "recover_metric": 32}
 
 
+def test_sigma_weights_computed_once_per_classification(monkeypatch):
+    import nice_einstein.einstein as einstein
+    from nice_einstein.catalog import find_entry
+
+    counts = {}
+    _counting(monkeypatch, einstein, "tilde_c", counts)
+    a = find_entry("741:6").algebra({"lambda": F(1, 2)})
+    sigma = parse_permutation("(23)(45)", a.n)
+    # a winner: the systems' weights are reused by metric recovery
+    res = sigma_einstein(a, sigma, 0)
+    assert res.success and res.certificates
+    assert counts == {"tilde_c": 1}
+    # no winner: K fails before recovery is built
+    counts.clear()
+    assert not sigma_einstein(a, sigma, 5).success
+    assert counts == {"tilde_c": 1}
+
+
 def test_parameter_solve_builds_one_basis_per_leaf(monkeypatch, families):
     import nice_einstein.solver as solver
 
