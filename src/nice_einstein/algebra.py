@@ -27,7 +27,7 @@ from .diagram import (
     root_matrix,
     sigma_arrow_action,
 )
-from .linalg import MatF2, MatQ, VecQ, f2_rank, kernel_basis, rank
+from .linalg import F2Reduction, MatF2, MatQ, VecQ, kernel_basis, rref
 
 
 class ParseError(ValueError):
@@ -404,7 +404,7 @@ def tilde_c(a: NiceLieAlgebra, sigma: Permutation) -> tuple[Fraction, ...]:
     mapping, signs = sigma_arrow_action(a.diagram, sigma)
     out = [Fraction(0)] * a.m
     for p in range(a.m):
-        out[mapping[p]] = signs[p] * a.c[p]
+        out[mapping[p]] = a.c[p] if signs[p] > 0 else -a.c[p]
     return tuple(out)
 
 
@@ -434,27 +434,18 @@ class FundamentalDomainReport:
 
 
 def fundamental_domain(a: NiceLieAlgebra) -> FundamentalDomainReport:
-    """Greedy selection (in index order) of mod-2 then rational row bases."""
+    """Greedy selection (in index order) of mod-2 then rational row bases.
+
+    A row joins a greedy basis exactly when it is a pivot column of the
+    transpose: one reduction of M2^T, then one rref of M^T with the mod-2
+    basis first (independent mod 2, so over Q), the rest in index order.
+    """
     M, M2 = root_matrix(a.diagram)
     idx = a.indices()
-    chosen2: list[int] = []
-    rows2: list[list[int]] = []
-    for r in range(a.m):
-        cand = rows2 + [list(M2.data[r])]
-        if f2_rank(MatF2.from_rows(cand)) > len(rows2):
-            rows2 = cand
-            chosen2.append(r)
-
-    chosen_q: list[int] = list(chosen2)
-    rows_q = [list(M.data[r]) for r in chosen2]
-    for r in range(a.m):
-        if r in chosen_q:
-            continue
-        cand = rows_q + [list(M.data[r])]
-        if rank(MatQ.from_rows(cand)) > len(rows_q):
-            rows_q = cand
-            chosen_q.append(r)
-    chosen_q.sort()
+    chosen2 = F2Reduction(MatF2.from_rows(list(zip(*M2.data)))).pivots
+    order = [*chosen2, *(r for r in range(a.m) if r not in chosen2)]
+    _, pivots = rref(MatQ.from_rows([[M.data[r][j] for r in order] for j in range(a.n)]))
+    chosen_q = sorted(order[c] for c in pivots)
     to_one = tuple(idx[r] for r in chosen2)
     to_pm = tuple(idx[r] for r in chosen_q if r not in chosen2)
     free = tuple(idx[r] for r in range(a.m) if r not in chosen_q)

@@ -77,16 +77,16 @@ def _rational(text: str, what: str) -> Fraction:
         raise ParseError(f"bad {what} {text!r}, expected a rational number") from None
 
 
-def _load_family(args) -> AlgebraFamily:
-    text = args.input
+def _load_family(text: str, name=None) -> AlgebraFamily:
+    """The family that `text` gives, named `name` or else by its catalog name."""
     if text.startswith("@"):
-        return parse_family(_read_input_file(text), name=args.name)
-    if text.startswith("("):
-        return parse_family(text, name=args.name)
-    entry = find_entry(text)
-    if entry is None:
-        raise ParseError(f"{text!r} is neither a structure string nor a catalog name")
-    return entry.family()
+        text = _read_input_file(text)
+    elif not text.startswith("("):
+        entry = find_entry(text)
+        if entry is None:
+            raise ParseError(f"{text!r} is neither a structure string nor a catalog name")
+        text, name = entry.structure, name or entry.name
+    return parse_family(text, name=name)
 
 
 def _params_of(args, fam: AlgebraFamily) -> dict:
@@ -106,8 +106,8 @@ def _params_of(args, fam: AlgebraFamily) -> dict:
     return out
 
 
-def _load_algebra(args):
-    fam = _load_family(args)
+def _load_algebra(args, name=None):
+    fam = _load_family(args.input, name)
     return fam.substitute(_params_of(args, fam))
 
 
@@ -198,6 +198,7 @@ def record_csv_rows(rec: dict) -> list[list[str]]:
 
 
 def _emit_records(records: list[dict], out: str) -> None:
+    """One document: a JSON record (a list unless there is exactly one), or CSV."""
     if out == "json":
         print(json.dumps(records if len(records) != 1 else records[0], indent=2))
     elif out == "csv":
@@ -214,8 +215,13 @@ def _emit_records(records: list[dict], out: str) -> None:
 # Commands
 
 
+def _print_timing(args, t0: float) -> None:
+    if args.timings:
+        print(f"[{time.time() - t0:.2f}s]", file=sys.stderr)
+
+
 def cmd_validate(args) -> int:
-    alg = _load_algebra(args)
+    alg = _load_algebra(args, args.name)
     print(f"valid nice Lie algebra: {to_string(alg)}"
           + (f"  [{args.name}]" if args.name else ""))
     return 0
@@ -226,7 +232,7 @@ def _indices(idxs) -> str:
 
 
 def cmd_info(args) -> int:
-    alg = _load_algebra(args)
+    alg = _load_algebra(args, args.name)
     M, M2 = root_matrix(alg.diagram)
     print(f"name: {alg.name or '(unnamed)'}")
     print(f"structure: {to_string(alg)}")
@@ -267,11 +273,10 @@ def cmd_einstein(args) -> int:
         raise ParseError("--sigma needs --mode sigma")
     if args.solve_param and args.mode == "sigma" and not args.sigma:
         raise ParseError("--mode sigma with --solve-param needs --sigma")
-    fam = _load_family(args)
+    fam = _load_family(args.input, args.name)
     params = _params_of(args, fam)
     k = _rational(args.k, "--k")
     sigma = parse_permutation(args.sigma, fam.n) if args.sigma else None
-    records = []
     t0 = time.time()
 
     if args.solve_param:
@@ -280,13 +285,12 @@ def cmd_einstein(args) -> int:
             raise ParseError(f"--solve-param {args.solve_param} must name the one unresolved "
                              f"parameter; unresolved: {', '.join(work.params()) or 'none'}")
         sols = parameter_solve(work, sigma, k, args.tol)
-        print(f"solved {args.solve_param}: "
-              + ("{ " + ", ".join(str(s) for s, _ in sols) + " }" if sols else "none"))
-        for s, res in sols:
-            records.append(result_record(res, dict(params, **{args.solve_param: s})))
-        _emit_records(records, args.out)
-        if args.timings:
-            print(f"[{time.time() - t0:.2f}s]", file=sys.stderr)
+        if args.out == "text":   # the records carry each value in `params`
+            print(f"solved {args.solve_param}: "
+                  + ("{ " + ", ".join(str(s) for s, _ in sols) + " }" if sols else "none"))
+        _emit_records([result_record(res, dict(params, **{args.solve_param: s}))
+                       for s, res in sols], args.out)
+        _print_timing(args, t0)
         return 0 if sols else 2
 
     alg = fam.substitute(params)
@@ -294,18 +298,16 @@ def cmd_einstein(args) -> int:
         results = [diagonal_einstein(alg, k, args.tol)]
     else:
         sigmas = [sigma] if sigma else [p for p, _ in involutions(alg.diagram)]
-        if not sigmas:
-            print("no diagram involutions exist")
-            return 2
         results = [sigma_einstein(alg, s, k, args.tol) for s in sigmas]
-    records = [result_record(r, params) for r in results]
-    _emit_records(records, args.out)
-    if args.timings:
-        print(f"[{time.time() - t0:.2f}s]", file=sys.stderr)
+    if results or args.out != "text":
+        _emit_records([result_record(r, params) for r in results], args.out)
+    else:
+        print("no diagram involutions exist")
+    _print_timing(args, t0)
     if any(r.success for r in results):
         bad = any(w.startswith("numeric certificate") for r in results for w in r.warnings)
         return 3 if bad else 0
-    return 2 if all(r.exact for r in results) else 3
+    return 2 if all(r.exact for r in results) else 3   # no involution at all: 2
 
 
 def _parse_metric(alg, args):
@@ -402,8 +404,7 @@ def cmd_catalog(args) -> int:
                 line += f"\n       got:  {c.got}\n       want: {c.want}"
             print(line)
         print(f"{sum(1 for c in rows if c.ok)}/{len(rows)} checks match")
-    if args.timings:
-        print(f"[{time.time() - t0:.2f}s]", file=sys.stderr)
+    _print_timing(args, t0)
     return 0 if all_ok else 1
 
 
@@ -418,9 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "an independent curvature oracle.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, named=True):
         p.add_argument("input", help="structure string, catalog name, or @file")
-        p.add_argument("--name", help="label for ad-hoc structure strings")
+        if named:
+            p.add_argument("--name", help="label printed for the input, in place of "
+                                          "its catalog name")
         p.add_argument("--param", action="append", metavar="NAME=RAT",
                        help="substitute a family parameter (once per NAME)")
 
@@ -446,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_einstein)
 
     p = sub.add_parser("verify", help="oracle-check Ric = lambda id for a given metric")
-    add_common(p)
+    add_common(p, named=False)
     p.add_argument("--metric", required=True,
                    help='diagonal entries "g1,g2,..." or matrix rows "a,b;c,d"')
     p.add_argument("--sigma", help="interpret the vector as a sigma-diagonal metric")
@@ -454,17 +457,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("curvature", help="curvature norms, scalar curvature, ad-invariance")
-    add_common(p)
+    add_common(p, named=False)
     p.add_argument("--metric", required=True)
     p.add_argument("--sigma", help="interpret the vector as a sigma-diagonal metric")
     p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("catalog", help="re-run the shipped catalog against its expected results")
-    p.add_argument("action", choices=["run", "list"])
-    p.add_argument("--filter", help='glob on names, e.g. "7*"')
-    p.add_argument("--out", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--timings", action="store_true")
-    p.set_defaults(func=cmd_catalog)
+    actions = p.add_subparsers(dest="action", required=True)
+    run = actions.add_parser("run", help="re-run the entries and compare")
+    listing = actions.add_parser("list", help="names and structure strings")
+    for p in (run, listing):
+        p.add_argument("--filter", help='glob on names, e.g. "7*"')
+        p.set_defaults(func=cmd_catalog)
+    run.add_argument("--out", choices=["text", "json", "csv"], default="text")
+    run.add_argument("--timings", action="store_true")
 
     return ap
 

@@ -97,67 +97,47 @@ def format_delta(delta: SignVec) -> str:
 # Ricci by the weight formula
 
 
-def _metric_vector(g) -> tuple:
-    if hasattr(g, "g"):
-        return tuple(g.g)
-    return tuple(g)
-
-
 def ricci_diagonal(a: NiceLieAlgebra, g) -> tuple:
-    """Diagonal of the Ricci operator of the diagonal metric g.
-
-    X_I = c_I^2 prod_j g_j^(M_Ij); the operator is (1/2) tM X.
-    """
-    gv = _metric_vector(g)
-    M, _ = root_matrix(a.diagram)
-    X = _x_vector(a, gv, _weights(a, None), M)
-    return _half_tm_x(M, X, a.n)
+    """Diagonal of the Ricci operator of the diagonal metric g: sigma = id."""
+    return ricci_sigma(a, _identity(a.n), g)
 
 
 def ricci_sigma(a: NiceLieAlgebra, sigma: Permutation, g) -> tuple:
-    """Diagonal of the Ricci operator of the sigma-diagonal metric g."""
-    gv = _metric_vector(g)
+    """Diagonal of the Ricci operator of the sigma-diagonal metric g.
+
+    X_I = c_I c~_I prod_j g_j^(M_Ij); the operator is (1/2) tM X.
+    """
+    gv = tuple(g.g) if hasattr(g, "g") else tuple(g)
     if not _sigma_invariant(gv, sigma):
         raise ValueError("metric coefficients are not sigma-invariant")
     M, _ = root_matrix(a.diagram)
-    X = _x_vector(a, gv, _weights(a, sigma), M)
-    return _half_tm_x(M, X, a.n)
+    X = []
+    for row, x in zip(M.data, _weights(a, sigma)):
+        for e, gj in zip(row, gv):
+            if e == 1:
+                x = x * gj
+            elif e == -1:
+                x = x / gj
+        X.append(x)
+    return tuple(sum(M.data[i][j] * X[i] for i in range(M.rows)) / 2 for j in range(a.n))
+
+
+def _identity(n: int) -> Permutation:
+    """The permutation that a diagonal metric is sigma-diagonal for."""
+    return tuple(range(1, n + 1))
 
 
 def _weights(a: NiceLieAlgebra, sigma: Optional[Permutation]) -> list:
-    """w_I in X_I = w_I prod_j g_j^(M_Ij): c_I^2, or c_I c~_I for sigma.
+    """w_I in X_I = w_I prod_j g_j^(M_Ij): c_I c~_I, which is c_I^2 at sigma = id.
 
-    Raises ValueError unless sigma is an involutive diagram automorphism.
+    sigma None is the identity.  Raises ValueError unless sigma is an
+    involutive diagram automorphism.
     """
-    if sigma is None:
-        return [cv * cv for cv in a.c]
-    return [cv * cw for cv, cw in zip(a.c, tilde_c(a, sigma))]
+    return [cv * cw for cv, cw in zip(a.c, tilde_c(a, sigma or _identity(a.n)))]
 
 
 def _sigma_invariant(v: Sequence, sigma: Permutation) -> bool:
     return all(v[i] == v[sigma[i] - 1] for i in range(len(sigma)))
-
-
-def _x_vector(a: NiceLieAlgebra, gv, weights, M: MatQ) -> list:
-    X = []
-    for row, w in zip(M.data, weights):
-        val = w
-        for j in range(a.n):
-            e = int(row[j])
-            if e == 1:
-                val = val * gv[j]
-            elif e == -1:
-                val = val / gv[j]
-        X.append(val)
-    return X
-
-
-def _half_tm_x(M: MatQ, X, n: int) -> tuple:
-    out = []
-    for j in range(n):
-        s = sum(M.data[i][j] * X[i] for i in range(M.rows))
-        out.append(s / 2)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +214,16 @@ class ClassificationResult:
 def halved_signatures(S) -> list[SignVec]:
     """One representative per complementary pair, ordered by (length, indices)."""
     items = sorted(set(tuple(d) for d in S), key=delta_sort_key)
-    if not items:
-        return []
-    n = len(items[0])
     full = set(items)
-    ones = tuple([1] * n)
+    out = []
+    kept = set()
     for d in items:
         comp = tuple(x ^ 1 for x in d)
         if comp not in full:
             raise ValueError(f"signature set is not closed under complement: {format_delta(d)}")
-    out = []
-    seen = set()
-    for d in items:
-        comp = tuple(x ^ 1 for x in d)
-        if d in seen or comp in seen:
-            continue
-        seen.add(d)
-        out.append(d)
+        if comp not in kept:
+            kept.add(d)
+            out.append(d)
     return out
 
 
@@ -306,39 +279,34 @@ def _build_report(deltas: list[SignVec], sigma: Optional[Permutation]) -> Signat
 class _RecoveryBase:
     """What metric recovery needs of one (diagram, sigma), whatever the constants.
 
-    `rows` are the integer rows of M, or for sigma M's columns summed over
-    each sigma-orbit, which forces an invariant metric; `orb_of` maps a
-    node to its orbit (sigma only).  `freedom` is the kernel of M (or its
-    sigma-invariant part) and `system` the multiplicative system on `rows`,
-    prepared once.  Built once per process by `_recovery_base`.
+    `rows` are the integer rows of M, columns summed over each sigma-orbit
+    (one node each at sigma = id), which forces an invariant metric;
+    `orbit` is each node's orbit, a column of `rows`.  `freedom` is the
+    sigma-invariant kernel of M and `system` the multiplicative system on
+    `rows`, prepared once.  Built once per process by `_recovery_base`.
     """
 
     M2: MatF2
     rows: tuple
-    orb_of: Optional[dict]
+    orbit: tuple[int, ...]
     freedom: MetricFreedom
     system: MultiplicativeSystem
 
 
 @lru_cache(maxsize=None)
 def _recovery_base(d: NiceDiagram, sigma: Optional[Permutation]) -> _RecoveryBase:
+    sigma = sigma or _identity(d.n)
     M, M2 = root_matrix(d)
-    rows = M.to_int_rows()
-    orb_of = None
-    # Free positive directions: rational kernel of M (or its sigma-invariant part).
-    if sigma is None:
-        ker = kernel_basis(M)
-        cols = d.n
-    else:
-        ker_rows = (*M.data, *map(tuple, _difference_rows(_node_pairs(sigma), d.n)))
-        ker = kernel_basis(MatQ(len(ker_rows), d.n, ker_rows))
-        orbits = _orbits(sigma)
-        orb_of = {v: o_i for o_i, orb in enumerate(orbits) for v in orb}
-        rows = [[sum(row[v - 1] for v in orb) for orb in orbits] for row in rows]
-        cols = len(orbits)
-    return _RecoveryBase(M2, tuple(map(tuple, rows)), orb_of,
+    # Free positive directions: the sigma-invariant part of the kernel of M.
+    ker_rows = (*M.data, *map(tuple, _difference_rows(_node_pairs(sigma), d.n)))
+    ker = kernel_basis(MatQ(len(ker_rows), d.n, ker_rows))
+    orbits = _orbits(sigma)
+    orb_of = {v: o_i for o_i, orb in enumerate(orbits) for v in orb}
+    rows = [[sum(row[v - 1] for v in orb) for orb in orbits] for row in M.to_int_rows()]
+    return _RecoveryBase(M2, tuple(map(tuple, rows)),
+                         tuple(orb_of[v] for v in range(1, d.n + 1)),
                          MetricFreedom(tuple(_int_scale(v) for v in ker)),
-                         MultiplicativeSystem(rows, cols))
+                         MultiplicativeSystem(rows, len(orbits)))
 
 
 @dataclass(frozen=True)
@@ -360,7 +328,7 @@ class _Recovery:
         return cls(_recovery_base(a.diagram, sigma), _weights(a, sigma))
 
     def solve(self, X: Sequence) -> tuple[Optional[SignVec], tuple]:
-        """(logsign of X_I / weight_I, |g| on the columns of `rows`) for ray X.
+        """(logsign of X_I / weight_I, |g_v| for each node v) for ray X.
 
         The signs are None when X is not rational.  The magnitudes are exact
         through the Smith form when X is rational and no fractional power
@@ -383,7 +351,7 @@ class _Recovery:
                 mags = self.base.system.solve([abs(r) for r in rhs])
             if mags is None:
                 mags = _log_solve(self.base.rows, X, self.weights)
-            self.by_ray[ray] = mags
+            mags = self.by_ray[ray] = tuple(mags[o] for o in self.base.orbit)
         out = self.by_X[key] = (signs, mags)
         return out
 
@@ -412,8 +380,6 @@ def recover_metric(
     base = facts.base
     if signs is not None and tuple(base.M2.mul_vec(delta)) != signs:
         raise ValueError("sign pattern violates the mod-2 condition")
-    if sigma is not None:
-        mags = [mags[base.orb_of[v]] for v in range(1, a.n + 1)]
     g = tuple(-m if d else m for d, m in zip(delta, mags))
     metric = DiagonalMetric(g, delta) if sigma is None else SigmaMetric(sigma, g, delta)
     return metric, base.freedom
@@ -529,21 +495,20 @@ def _diagram_systems(d: NiceDiagram, sigma: Optional[Permutation],
                      k: Fraction) -> _DiagramSystems:
     """K, L and the P exponents for (d, sigma, k).
 
-    An abelian diagram (no arrows) needs no case of its own: K is n rows
-    that read 0 = k, L has no arrow checks, and P has no exponents.
+    sigma None is the identity, which pairs no arrow and no node.  An
+    abelian diagram (no arrows) needs no case of its own: K is n rows that
+    read 0 = k, L has no arrow checks, and P has no exponents.
     K is kept reduced: a slice's rows join its pivot rows, which span the
     same rows as K and k, so the slice's solution set is the same.
     """
+    sigma = sigma or _identity(d.n)
     M, M2 = root_matrix(d)
+    mapping, _ = sigma_arrow_action(d, sigma)
     augmented = [[*r, k] for r in M.transpose().data]   # [K | k]
-    l_system = M2
-    if sigma is not None:
-        mapping, _ = sigma_arrow_action(d, sigma)
-        augmented += [[*r, Fraction(0)] for r in _difference_rows(
-            [(p, q) for p, q in enumerate(mapping) if q > p], M.rows)]
-        node_rows = _difference_rows(_node_pairs(sigma), d.n)
-        if node_rows:
-            l_system = M2.stack(MatF2.from_rows(node_rows))
+    augmented += [[*r, Fraction(0)] for r in _difference_rows(
+        [(p, q) for p, q in enumerate(mapping) if q > p], M.rows)]
+    node_rows = _difference_rows(_node_pairs(sigma), d.n)
+    l_system = M2.stack(MatF2.from_rows(node_rows)) if node_rows else M2
     R, pivots = rref(MatQ.from_rows(augmented))
     R = R[:len(pivots)]
     rows = tuple(tuple(r[:-1]) for r in R)

@@ -214,6 +214,38 @@ def test_fundamental_domain_631_6_rank_cross_check(algebras):
     assert len(fd.free) == a.m - fd.rank_q
 
 
+def _greedy_fundamental_domain(a):
+    """Reference: grow each row basis in index order, one rank per candidate row."""
+    from nice_einstein.algebra import FundamentalDomainReport
+    from nice_einstein.linalg import MatF2, MatQ, f2_rank, rank
+    M, M2 = root_matrix(a.diagram)
+    chosen2, rows2 = [], []
+    for r in range(a.m):
+        cand = rows2 + [list(M2.data[r])]
+        if f2_rank(MatF2.from_rows(cand)) > len(rows2):
+            rows2, chosen2 = cand, chosen2 + [r]
+    chosen_q, rows_q = list(chosen2), [list(M.data[r]) for r in chosen2]
+    for r in range(a.m):
+        cand = rows_q + [list(M.data[r])]
+        if r not in chosen_q and rank(MatQ.from_rows(cand)) > len(rows_q):
+            rows_q, chosen_q = cand, chosen_q + [r]
+    idx = a.indices()
+    return FundamentalDomainReport(
+        tuple(idx[r] for r in chosen2),
+        tuple(idx[r] for r in sorted(chosen_q) if r not in chosen2),
+        tuple(idx[r] for r in range(a.m) if r not in chosen_q), len(chosen_q), len(chosen2))
+
+
+def test_fundamental_domain_matches_the_greedy_rank_loop(algebras):
+    from nice_einstein.catalog import load_catalog
+    catalog = [entry.algebra({n: F(v) for n, v in next(
+        rec for recs in entry.expected.values() for rec in recs).get("param", {}).items()})
+        for entry in load_catalog()]
+    assert len(catalog) == 44
+    for a in [*catalog, *algebras.values(), parse("(0,0,0)")]:
+        assert fundamental_domain(a) == _greedy_fundamental_domain(a), a.name
+
+
 def test_eigendistribution_involutive_dim10(algebras):
     a = algebras["dim10"]
     assert eigendistribution_involutive(a, [1, 4, 6, 7, 9]) == (True, True)

@@ -123,6 +123,78 @@ def test_einstein_solve_param(capsys):
     assert "-1/8" in out and "1/8" in out
 
 
+@pytest.mark.parametrize("argv, code, params", [
+    (["93:86", "--k", "0", "--solve-param", "a"], 0, [{"a": "-1/8"}, {"a": "1/8"}]),
+    (["741:6", "--mode", "sigma", "--sigma", "(23)(45)", "--solve-param", "lambda"], 0,
+     [{"lambda": "1/2"}]),
+    # no involution but the identity: no records
+    (["(0,0,e^{12},e^{13})", "--mode", "sigma"], 2, []),
+])
+def test_einstein_json_and_csv_print_one_document(capsys, argv, code, params):
+    got, out = run_cli(capsys, "einstein", *argv, "--out", "json")
+    assert got == code
+    recs = json.loads(out)
+    recs = recs if isinstance(recs, list) else [recs]
+    assert [r["params"] for r in recs] == params
+    got, out = run_cli(capsys, "einstein", *argv, "--out", "csv")
+    assert got == code
+    lines = out.splitlines()
+    assert lines[0] == "name,mode,k,outcome,half_S,sigma,p,q"
+    assert all(line.count(",") == 7 for line in lines) and (len(lines) > 1) == bool(params)
+
+
+def test_einstein_text_summaries(capsys):
+    # the solved values and the missing involutions are told in text output only
+    code, out = run_cli(capsys, "einstein", "93:86", "--k", "0", "--solve-param", "a")
+    assert code == 0 and out.startswith("solved a: { -1/8, 1/8 }\n93:86  mode=diagonal")
+    code, out = run_cli(capsys, "einstein", "(0,0,e^{12},e^{13})", "--mode", "sigma")
+    assert (code, out) == (2, "no diagram involutions exist\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["einstein", "631:6", "--timings"],
+    ["einstein", "93:86", "--solve-param", "a", "--timings"],
+    ["einstein", "(0,0,e^{12},e^{13})", "--mode", "sigma", "--timings"],
+    ["catalog", "run", "--filter", "62:4a", "--timings"],
+])
+def test_timings_go_to_stderr_on_every_path(capsys, argv):
+    import re
+
+    main(argv)
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"\[\d+\.\d\ds\]\n", err), err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["catalog", "list", "--out", "json"], "--out json"),
+    (["catalog", "list", "--timings"], "--timings"),
+    # they print no name
+    (["verify", "631:6", "--metric", "1,1,1,1,-1,1", "--name", "foo"], "--name foo"),
+    (["curvature", "631:6", "--metric", "1,1,1,1,-1,1", "--name", "foo"], "--name foo"),
+])
+def test_options_that_change_nothing_are_usage_errors(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {option}\n")
+
+
+@pytest.mark.parametrize("source", ["631:6", "(0,0,0,e^{12},e^{13},e^{25}+e^{34})", "@"])
+def test_name_labels_every_input(capsys, tmp_path, source):
+    if source == "@":
+        path = tmp_path / "alg.txt"
+        path.write_text("(0,0,0,e^{12},e^{13},e^{25}+e^{34})\n", encoding="utf-8")
+        source = f"@{path}"
+    code, out = run_cli(capsys, "validate", source, "--name", "foo")
+    assert code == 0 and out.endswith("  [foo]\n")
+    code, out = run_cli(capsys, "info", source, "--name", "foo")
+    assert code == 0 and out.startswith("name: foo\n")
+    code, out = run_cli(capsys, "einstein", source, "--name", "foo", "--out", "json")
+    assert code == 0 and json.loads(out)["name"] == "foo"
+    code, out = run_cli(capsys, "info", source)
+    assert out.startswith("name: 631:6\n" if source == "631:6" else "name: (unnamed)\n")
+
+
 def test_einstein_sigma_all_involutions(capsys):
     code, out = run_cli(capsys, "einstein", "731:15", "--k", "0", "--mode", "sigma")
     assert code == 2
@@ -323,7 +395,7 @@ FAILS_EXACTLY = {"8654321_25_k0.json"}
     (["631:6", "--k", "0"], "631_6_k0.json"),
     (["741:6", "--param", "lambda=1/2", "--mode", "sigma", "--sigma", "(23)(45)"],
      "741_6_sigma.json"),
-    (["93:86", "--k", "0", "--solve-param", "a"], "93_86_solve_a.txt"),
+    (["93:86", "--k", "0", "--solve-param", "a"], "93_86_solve_a.json"),
     # Vacuous certificates print the orthant enumeration's witness point.
     (["10:1", "--mode", "sigma", "--sigma", "(13)(27)(45)(68)(90)", "--k", "0"],
      "10_1_sigma.json"),
@@ -336,7 +408,7 @@ FAILS_EXACTLY = {"8654321_25_k0.json"}
 ])
 def test_einstein_json_pinned(capsys, argv, golden):
     # The whole stdout, byte for byte: verdicts, certificates, float
-    # residuals and the solved parameter values.
+    # residuals and the solved parameter values (in each record's params).
     code, out = run_cli(capsys, "einstein", *argv, "--out", "json")
     assert code == (2 if golden in FAILS_EXACTLY else 0)
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
@@ -382,7 +454,7 @@ def _catalog_einstein_argvs():
 
 # sha256 over argv, exit code and stdout of each run whose certificates are
 # all exact; float certificates print fitted metrics, so they are left out.
-EXACT_CATALOG_SHA256 = "cb36d76fbb4d041af51c89aa0527ba989fa389d1365244ff3816d47b8fb6bdb2"
+EXACT_CATALOG_SHA256 = "f076676d7d915b5a9dcd199c2da005170c720b7a028c95b69bb849833b2fe652"
 
 
 def test_exact_catalog_einstein_json_is_pinned(capsys):
@@ -394,8 +466,7 @@ def test_exact_catalog_einstein_json_is_pinned(capsys):
     kept = 0
     for argv in argvs:
         code, out = run_cli(capsys, *argv)
-        body = out.split("\n", 1)[1] if out.startswith("solved ") else out
-        recs = json.loads(body)
+        recs = json.loads(out)
         recs = recs if isinstance(recs, list) else [recs]
         if all(c["exact"] for r in recs for c in r["certificates"]):
             kept += 1

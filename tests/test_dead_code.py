@@ -132,13 +132,16 @@ def test_an_export_needs_the_readme_or_a_caller(tmp_path):
 
 
 def undocumented_options(parser: argparse.ArgumentParser, readme: str) -> list[str]:
-    """`command --option` for each option of each subcommand that the README never names."""
+    """`command --option` for each option of each subcommand, nested ones
+    included, that the README never names."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     out = []
     for command, p in sub.choices.items():
         for action in p._actions:
             if isinstance(action, argparse._HelpAction):
                 continue
+            if isinstance(action, argparse._SubParsersAction):
+                out += [f"{command} {x}" for x in undocumented_options(p, readme)]
             for opt in action.option_strings:
                 if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme):
                     out.append(f"{command} {opt}")
@@ -156,5 +159,8 @@ def test_an_option_needs_its_own_readme_mention():
     p.add_argument("--out")
     p.add_argument("--outdir")
     p.add_argument("--k")
+    nested = sub.add_parser("catalog").add_subparsers().add_parser("list")
+    nested.add_argument("--filter")
     # `--outdir` does not name `--out`, nor does `--kx` name `--k`
-    assert undocumented_options(ap, "use `--outdir` or `--kx`") == ["run --out", "run --k"]
+    assert undocumented_options(ap, "use `--outdir` or `--kx`") == [
+        "run --out", "run --k", "catalog list --filter"]

@@ -257,6 +257,25 @@ def test_recover_metric_abelian():
     assert len(freedom.exponents) == 3
 
 
+def test_sigma_identity_reproduces_every_diagonal_catalog_record():
+    # A diagonal metric is sigma-diagonal for sigma = id; each classification
+    # here builds its systems and recovery afresh (None and id are two keys).
+    runs = [(entry.algebra({n: F(v) for n, v in rec.get("param", {}).items()}),
+             F(rec.get("k", "0")))
+            for entry in load_catalog() for rec in entry.expected.get("diagonal", [])]
+    assert len(runs) == 55
+    for a, k in runs:
+        d = diagonal_einstein(a, k)
+        s = sigma_einstein(a, tuple(range(1, a.n + 1)), k)
+        assert (s.mode, d.mode) == ("sigma", "diagonal")
+        assert ((s.success, s.failed_at, s.exact, s.signatures, s.warnings)
+                == (d.success, d.failed_at, d.exact, d.signatures, d.warnings)), a.name
+        assert ([(c.X, c.delta, c.metric.g, c.oracle_residual, c.freedom, c.exact)
+                 for c in s.certificates]
+                == [(c.X, c.delta, c.metric.g, c.oracle_residual, c.freedom, c.exact)
+                    for c in d.certificates]), a.name
+
+
 def test_halved_signatures_631_6(algebras):
     r = diagonal_einstein(algebras["631:6"], 0)
     assert halved_signatures(r.signatures.S) == list(r.signatures.half_S)
