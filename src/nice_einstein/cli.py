@@ -53,7 +53,7 @@ from .einstein import (
     parameter_solve,
     sigma_einstein,
 )
-from .linalg import f2_rank, kernel_basis, rank
+from .linalg import kernel_basis
 
 SCHEMA_VERSION = 1
 
@@ -198,7 +198,8 @@ def record_csv_rows(rec: dict) -> list[list[str]]:
 
 
 def _emit_records(records: list[dict], out: str) -> None:
-    """One document: a JSON record (a list unless there is exactly one), or CSV."""
+    """One document: a JSON record (a list unless there is exactly one), CSV, or text (none
+    for no records)."""
     if out == "json":
         print(json.dumps(records if len(records) != 1 else records[0], indent=2))
     elif out == "csv":
@@ -207,7 +208,7 @@ def _emit_records(records: list[dict], out: str) -> None:
             for row in record_csv_rows(rec):
                 print(",".join('"' + cell + '"' if "," in cell else cell
                                for cell in row))
-    else:
+    elif records:
         print("\n".join(record_text(rec) for rec in records))
 
 
@@ -233,7 +234,7 @@ def _indices(idxs) -> str:
 
 def cmd_info(args) -> int:
     alg = _load_algebra(args, args.name)
-    M, M2 = root_matrix(alg.diagram)
+    M, _ = root_matrix(alg.diagram)
     print(f"name: {alg.name or '(unnamed)'}")
     print(f"structure: {to_string(alg)}")
     print(f"nodes: {alg.n}   arrows: {alg.m}")
@@ -241,8 +242,9 @@ def cmd_info(args) -> int:
     print("root matrix:")
     for row in M.data:
         print("   [" + " ".join(f"{int(x):2d}" for x in row) + "]")
-    print(f"rank over Q: {rank(M)}   rank mod 2: {f2_rank(M2)}"
-          + ("   (mod-2 surjective)" if f2_rank(M2) == alg.m else ""))
+    fd = fundamental_domain(alg)
+    print(f"rank over Q: {fd.rank_q}   rank mod 2: {fd.rank_f2}"
+          + ("   (mod-2 surjective)" if fd.rank_f2 == alg.m else ""))
     kerM = kernel_basis(M)
     print(f"ker M (diagonal derivations), dim {len(kerM)}:")
     for v in kerM:
@@ -261,7 +263,6 @@ def cmd_info(args) -> int:
     print("involutions: " + (", ".join(
         format_permutation(p) + (" [fixed-point-free]" if f else "")
         for p, f in invs) or "none"))
-    fd = fundamental_domain(alg)
     print("fundamental domain: set to 1: " + (_indices(fd.normalized_to_one) or "-")
           + "; set to +-1: " + (_indices(fd.normalized_to_pm_one) or "-")
           + "; free: " + (_indices(fd.free) or "-"))

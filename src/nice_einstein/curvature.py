@@ -13,67 +13,64 @@ checked on its nonzero entries).  G is scanned once, into its nonzero
 entries by row, and inverted once; from then on the oracle reads only the
 nonzero entries of G and of its inverse (by columns for the connection, by
 rows for the operator G^-1 Ric), and the Ricci tensor walks only nonzero
-connection rows.  The type of the input entries picks the arithmetic:
+connection rows.
 
-- integer path, when every Gram entry and structure constant is a Fraction
-  or an int: G and the constants are scaled to integers by the lcm of their
-  denominators.  det and adjugate of G are read off when G is monomial (one
-  nonzero h_i = G[i][p(i)] per row, as for every diagonal and
-  sigma-diagonal metric: det = sign(p) * prod h_i, and the adjugate has the
-  one entry det / h_i at [p(i)][i]); any other G goes through
-  `linalg.bareiss`, the fraction-free elimination that `rref` runs, on
-  [G | I].  Only dense G reach it, and certificates are monomial, so the
-  oracle's check of a certificate shares no code with the K solve.  The
-  connection is taken in adjoint form: G is symmetric, so
-  adj(G) . G = det * id turns the first Koszul term into det * c~_ab^c,
-  and the numerators are
-  D~[a][c][b] = det * c~_ab^c - A_b[c][a] - A_a[c][b] with
-  A_x = adj(G) . ad_x^T . G, summed over the nonzero constants, adjugate
-  columns and G rows.  The first Ricci sum, sum_a (D_a D_b)[a][cc], is
-  taken once through H[t] = sum_a D~[a][a][t].  On a monomial G the second,
-  sum_a (D_b D_a)[a][cc], walks the sparse connection rows; both run over
-  every a, and their a = b terms are equal, so they cancel exactly.  On an
-  eliminated G, where D~ is mostly nonzero, the second sum is
-  tr(D~_b D~_cc) + kappa * sum c~_{a,cc}^t D~[b][a][t], by the torsion
-  identity D~[a][t][cc] - D~[cc][t][a] = kappa * c~_{a,cc}^t, which holds
-  exactly in the integers; the trace is symmetric in (b, cc), so it is
-  summed once per pair b <= cc.  Each nonzero result entry is one division
-  into a Fraction at the end.
-  Repeated keys: the certificates of one classification share |g| and
-  differ only in signs.  A monomial G whose key (p, |h|) equals that of the
-  last exact monomial call on the same `LieBrackets` is not summed again.
-  On the first repeat `_exact_connection` and `_exact_ricci` run once on
-  `_Signed` scalars of the sign ring Z[s]/(s_o^2 - 1), one s_o per orbit o
-  of p, with G[i][p(i)] = s_o * |h_i| (`_Frame.signed`); that call and every
-  later one with the key evaluate the Ricci numerators at the signs of their
-  h, and take the operator from them in integers, as the integer path does.
-  Evaluation at a point of {+-1}^n is a ring homomorphism to Z, and those
-  sums use only +, -, * and zero tests that skip zero terms, so each call
-  gets exactly the integers the integer sums give, divided once as before.
-  The key and the form are one entry on the `LieBrackets`, so at most one
-  form exists per `LieBrackets`; the first call with a key, dense G and the
-  float path are summed as described, and the symmetry check runs on every
-  call.
-  The constants are scaled once per `LieBrackets` (`int_table`), and
-  `LieBrackets.from_nice` keeps its result on the frozen algebra, so
-  repeated calls on one algebra scale only their Gram matrices.  Every zero
-  entry, of a result, of `LieBrackets.from_nice`'s constants and of an exact
-  `diagonal_gram` or `sigma_gram`, is one shared Fraction(0), so the
-  mostly-zero Ricci operator of a diagonal or sigma-diagonal metric makes no
-  Fractions there, and a check of op = lambda id (the certificate check in
-  `einstein`) compares entries with lambda and counts that zero before it
-  builds any residual.  All-int inputs are exact too.
-- float path, otherwise: the entries are converted to floats, the
-  constants once per `LieBrackets` (`float_table`).  A monomial G is read
-  off as 1/h_i, which is what Gauss-Jordan elimination gives, bit for bit;
-  any other G is inverted by Gauss-Jordan.  The connection is driven by the
-  lowered brackets <[x,y],z> (which `ad_invariance_check` reads too): each
-  one is a term of three Koszul sums, so only the index pairs that have a
-  term are visited.  The same nonzero terms are summed in the same index
-  order as the dense Koszul and Ricci formulas (the Ricci sums per t from a
-  dense connection array, skipping a = b), so the rounding does not depend
-  on the sparse traversal.  The dense order is a rule of this path alone.
-  Every zero of Ric and of the operator is 0 * G[0][0].
+One arithmetic, the integers.  An int or a Fraction, Gram entry or
+structure constant, is read as it is; any other value as the exact
+rational of float(x) (a binary float is a dyadic rational, read by
+`as_integer_ratio`), and a NaN or infinite entry raises ValueError.  G and
+the constants are scaled to integers by the lcm of their denominators.
+The result type follows the nonzero inputs: Fractions when every one is an
+int or a Fraction, else for each entry the float nearest its exact value
+(an int / int division, which rounds correctly), zeros as 0.0.
+
+det and adjugate of G are read off when G is monomial (one nonzero
+h_i = G[i][p(i)] per row, as for every diagonal and sigma-diagonal metric:
+det = sign(p) * prod h_i, and the adjugate has the one entry det / h_i at
+[p(i)][i]); any other G goes through `linalg.bareiss`, the fraction-free
+elimination that `rref` runs, on [G | I].  Only dense G reach it, and
+certificates are monomial, so the oracle's check of a certificate shares
+no code with the K solve.  The connection is taken in adjoint form: G is
+symmetric, so adj(G) . G = det * id turns the first Koszul term into
+det * c~_ab^c, and the numerators are
+D~[a][c][b] = det * c~_ab^c - A_b[c][a] - A_a[c][b] with
+A_x = adj(G) . ad_x^T . G, summed over the nonzero constants, adjugate
+columns and G rows.  The first Ricci sum, sum_a (D_a D_b)[a][cc], is taken
+once through H[t] = sum_a D~[a][a][t].  On a monomial G the second,
+sum_a (D_b D_a)[a][cc], walks the sparse connection rows; both run over
+every a, and their a = b terms are equal, so they cancel exactly.  On an
+eliminated G, where D~ is mostly nonzero, the second sum is
+tr(D~_b D~_cc) + kappa * sum c~_{a,cc}^t D~[b][a][t], by the torsion
+identity D~[a][t][cc] - D~[cc][t][a] = kappa * c~_{a,cc}^t, which holds
+exactly in the integers; the trace is symmetric in (b, cc), so it is summed
+once per pair b <= cc.  Each nonzero result entry is one division at the
+end.
+
+Repeated keys: the certificates of one classification share |g| and differ
+only in signs.  A monomial G whose key (p, |h|), on the scaled integers,
+equals that of the last monomial call on the same `LieBrackets` is not
+summed again, so a float call and an exact call with equal keys share one
+form.  On the first repeat `_exact_connection` and `_exact_ricci` run once
+on `_Signed` scalars of the sign ring Z[s]/(s_o^2 - 1), one s_o per orbit o
+of p, with G[i][p(i)] = s_o * |h_i| (`_Frame.signed`); that call and every
+later one with the key evaluate the Ricci numerators at the signs of their
+h, and take the operator from them in integers.  Evaluation at a point of
+{+-1}^n is a ring homomorphism to Z, and those sums use only +, -, * and
+zero tests that skip zero terms, so each call gets exactly the integers the
+integer sums give, divided once as before.  The key and the form are one
+entry on the `LieBrackets`, so at most one form exists per `LieBrackets`;
+the first call with a key and dense G are summed as described, and the
+symmetry check runs on every call.
+
+The constants are scaled once per `LieBrackets` (`int_table`), and
+`LieBrackets.from_nice` keeps its result on the frozen algebra, so repeated
+calls on one algebra scale only their Gram matrices.  Every zero entry of
+an exact result, of `LieBrackets.from_nice`'s constants and of an exact
+`diagonal_gram` or `sigma_gram` is one shared Fraction(0), so the
+mostly-zero Ricci operator of a diagonal or sigma-diagonal metric makes no
+Fractions there, and a check of op = lambda id (the certificate check in
+`einstein`) compares entries with lambda and counts that zero before it
+builds any residual.
 """
 
 from __future__ import annotations
@@ -217,22 +214,30 @@ class LieBrackets:
         return out
 
     @cached_property
-    def int_table(self) -> Optional[tuple[int, dict]]:
-        """(M, `table` times M) with M the lcm of the denominators, so every value is an int.
+    def int_table(self) -> tuple[int, dict, bool]:
+        """(M, `table` times M, rational), M the lcm of the denominators (see `_scaled`)."""
+        M, scaled, rational = _scaled(list(self.table.values()))
+        return M, dict(zip(self.table, map(tuple, scaled))), rational
 
-        None when some constant is neither a Fraction nor an int.
-        """
-        consts = [v for terms in self.table.values() for _, v in terms]
-        if not all(issubclass(t, (int, Fraction)) for t in set(map(type, consts))):
-            return None
-        M = math.lcm(1, *(v.denominator for v in consts))
-        return M, {ab: tuple((k, v.numerator * (M // v.denominator)) for k, v in terms)
-                   for ab, terms in self.table.items()}
 
-    @cached_property
-    def float_table(self) -> dict[tuple[int, int], tuple[tuple[int, float], ...]]:
-        """`table` with every constant converted to float."""
-        return {ab: tuple((k, float(v)) for k, v in terms) for ab, terms in self.table.items()}
+def _scaled(rows: list) -> tuple[int, list, bool]:
+    """(L, rows with every x as the int L * x, rational) for rows of (index, x) pairs.
+
+    L is the lcm of the denominators, and rational says whether every x is
+    an int or a Fraction, each read as it is.  Any other x is read as the
+    exact rational of float(x); NaN or infinity raises ValueError.
+    """
+    values = [x for row in rows for _, x in row]
+    if all(issubclass(t, (int, Fraction)) for t in set(map(type, values))):
+        L = math.lcm(1, *(x.denominator for x in values))
+        return L, [[(z, x.numerator * (L // x.denominator)) for z, x in row] for row in rows], True
+    try:
+        rows = [[(z, x.as_integer_ratio() if isinstance(x, (int, Fraction))
+                  else float(x).as_integer_ratio()) for z, x in row] for row in rows]
+    except (ValueError, OverflowError):
+        raise ValueError("metric or structure constant is not a finite number") from None
+    L = math.lcm(1, *(d for row in rows for _, (_, d) in row))
+    return L, [[(z, p * (L // d)) for z, (p, d) in row] for row in rows], False
 
 
 def _zero_of(x):
@@ -307,40 +312,35 @@ def _require_symmetric(rows: list) -> None:
 
 @dataclass(frozen=True)
 class _Scaled:
-    """Gram matrix and nonzero structure constants in the oracle's arithmetic.
+    """Gram matrix and nonzero structure constants as integers.
 
-    Integer path: G = L * gram and c = M * constants, with L and M the lcm of
-    their denominators.  Float path: both as floats, and L = M = 1.  G is
-    kept by its nonzero entries only: rows[i] lists (z, G[i][z]), z ascending.
+    G = L * gram and c = M * constants, with L and M the lcm of their
+    denominators, each input read as `_scaled` reads it.  G is kept by its
+    nonzero entries only: rows[i] lists (z, G[i][z]), z ascending.
+    rational says whether every nonzero input is an int or a Fraction: the
+    results are Fractions then, and floats otherwise.
     """
 
-    exact: bool
     rows: list
     c: dict     # LieBrackets.table with scaled values
     L: int
     M: int
-    zero: object    # the zero the float sums start from, 0 * G[0][0]; 0 on the integer path
+    rational: bool
 
     @classmethod
     def of(cls, brackets: LieBrackets, gram: Sequence[Sequence]) -> "_Scaled":
-        """Scales G in one scan; the constants come scaled from `brackets.int_table`.
+        """Scales the nonzero entries of G; the constants come scaled from `brackets.int_table`.
 
         Raises ValueError unless G is symmetric, checked on its nonzero entries.
         """
-        types = set(map(type, chain.from_iterable(gram)))
-        if all(issubclass(t, (int, Fraction)) for t in types) and brackets.int_table is not None:
-            M, c = brackets.int_table
-            rows = [[(z, x) for z, x in enumerate(row) if x is not _ZERO and x] for row in gram]
-            L = math.lcm(1, *(x.denominator for row in rows for _, x in row))
-            rows = [[(z, x.numerator * (L // x.denominator)) for z, x in row] for row in rows]
-            _require_symmetric(rows)
-            return cls(True, rows, c, L, M, 0)
-        rows = [[(z, x) for z, x in enumerate(map(float, row)) if x] for row in gram]
+        M, c, rational = brackets.int_table
+        nonzero = [[(z, x) for z, x in enumerate(row) if x is not _ZERO and x] for row in gram]
+        L, rows, rational_gram = _scaled(nonzero)
         _require_symmetric(rows)
-        return cls(False, rows, brackets.float_table, 1, 1, 0 * float(gram[0][0]))
+        return cls(rows, c, L, M, rational and rational_gram)
 
     def lowered(self) -> dict[tuple[int, int], list[tuple[int, object]]]:
-        """<[e_x, e_y], e_z> in the scaled arithmetic: (x, y) -> [(z, value), ...] nonzero."""
+        """L * M * <[e_x, e_y], e_z> in integers: (x, y) -> [(z, value), ...] nonzero."""
         rows = self.rows
         out = {}
         for xy, terms in self.c.items():
@@ -354,26 +354,23 @@ class _Scaled:
 
 @dataclass(frozen=True)
 class _Frame:
-    """One oracle call: the scaled inputs and the one inverse of G, by its nonzero entries.
+    """One oracle call: the scaled inputs and the one adjugate of G, by its nonzero entries.
 
-    The connection is D = (conn . K) / d_den for the lowered Koszul terms K
-    (on the integer path in adjoint form, see `_exact_connection`);
-    Ric = R / d_den^2 with R = sum D~ D~ - kappa * c . D~ over the connection
-    numerators D~; and the Ricci operator is L * (inv . R) / op_den.  cols[d]
-    lists the nonzero (c, conn[c][d]) and inv[i] the nonzero (t, inv[i][t]),
-    indices ascending.
-
-    Integer path: conn = inv = adj(G) = det * G^-1 with det = +-det(G),
-    d_den = 2 M det, kappa = 2 det, op_den = det * d_den^2.  Float path:
-    conn = G^-1 / 2, inv = G^-1, and every other factor 1 (kappa too).
+    The connection is D = D~ / d_den for the integer numerators D~ of
+    `_exact_connection`; Ric = R / d_den^2 with
+    R = sum D~ D~ - kappa * c . D~; and the Ricci operator is
+    L * (adj . R) / op_den.  adj(G) = det * G^-1 with det = +-det(G),
+    d_den = 2 M det, kappa = 2 det and op_den = det * d_den^2.  cols[d]
+    lists the nonzero (c, adj[c][d]) and inv[i] the nonzero (t, adj[i][t]),
+    indices ascending.  Everything is summed in integers; `quotients` makes
+    the one division per entry, into the result type of `_Scaled`.
 
     A monomial G, with one nonzero h_i = G[i][p(i)] per row (as for every
     diagonal and sigma-diagonal metric; G is symmetric, so p is an
     involution), is read off: G^-1 has the one nonzero 1/h_i at [p(i)][i],
     so adj(G) has det / h_i there, with det = sign(p) * prod h_i and sign(p)
-    = -1 per transposition; in floats 1/h_i is what Gauss-Jordan gives.
-    Any other G is eliminated, by `bareiss` on [G | I] on integers and by
-    Gauss-Jordan on floats.
+    = -1 per transposition.  Any other G is eliminated by `bareiss` on
+    [G | I].
     """
 
     s: _Scaled
@@ -392,41 +389,31 @@ class _Frame:
         monomial = len(perm) == n       # G is symmetric, so perm is an involution
         if monomial:
             h = [row[0][1] for row in s.rows]
-            if s.exact:
-                transpositions = sum(p > i for i, p in enumerate(perm))
-                det = (-1) ** transpositions * math.prod(h)
-                entries = [det // x for x in h]
-            else:
-                det = 1
-                entries = [1 / x for x in h]
-            inv, cols = _permuted(perm, entries)
+            det = (-1) ** sum(p > i for i, p in enumerate(perm)) * math.prod(h)
+            inv, cols = _permuted(perm, [det // x for x in h])
         else:
             G = [[0] * n for _ in range(n)]     # with its zeros, for elimination
             for Gi, row in zip(G, s.rows):
                 for z, x in row:
                     Gi[z] = x
-            if s.exact:
-                det, rows, pivots = bareiss(
-                    [Gi + [int(i == j) for j in range(n)] for i, Gi in enumerate(G)])
-                if pivots[n - 1] != n - 1:
-                    raise DegenerateMetricError("metric is degenerate")
-                adj = [row[n:] for row in rows]
-            else:
-                det, adj = 1, _invert(G)
+            det, rows, pivots = bareiss(
+                [Gi + [int(i == j) for j in range(n)] for i, Gi in enumerate(G)])
+            if pivots[n - 1] != n - 1:
+                raise DegenerateMetricError("metric is degenerate")
+            adj = [row[n:] for row in rows]
             inv = [[(t, x) for t, x in enumerate(row) if x] for row in adj]
             cols = [[(c, x) for c, x in enumerate(col) if x] for col in zip(*adj)]
-        if s.exact:
-            d_den = 2 * s.M * det
-            return cls(s, cols, inv, monomial, det, d_den, det * d_den * d_den)
-        return cls(s, [[(c, x / 2) for c, x in col] for col in cols], inv, monomial, 1, 1, 1)
+        d_den = 2 * s.M * det
+        return cls(s, cols, inv, monomial, det, d_den, det * d_den * d_den)
 
-    def quotient(self, num, den):
-        if not self.s.exact:
-            return num
-        return Fraction(num, den) if num else _ZERO
+    def quotients(self, rows: list, den: int) -> list[list]:
+        """Each x / den of the int rows: Fractions (zeros the shared one) or nearest floats."""
+        if self.s.rational:
+            return [[Fraction(x, den) if x else _ZERO for x in row] for row in rows]
+        return [[x / den if x else 0.0 for x in row] for row in rows]
 
     def signed(self) -> "_Frame":
-        """This exact monomial frame over the sign ring, with G[i][p(i)] = s_o(i) * |h_i|.
+        """This monomial frame over the sign ring, with G[i][p(i)] = s_o(i) * |h_i|.
 
         One sign s_o per orbit o(i) = min(i, p(i)) of p, since a symmetric G
         has h_i = h_p(i).  With s_o^2 = 1, det = sign(p) * prod |h_i| * s^all,
@@ -453,54 +440,6 @@ def _permuted(perm: list, entries: list) -> tuple[list, list]:
     for i, (p, x) in enumerate(zip(perm, entries)):
         inv[p] = [(i, x)]
     return inv, [[(p, x)] for p, x in zip(perm, entries)]
-
-
-def _connection(f: _Frame) -> tuple[list, list]:
-    """Float connection D by nonzero row, and as a dense array.
-
-    D[a][c][b] is the e_c-component of nabla_{e_a} e_b, from the Koszul
-    formula for left-invariant metrics:
-    2<nabla_a b, d> = <[a,b],d> - <[b,d],a> + <[d,a],b>.
-    A lowered bracket <[x,y],z> = w is the first term at (a, b, d) = (x, y, z),
-    the second at (z, x, y) and the third at (y, z, x), so only the pairs
-    (a, b) with a term are visited.  rows[a][c] lists the nonzero
-    (b, D[a][c][b]), b ascending.  The dense D holds every summed entry, a
-    float that cancelled to zero included, and int 0 elsewhere.
-    """
-    n = len(f.s.rows)
-    low = f.s.lowered()
-    # (a, b) -> {d: (t1 - t2) + t3}, one term kind per pass: the dense
-    # formula's float rounding
-    koszul = {xy: dict(entries) for xy, entries in low.items()}
-    for (x, y), entries in low.items():
-        for z, w in entries:
-            at = koszul.get((z, x))
-            if at is None:
-                at = koszul[(z, x)] = {}
-            at[y] = at.get(y, 0) - w
-    for (x, y), entries in low.items():
-        for z, w in entries:
-            at = koszul.get((y, z))
-            if at is None:
-                at = koszul[(y, z)] = {}
-            at[x] = at.get(x, 0) + w
-    cols = f.cols
-    D = [[[0] * n for _ in range(n)] for _ in range(n)]
-    rows = [[[] for _ in range(n)] for _ in range(n)]
-    for (a, b) in sorted(koszul):
-        at = koszul[(a, b)]
-        col = {}
-        for d in sorted(at):
-            kd = at[d]
-            if kd:
-                for c, p in cols[d]:
-                    col[c] = col.get(c, 0) + p * kd
-        rows_a, Da = rows[a], D[a]
-        for c, v in col.items():
-            if v:
-                rows_a[c].append((b, v))
-            Da[c][b] = v
-    return rows, D
 
 
 def _exact_connection(f: _Frame) -> tuple[list, list]:
@@ -541,8 +480,8 @@ def _exact_connection(f: _Frame) -> tuple[list, list]:
 def levi_civita(brackets: LieBrackets, gram: Sequence[Sequence]) -> list:
     """Connection matrices D[a], with D[a][c][b] the e_c-component of nabla_{e_a} e_b."""
     f = _Frame.of(brackets, gram)
-    _, D = _exact_connection(f) if f.s.exact else _connection(f)
-    return [[[f.quotient(x, f.d_den) for x in row] for row in Da] for Da in D]
+    _, D = _exact_connection(f)
+    return [f.quotients(Da, f.d_den) for Da in D]
 
 
 def riemann_endomorphisms(brackets: LieBrackets, gram: Sequence[Sequence]) -> dict:
@@ -620,49 +559,10 @@ def _exact_ricci(f: _Frame, rows: list, D: list) -> list[list[int]]:
     return R
 
 
-def _float_ricci(f: _Frame, rows: list, D: list) -> list[list[float]]:
-    """The Ricci numerators in floats, each sum in the dense formula's index order."""
-    n = len(rows)
-    R = []
-    for b in range(n):
-        # Ric(b, cc) = sum_a (D_a D_b - D_b D_a - D_[a,b])[a][cc]
-        acc = [f.s.zero] * n
-        Db, rows_b = D[b], rows[b]
-        for a in range(n):
-            if a == b:     # its two products cancel exactly, but not in floats
-                continue
-            rows_a = rows[a]
-            xs, ys = rows_a[a], rows_b[a]    # the nonzero D[a][a][t] and D[b][a][t]
-            if xs and ys:
-                # per t the x term, then the y term: the dense sum's rounding
-                Daa, Dba = D[a][a], Db[a]
-                for t in range(n):
-                    x = Daa[t]
-                    if x:
-                        for cc, v in rows_b[t]:
-                            acc[cc] += x * v
-                    y = Dba[t]
-                    if y:
-                        for cc, v in rows_a[t]:
-                            acc[cc] -= y * v
-            else:
-                for t, x in xs:
-                    for cc, v in rows_b[t]:
-                        acc[cc] += x * v
-                for t, y in ys:
-                    for cc, v in rows_a[t]:
-                        acc[cc] -= y * v
-            for k, kv in f.s.c.get((a, b), ()):     # kappa = 1
-                for cc, v in rows[k][a]:
-                    acc[cc] -= kv * v
-        R.append(acc)
-    return R
-
-
 def _exact_numerators(brackets: LieBrackets, f: _Frame) -> list[list[int]]:
-    """The integer Ricci numerators R of an exact frame.
+    """The integer Ricci numerators R of a frame.
 
-    A monomial frame whose key (p, |h|) equals that of the last exact monomial
+    A monomial frame whose key (p, |h|) equals that of the last monomial
     call on these brackets evaluates R off the sign-ring form of that key at
     the signs of its h.  The form is compiled on the first repeat and kept on
     the brackets as one entry, so each holds at most one.  Any other frame,
@@ -698,22 +598,18 @@ def ricci_tensor(brackets: LieBrackets, gram: Sequence[Sequence]) -> tuple[list,
     nonzero connection entries.
     """
     f = _Frame.of(brackets, gram)
-    exact = f.s.exact
-    R = _exact_numerators(brackets, f) if exact else _float_ricci(f, *_connection(f))
-    n = len(R)
+    R = _exact_numerators(brackets, f)
+    n, L = len(R), f.s.L
     op = []
     for inv_i in f.inv:
-        acc = [f.s.zero] * n
+        acc = [0] * n
         for t, p in inv_i:
+            p *= L
             for j, x in enumerate(R[t]):
                 if x:
                     acc[j] += p * x
         op.append(acc)
-    if not exact:
-        return R, op
-    ric_den, L, op_den = f.d_den * f.d_den, f.s.L, f.op_den
-    return ([[Fraction(x, ric_den) if x else _ZERO for x in row] for row in R],
-            [[Fraction(L * x, op_den) if x else _ZERO for x in row] for row in op])
+    return f.quotients(R, f.d_den * f.d_den), f.quotients(op, f.op_den)
 
 
 def einstein_residual(op: Sequence[Sequence], lam):

@@ -224,10 +224,6 @@ def rref(M: MatQ) -> tuple[list[list[Fraction]], list[int]]:
     return [[Fraction(x, d) for x in row] for row in A], pivots
 
 
-def rank(M: MatQ) -> int:
-    return len(rref(M)[1])
-
-
 def _kernel(R: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int) -> list[VecQ]:
     """Kernel basis of the first `ncols` columns of the reduced rows R."""
     basis = []
@@ -347,10 +343,6 @@ class F2Reduction:
             sols.append(tuple(x))
         sols.sort()
         return sols
-
-
-def f2_rank(M: MatF2) -> int:
-    return F2Reduction(M).rank
 
 
 def f2_solve_all(M2: MatF2, e: Sequence[int], cap: int = F2_KERNEL_CAP) -> list[VecF2]:

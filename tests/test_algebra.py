@@ -205,29 +205,29 @@ def test_fundamental_domain_62_4a(algebras):
 
 
 def test_fundamental_domain_631_6_rank_cross_check(algebras):
-    from nice_einstein.linalg import f2_rank, rank
+    from nice_einstein.linalg import F2Reduction, rref
     a = algebras["631:6"]
     M, M2 = root_matrix(a.diagram)
     fd = fundamental_domain(a)
-    assert fd.rank_q == rank(M) == 3
-    assert fd.rank_f2 == f2_rank(M2) == 3
+    assert fd.rank_q == len(rref(M)[1]) == 3
+    assert fd.rank_f2 == F2Reduction(M2).rank == 3
     assert len(fd.free) == a.m - fd.rank_q
 
 
 def _greedy_fundamental_domain(a):
     """Reference: grow each row basis in index order, one rank per candidate row."""
     from nice_einstein.algebra import FundamentalDomainReport
-    from nice_einstein.linalg import MatF2, MatQ, f2_rank, rank
+    from nice_einstein.linalg import F2Reduction, MatF2, MatQ, rref
     M, M2 = root_matrix(a.diagram)
     chosen2, rows2 = [], []
     for r in range(a.m):
         cand = rows2 + [list(M2.data[r])]
-        if f2_rank(MatF2.from_rows(cand)) > len(rows2):
+        if F2Reduction(MatF2.from_rows(cand)).rank > len(rows2):
             rows2, chosen2 = cand, chosen2 + [r]
     chosen_q, rows_q = list(chosen2), [list(M.data[r]) for r in chosen2]
     for r in range(a.m):
         cand = rows_q + [list(M.data[r])]
-        if r not in chosen_q and rank(MatQ.from_rows(cand)) > len(rows_q):
+        if r not in chosen_q and len(rref(MatQ.from_rows(cand))[1]) > len(rows_q):
             rows_q, chosen_q = cand, chosen_q + [r]
     idx = a.indices()
     return FundamentalDomainReport(

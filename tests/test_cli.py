@@ -38,6 +38,22 @@ def test_info_output(capsys):
     assert "fundamental domain" in out
 
 
+def test_info_reduces_the_root_matrix_once_mod_2(capsys, monkeypatch):
+    from nice_einstein import linalg
+
+    built = []
+    init = linalg.F2Reduction.__init__
+
+    def counted(self, M):
+        built.append(M)
+        init(self, M)
+
+    monkeypatch.setattr(linalg.F2Reduction, "__init__", counted)
+    code, out = run_cli(capsys, "info", "631:6")
+    assert code == 0 and "rank over Q: 3   rank mod 2: 3\n" in out
+    assert len(built) == 1
+
+
 def test_einstein_exit_codes(capsys):
     code, _ = run_cli(capsys, "einstein", "631:6", "--k", "0")
     assert code == 0
@@ -147,6 +163,8 @@ def test_einstein_text_summaries(capsys):
     # the solved values and the missing involutions are told in text output only
     code, out = run_cli(capsys, "einstein", "93:86", "--k", "0", "--solve-param", "a")
     assert code == 0 and out.startswith("solved a: { -1/8, 1/8 }\n93:86  mode=diagonal")
+    code, out = run_cli(capsys, "einstein", "93:86", "--k", "1", "--solve-param", "a")
+    assert (code, out) == (2, "solved a: none\n")
     code, out = run_cli(capsys, "einstein", "(0,0,e^{12},e^{13})", "--mode", "sigma")
     assert (code, out) == (2, "no diagram involutions exist\n")
 

@@ -193,7 +193,17 @@ def test_scalar_curvature_trace_identity(algebras):
 
 
 # ---------------------------------------------------------------------------
-# The sparse, integer/float oracle against dense references
+# The sparse integer oracle against dense references
+
+
+def rationals(M):
+    """M with every entry read as the rational it is (a float exactly, by Fraction(float))."""
+    return [[F(x) for x in row] for row in M]
+
+
+def rounded(x):
+    """x with every entry as the nearest float, nested lists and tuples kept."""
+    return type(x)(map(rounded, x)) if isinstance(x, (list, tuple)) else float(x)
 
 
 def dense_levi_civita(B, gram):
@@ -317,8 +327,21 @@ def test_dense_gram_ricci_symmetric_with_scalar_identity(algebras, name):
     assert (ric, op) == dense_ricci(B, G)
 
 
-def test_float_path_sums_in_dense_order(algebras):
-    """Float metrics, diagonal, sigma and dense: the same floats as the dense sums."""
+def float_rounds_exact(B, G, B_exact=None):
+    """Connection and Ricci of float input: floats, each the nearest to the exact value.
+
+    The exact value is the oracle's on the input read as rationals (G, and
+    the constants of B_exact when given); zeros are 0.0, never -0.0.
+    """
+    got = (levi_civita(B, G), *ricci_tensor(B, G))
+    E, Be = rationals(G), B_exact or B
+    want = (levi_civita(Be, E), *ricci_tensor(Be, E))
+    assert repr(got) == repr(rounded(want))
+    assert all(type(x) is float for M in (*got[0], *got[1:]) for row in M for x in row)
+
+
+def test_float_inputs_round_the_exact_oracle(algebras):
+    """Float metrics, diagonal, sigma and dense, and float constants."""
     rng = random.Random(3)
     for name in ("631:6", "75432:3", "842:117", "dim10"):
         B = bra(algebras[name])
@@ -330,9 +353,23 @@ def test_float_path_sums_in_dense_order(algebras):
             sigma = (4, 3, 2, 1, 6, 5, 8, 7)
             metrics.append(sigma_gram([g[min(i, sigma[i] - 1)] for i in range(n)], sigma))
         for G in metrics:
-            got, want = ricci_tensor(B, G), dense_ricci(B, G)
-            assert repr(got) == repr(want)
-            assert all(type(x) is float for M in got for row in M for x in row)
+            float_rounds_exact(B, G)
+        # float constants, on an exact and on a float metric
+        Bf = LieBrackets(n, tuple(tuple(tuple(v / 3 for v in map(float, row)) for row in plane)
+                                  for plane in B.c))
+        assert Bf.int_table[2] is False
+        Be = LieBrackets(n, tuple(tuple(tuple(map(F, row)) for row in plane) for plane in Bf.c))
+        for G in (diagonal_gram([F(1), F(-2), *[F(1, 3)] * (n - 2)]), metrics[0]):
+            float_rounds_exact(Bf, G, Be)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_entry_rejected(algebras, bad):
+    B = bra(algebras["631:6"])
+    g = [1.0, 2.0, bad, 1.0, 1.0, 1.0]
+    for oracle in (levi_civita, ricci_tensor):
+        with pytest.raises(ValueError, match="^metric or structure constant is not a finite"):
+            oracle(B, diagonal_gram(g))
 
 
 def test_int_gram_is_exact(algebras):
@@ -344,11 +381,10 @@ def test_int_gram_is_exact(algebras):
 
 
 def frame_inverse(A):
-    """(d, d * A^-1) as the oracle's frame holds it, A taken as an exact or float Gram matrix.
+    """(d, d * A^-1) as the oracle's frame holds it, A taken as a Gram matrix.
 
-    The frame keeps the inverse twice, by nonzero rows and (halved on the
-    float path) by nonzero columns; both must give the same dense matrix.
-    On the integer path d = +-det A; on the float path d = 1.
+    The frame keeps the adjugate twice, by nonzero rows and by nonzero
+    columns; both must give the same dense matrix.  d = +-det of the scaled A.
     """
     n = len(A)
     f = _Frame.of(LieBrackets(n, (((0,) * n,) * n,) * n), A)
@@ -359,7 +395,7 @@ def frame_inverse(A):
     by_cols = [[0] * n for _ in range(n)]
     for d, col in enumerate(f.cols):
         for c, x in col:
-            by_cols[c][d] = x if f.s.exact else 2 * x
+            by_cols[c][d] = x
     assert by_rows == by_cols
     return f.det, by_rows
 
@@ -411,7 +447,10 @@ def _involution(rng, n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_monomial_adjugate_matches_bareiss(n):
-    """Symmetric signed involution times diagonal: read off, the same as eliminated, floats bit for bit."""
+    """Symmetric signed involution times diagonal: read off, the same as eliminated.
+
+    A float matrix gives the frame of the rationals it holds.
+    """
     rng = random.Random(f"monomial/{n}")
     parities = set()
     for _ in range(30):
@@ -428,9 +467,7 @@ def test_monomial_adjugate_matches_bareiss(n):
         assert [[F(x, bd) for x in row] for row in bX] == inv
         assert all(type(x) is int for row in X for x in row)
         Af = [[x * 1.1 for x in row] for row in A]
-        _, Xf = frame_inverse(Af)
-        want = [[x if x else 0 for x in row] for row in _invert(Af)]
-        assert repr(Xf) == repr(want)
+        assert frame_inverse(Af) == frame_inverse(rationals(Af))
         parities.add(_parity(perm))
     assert parities == ({0} if n == 1 else {0, 1})
 
@@ -463,15 +500,27 @@ def test_singular_dense_gram_rejected(algebras):
 
 @pytest.mark.parametrize("argv, residuals", [
     (["8542:15a", "--param", "a2=2", "--k", "0"],
-     ["3.3827684781511485e-16"] * 4 + ["5.65206098262759e-16"] * 8
-     + ["3.3827684781511485e-16"] * 4),
-    (["8531:60a", "--k", "1"], ["8.104628079763643e-15"] * 2),
+     ["4.524648140876217e-16"] * 4 + ["3.178915500973177e-16"] * 8
+     + ["4.524648140876217e-16"] * 4),
+    (["8531:60a", "--k", "1"], ["7.771561172376096e-15"] * 2),
 ])
 def test_float_certificate_residuals_pinned(capsys, argv, residuals):
+    """Each residual is that of the exact operator of the float metric, rounded, at k / 2."""
+    from nice_einstein import diagonal_einstein
+    from nice_einstein.catalog import find_entry
+
     assert main(["einstein", *argv, "--out", "json"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert [c["oracle_residual"] for c in rec["certificates"]] == residuals
     assert not any(c["exact"] for c in rec["certificates"])
+    params = dict(a.split("=") for a in argv[2:-2:2])
+    a = find_entry(argv[0]).algebra({p: F(v) for p, v in params.items()})
+    k = F(argv[-1])
+    certs = diagonal_einstein(a, k).certificates
+    assert [str(c.oracle_residual) for c in certs] == residuals
+    for c in certs:
+        _, op = ricci_tensor(bra(a), rationals(c.metric.gram()))
+        assert c.oracle_residual == einstein_residual(rounded(op), float(k) / 2)
 
 
 def test_from_nice_table_matches_the_dense_scan():
@@ -484,8 +533,8 @@ def test_from_nice_table_matches_the_dense_scan():
         fam = entry.family()
         a = fam.substitute({p: F(3, 2) for p in fam.params()})
         B = LieBrackets.from_nice(a)
-        M, scaled = B.int_table
-        assert LieBrackets.from_nice(a) is B
+        M, scaled, rational = B.int_table
+        assert rational and LieBrackets.from_nice(a) is B
         fresh = LieBrackets(B.n, B.c)
         assert list(B.table.items()) == list(fresh.table.items())
         assert B.int_table == fresh.int_table
@@ -510,13 +559,6 @@ def test_from_nice_is_kept_per_algebra_instance(algebras):
     assert (B.int_table[0], Bb.int_table[0]) == (1, 3)
     G = diagonal_gram([F(1), F(-2), F(3), F(1, 3), F(-3, 2), F(2, 5)])
     assert ricci_tensor(Bb, G) == dense_ricci(Bb, G) != ricci_tensor(B, G)
-    # constants that are not all rational take the float path
-    Bf = LieBrackets(b.n, tuple(tuple(tuple(float(v) for v in row) for row in plane)
-                                for plane in Bb.c))
-    assert Bf.int_table is None
-    got = ricci_tensor(Bf, G)
-    assert any(type(x) is float for row in got[1] for x in row)
-    assert got == dense_ricci(Bf, G)
 
 
 def test_einstein_residual_matches_the_dense_formula():
@@ -590,7 +632,7 @@ def test_certificate_ricci_matches_the_dense_sums():
             assert all(type(x) is F for M in got for row in M for x in row)
             assert all(x is _ZERO for row in gram for x in row if not x)
         else:
-            assert repr(got) == repr(want)
+            assert repr(got) == repr(rounded(dense_ricci(bra(a), rationals(gram))))
         kinds.add((sigma is None, cert.exact))
     assert kinds == {(True, True), (True, False), (False, True)}  # no float sigma metric
 
@@ -634,16 +676,14 @@ def test_oracle_matches_the_dense_sums_on_every_catalog_algebra():
         sigma_entries += bool(entry.expected.get("sigma"))
         for a, G in _oracle_sweep_metrics(rng, entry):
             B = bra(a)
-            got = (levi_civita(B, G), *ricci_tensor(B, G))
-            D = dense_levi_civita(B, G)
-            want = (D, *dense_ricci(B, G, D))
+            got, want = _oracle_and_dense(B, rationals(G))
             exact = all(type(x) is F for row in G for x in row)
             if exact:
                 assert got == want
                 D, ric, op = got
                 assert all(type(x) is F for M in (*D, ric, op) for row in M for x in row)
             else:
-                assert repr(got) == repr(want)
+                assert repr((levi_civita(B, G), *ricci_tensor(B, G))) == repr(rounded(want))
             kinds[exact] += 1
     assert sigma_entries == 17
     assert kinds == {True: 3 * 44 + 17, False: 2 * 44 + 17}
@@ -698,8 +738,9 @@ def test_partially_sparse_gram_matches_the_dense_sums(algebras, name):
         assert all(type(x) is F for M in (*got[0], *got[1:]) for row in M for x in row)
         assert any(ric_row[j] for ric_row in got[1] for j in range(B.n))
         Gf = [[float(x) for x in row] for row in G]
-        got, want = _oracle_and_dense(B, Gf)
-        assert repr(got) == repr(want)
+        got, want = _oracle_and_dense(B, rationals(Gf))
+        assert got == want
+        assert repr((levi_civita(B, Gf), *ricci_tensor(B, Gf))) == repr(rounded(got))
 
 
 @pytest.mark.parametrize("name", ["631:6", "842:117", "dim10"])
@@ -783,9 +824,37 @@ def test_abelian_certificates_share_one_ring_compile(monkeypatch):
     assert dict(seen) == {"int": 1, "_Signed": 1}
 
 
+def test_float_certificates_share_one_ring_compile(monkeypatch):
+    """The 16 float certificates of 8542:15a at a2 = 2: one integer run and one ring compile."""
+    from nice_einstein import diagonal_einstein
+    from nice_einstein.catalog import find_entry
+
+    seen = _scalars_of_exact_ricci(monkeypatch)
+    res = diagonal_einstein(find_entry("8542:15a").algebra({"a2": F(2)}), 0)
+    assert len(res.certificates) == 16 and not any(c.exact for c in res.certificates)
+    assert dict(seen) == {"int": 1, "_Signed": 1}
+
+
+def test_exact_and_float_calls_share_a_key(algebras):
+    """g = 1/2, 3/2, ... and 0.5, 1.5, ...: one key, one form, each call its own type."""
+    B = _fresh(bra(algebras["631:6"]))
+    g = [F(1, 2), F(3, 2), F(-1, 2), F(5, 2), F(3, 2), F(-7, 2)]
+    exact = ricci_tensor(B, diagonal_gram(g))
+    floats = ricci_tensor(B, diagonal_gram([float(x) for x in g]))
+    key, form = B.__dict__["_signed"]
+    assert form is not None and key == tuple((i, abs(2 * x)) for i, x in enumerate(g))
+    assert all(type(x) is F for M in exact for row in M for x in row)
+    assert repr(floats) == repr(rounded(exact))
+    flipped = [-x for x in g]
+    assert (repr(ricci_tensor(B, diagonal_gram([float(x) for x in flipped])))
+            == repr(rounded(ricci_tensor(B, diagonal_gram(flipped)))))
+    assert B.__dict__["_signed"][1] is form
+
+
 def test_primed_memo_keeps_validation_and_the_other_paths(families):
-    """After a compile for a sigma key: a non-symmetric G still raises, float and
-    dense G take their own paths, and the key still evaluates to the integer sums."""
+    """After a compile for a sigma key: a non-symmetric G still raises, a float G
+    with the same key evaluates the form, a dense G takes its own path, and the
+    key still evaluates to the integer sums."""
     from nice_einstein import parse_permutation
 
     B = _fresh(bra(families["741:6"].substitute({"lambda": F(1, 2)})))
@@ -802,8 +871,12 @@ def test_primed_memo_keeps_validation_and_the_other_paths(families):
     with pytest.raises(ValueError, match="^metric is not symmetric in row 2$"):
         ricci_tensor(B, sigma_gram(skew, sigma))
 
-    floats = sigma_gram([float(x) for x in g], sigma)
-    assert repr(ricci_tensor(B, floats)) == repr(ricci_tensor(_fresh(B), floats))
+    floats = sigma_gram([float(3 * x) for x in g], sigma)     # 3 g is dyadic: the same key
+    got = ricci_tensor(B, floats)
+    assert repr(got) == repr(ricci_tensor(_fresh(B), floats))
+    exact = ricci_tensor(_fresh(B), sigma_gram([3 * x for x in g], sigma))
+    assert repr(got) == repr(rounded(exact))
+    assert B.__dict__["_signed"] == (key, form)
     dense = sigma_gram(g, sigma)
     dense[0][6] = dense[6][0] = F(1, 2)
     assert ricci_tensor(B, dense) == ricci_tensor(_fresh(B), dense) == dense_ricci(B, dense)
