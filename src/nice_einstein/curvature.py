@@ -9,7 +9,7 @@ the Lambda^2 Gram matrix is the Lambda^2 metric of h^-1, so only h is
 inverted.
 
 G must be symmetric (every entry point raises ValueError otherwise,
-checked on its nonzero entries).  G is scanned once, into its nonzero
+checked on its nonzero entries).  A Gram matrix is scanned once, into its nonzero
 entries by row, and inverted once; from then on the oracle reads only the
 nonzero entries of G and of its inverse (by columns for the connection, by
 rows for the operator G^-1 Ric), and the Ricci tensor walks only nonzero
@@ -46,21 +46,20 @@ exactly in the integers; the trace is symmetric in (b, cc), so it is summed
 once per pair b <= cc.  Each nonzero result entry is one division at the
 end.
 
-Repeated keys: the certificates of one classification share |g| and differ
-only in signs.  A monomial G whose key (p, |h|), on the scaled integers,
-equals that of the last monomial call on the same `LieBrackets` is not
-summed again, so a float call and an exact call with equal keys share one
-form.  On the first repeat `_exact_connection` and `_exact_ricci` run once
-on `_Signed` scalars of the sign ring Z[s]/(s_o^2 - 1), one s_o per orbit o
-of p, with G[i][p(i)] = s_o * |h_i| (`_Frame.signed`); that call and every
-later one with the key evaluate the Ricci numerators at the signs of their
-h, and take the operator from them in integers.  Evaluation at a point of
+Sign patterns of one monomial metric: the certificates of one
+classification share |g| and differ only in signs.  `_einstein_residuals`
+takes such a batch without a Gram matrix, as (sigma, |g|) and one sign
+mask per metric, and decides op = lambda id for each.  One mask runs the
+integer sums.  Several run `_exact_connection` and `_exact_ricci` once on
+`_Signed` scalars of the sign ring Z[s]/(s_o^2 - 1), one s_o per orbit o
+of p, with G[i][p(i)] = s_o * |h_i| (`_Frame.signed`), and evaluate the
+Ricci numerators at the signs of each mask.  Evaluation at a point of
 {+-1}^n is a ring homomorphism to Z, and those sums use only +, -, * and
-zero tests that skip zero terms, so each call gets exactly the integers the
-integer sums give, divided once as before.  The key and the form are one
-entry on the `LieBrackets`, so at most one form exists per `LieBrackets`;
-the first call with a key and dense G are summed as described, and the
-symmetry check runs on every call.
+zero tests that skip zero terms, so each mask gets exactly the integers
+the integer sums give.  The check compares those integers with lambda, and
+divides only for a mask that fails and for float input.  Nothing is kept
+between calls: the batch is the sharing, and `ricci_tensor` sums every
+Gram matrix it is given.
 
 The constants are scaled once per `LieBrackets` (`int_table`), and
 `LieBrackets.from_nice` keeps its result on the frozen algebra, so repeated
@@ -68,9 +67,7 @@ calls on one algebra scale only their Gram matrices.  Every zero entry of
 an exact result, of `LieBrackets.from_nice`'s constants and of an exact
 `diagonal_gram` or `sigma_gram` is one shared Fraction(0), so the
 mostly-zero Ricci operator of a diagonal or sigma-diagonal metric makes no
-Fractions there, and a check of op = lambda id (the certificate check in
-`einstein`) compares entries with lambda and counts that zero before it
-builds any residual.
+Fractions there.
 """
 
 from __future__ import annotations
@@ -385,26 +382,31 @@ class _Frame:
     def of(cls, brackets: LieBrackets, gram: Sequence[Sequence]) -> "_Frame":
         s = _Scaled.of(brackets, gram)
         n = len(s.rows)
-        perm = [row[0][0] for row in s.rows if len(row) == 1]
-        monomial = len(perm) == n       # G is symmetric, so perm is an involution
-        if monomial:
-            h = [row[0][1] for row in s.rows]
-            det = (-1) ** sum(p > i for i, p in enumerate(perm)) * math.prod(h)
-            inv, cols = _permuted(perm, [det // x for x in h])
-        else:
-            G = [[0] * n for _ in range(n)]     # with its zeros, for elimination
-            for Gi, row in zip(G, s.rows):
-                for z, x in row:
-                    Gi[z] = x
-            det, rows, pivots = bareiss(
-                [Gi + [int(i == j) for j in range(n)] for i, Gi in enumerate(G)])
-            if pivots[n - 1] != n - 1:
-                raise DegenerateMetricError("metric is degenerate")
-            adj = [row[n:] for row in rows]
-            inv = [[(t, x) for t, x in enumerate(row) if x] for row in adj]
-            cols = [[(c, x) for c, x in enumerate(col) if x] for col in zip(*adj)]
+        if all(len(row) == 1 for row in s.rows):    # G is symmetric, so p is an involution
+            return cls.of_monomial(s)
+        G = [[0] * n for _ in range(n)]     # with its zeros, for elimination
+        for Gi, row in zip(G, s.rows):
+            for z, x in row:
+                Gi[z] = x
+        det, rows, pivots = bareiss(
+            [Gi + [int(i == j) for j in range(n)] for i, Gi in enumerate(G)])
+        if pivots[n - 1] != n - 1:
+            raise DegenerateMetricError("metric is degenerate")
+        adj = [row[n:] for row in rows]
+        inv = [[(t, x) for t, x in enumerate(row) if x] for row in adj]
+        cols = [[(c, x) for c, x in enumerate(col) if x] for col in zip(*adj)]
         d_den = 2 * s.M * det
-        return cls(s, cols, inv, monomial, det, d_den, det * d_den * d_den)
+        return cls(s, cols, inv, False, det, d_den, det * d_den * d_den)
+
+    @classmethod
+    def of_monomial(cls, s: _Scaled) -> "_Frame":
+        """The frame of a monomial G, one entry rows[i] = [(p(i), h_i)] per row, read off."""
+        perm = [row[0][0] for row in s.rows]
+        h = [row[0][1] for row in s.rows]
+        det = (-1) ** sum(p > i for i, p in enumerate(perm)) * math.prod(h)
+        inv, cols = _permuted(perm, [det // x for x in h])
+        d_den = 2 * s.M * det
+        return cls(s, cols, inv, True, det, d_den, det * d_den * d_den)
 
     def quotients(self, rows: list, den: int) -> list[list]:
         """Each x / den of the int rows: Fractions (zeros the shared one) or nearest floats."""
@@ -559,46 +561,8 @@ def _exact_ricci(f: _Frame, rows: list, D: list) -> list[list[int]]:
     return R
 
 
-def _exact_numerators(brackets: LieBrackets, f: _Frame) -> list[list[int]]:
-    """The integer Ricci numerators R of a frame.
-
-    A monomial frame whose key (p, |h|) equals that of the last monomial
-    call on these brackets evaluates R off the sign-ring form of that key at
-    the signs of its h.  The form is compiled on the first repeat and kept on
-    the brackets as one entry, so each holds at most one.  Any other frame,
-    and the first call with a key, runs the integer sums.
-    """
-    if f.monomial:
-        key = tuple((row[0][0], abs(row[0][1])) for row in f.s.rows)
-        memo = brackets.__dict__.get("_signed")
-        if memo is not None and memo[0] == key:
-            form = memo[1]
-            if form is None:
-                g = f.signed()
-                form = [(i, j, x) for i, row in enumerate(_exact_ricci(g, *_exact_connection(g)))
-                        for j, x in enumerate(row) if x]
-                brackets.__dict__["_signed"] = (key, form)
-            neg = 0
-            for i, ((p, x),) in enumerate(f.s.rows):
-                if x < 0:
-                    neg |= 1 << min(i, p)
-            R = [[0] * len(key) for _ in key]
-            for i, j, x in form:
-                R[i][j] = x.at(neg)
-            return R
-        brackets.__dict__["_signed"] = (key, None)
-    return _exact_ricci(f, *_exact_connection(f))
-
-
-def ricci_tensor(brackets: LieBrackets, gram: Sequence[Sequence]) -> tuple[list, list]:
-    """(Ricci tensor matrix, Ricci operator matrix).
-
-    Ric(x, y) = trace of z -> R(z, x) y; the operator is G^{-1} Ric.  Only
-    the needed components of R are formed, not the full tensor, from the
-    nonzero connection entries.
-    """
-    f = _Frame.of(brackets, gram)
-    R = _exact_numerators(brackets, f)
+def _operator(f: _Frame, R: list[list[int]]) -> list[list[int]]:
+    """The integer numerators L * adj . R of the Ricci operator, over f.op_den."""
     n, L = len(R), f.s.L
     op = []
     for inv_i in f.inv:
@@ -609,7 +573,98 @@ def ricci_tensor(brackets: LieBrackets, gram: Sequence[Sequence]) -> tuple[list,
                 if x:
                     acc[j] += p * x
         op.append(acc)
-    return f.quotients(R, f.d_den * f.d_den), f.quotients(op, f.op_den)
+    return op
+
+
+def ricci_tensor(brackets: LieBrackets, gram: Sequence[Sequence]) -> tuple[list, list]:
+    """(Ricci tensor matrix, Ricci operator matrix).
+
+    Ric(x, y) = trace of z -> R(z, x) y; the operator is G^{-1} Ric.  Only
+    the needed components of R are formed, not the full tensor, from the
+    nonzero connection entries.
+    """
+    f = _Frame.of(brackets, gram)
+    R = _exact_ricci(f, *_exact_connection(f))
+    return f.quotients(R, f.d_den * f.d_den), f.quotients(_operator(f, R), f.op_den)
+
+
+def _sign_batch(brackets: LieBrackets, sigma: Sequence[int], g: Sequence,
+                masks: Sequence[int]) -> tuple:
+    """(frame, numerators) of the metrics sum_i +-g_i e^i (x) e^sigma(i), one per sign mask.
+
+    The metrics are given without a Gram matrix: sigma (1-based images),
+    the magnitudes g > 0, one per node, and one mask per metric, whose bit i
+    makes g_i negative.  G is symmetric when sigma is an involution and g
+    and every mask are sigma-invariant; otherwise this raises ValueError,
+    as the Gram entry points do.  g is read as `_scaled` reads it, so the
+    signs change neither L nor the result type.  frame(mask) is the
+    monomial frame of one mask, and numerators yields the integer Ricci
+    numerators R of each mask in turn.  One mask runs the integer sums;
+    several run them once over the sign ring (`_Frame.signed`) and evaluate
+    that form at each mask.
+    """
+    perm = [p - 1 for p in sigma]
+    M, c, rational = brackets.int_table
+    L, (row,), rational_g = _scaled([list(enumerate(g))])
+    h = [x for _, x in row]
+    if not all(x > 0 for x in h):
+        raise ValueError("metric magnitudes must be positive")
+    for i, p in enumerate(perm):
+        if perm[p] != i or h[p] != h[i] or any((m >> i ^ m >> p) & 1 for m in masks):
+            raise ValueError(f"metric is not symmetric in row {i + 1}")
+    rational = rational and rational_g
+
+    def frame(mask: int) -> _Frame:
+        rows = [[(p, -x if mask >> i & 1 else x)] for i, (p, x) in enumerate(zip(perm, h))]
+        return _Frame.of_monomial(_Scaled(rows, c, L, M, rational))
+
+    if len(masks) == 1:
+        f = frame(masks[0])
+        return frame, [_exact_ricci(f, *_exact_connection(f))]
+    n = len(h)
+    f = frame(0).signed()
+    form = [(i, j, x) for i, row in enumerate(_exact_ricci(f, *_exact_connection(f)))
+            for j, x in enumerate(row) if x]
+    orbits = sum(1 << i for i, p in enumerate(perm) if i <= p)     # the bits of `signed`
+
+    def evaluated(mask: int) -> list[list[int]]:
+        R = [[0] * n for _ in range(n)]
+        neg = mask & orbits
+        for i, j, x in form:
+            R[i][j] = x.at(neg)
+        return R
+    return frame, map(evaluated, masks)
+
+
+def _einstein_residuals(brackets: LieBrackets, sigma: Sequence[int], g: Sequence,
+                        masks: Sequence[int], lam: Fraction) -> list:
+    """max |op - lam id| of the Ricci operator of each metric of `_sign_batch`.
+
+    op = lam id is decided on the integer numerators R: row p(t) of op is
+    L (det / h_t) R[t] / (det d_den^2), so it holds exactly when every row t
+    of R is 0 off column p(t) and L R[t][p(t)] lam_den = lam_num d_den^2 h_t,
+    where d_den^2 = (2 M det)^2 is the same for every mask.  A mask that
+    passes gets the shared zero.  The operator's quotients and the residual
+    are built only for a mask that fails, and for float input, whose
+    residual is the float one of `einstein_residual` at float(lam).
+    """
+    frame, numerators = _sign_batch(brackets, sigma, g, masks)
+    f = frame(0)
+    s, n = f.s, len(f.s.rows)
+    scale = s.L * lam.denominator
+    unit = lam.numerator * f.d_den * f.d_den
+    out = []
+    for mask, R in zip(masks, numerators):
+        if s.rational and all(
+                Rt.count(0) == n - bool(Rt[p])
+                and scale * Rt[p] == (-unit * x if mask >> t & 1 else unit * x)
+                for t, (Rt, ((p, x),)) in enumerate(zip(R, s.rows))):
+            out.append(_ZERO)
+            continue
+        fm = frame(mask)
+        op = fm.quotients(_operator(fm, R), fm.op_den)
+        out.append(einstein_residual(op, lam if s.rational else float(lam)))
+    return out
 
 
 def einstein_residual(op: Sequence[Sequence], lam):

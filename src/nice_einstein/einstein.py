@@ -30,14 +30,7 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .algebra import NiceLieAlgebra, ParseError, tilde_c
-from .curvature import (
-    LieBrackets,
-    _ZERO,
-    diagonal_gram,
-    einstein_residual,
-    ricci_tensor,
-    sigma_gram,
-)
+from .curvature import LieBrackets, _einstein_residuals, diagonal_gram, sigma_gram
 from .diagram import NiceDiagram, Permutation, root_matrix, sigma_arrow_action
 from .linalg import (
     AffineSet,
@@ -247,7 +240,9 @@ def sigma_signature(metric: SigmaMetric) -> tuple[int, int]:
     return p, q
 
 
+@lru_cache(maxsize=None)
 def _signature_of(delta: SignVec, sigma: Optional[Permutation]) -> tuple[int, int]:
+    """(p, q) of the sign pattern delta; kept per (delta, sigma), like `_diagram_systems`."""
     if sigma is None:
         w = sum(delta)
         return (len(delta) - w, w)
@@ -430,24 +425,19 @@ def _log_solve(rows, X, weights) -> tuple[float, ...]:
 # The decision pipeline
 
 
-def _oracle_residual(a: NiceLieAlgebra, metric, k: Fraction):
-    """Max |Ric - (k/2) id| entry straight from the curvature oracle.
+def _oracle_residuals(a: NiceLieAlgebra, sigma: Optional[Permutation], mags: tuple,
+                      deltas: Sequence[SignVec], k: Fraction) -> list:
+    """Max |Ric - (k/2) id| entry of each sign pattern on |g| = mags, from one oracle call.
 
-    An exact operator is first compared with (k/2) id entry by entry: its
-    diagonal equals k/2 and every other entry is 0 (counted against the
-    oracle's shared zero, which matches most of them by identity).  The
-    residual is built only when some entry differs.
+    The curvature oracle reads the constants through `LieBrackets.from_nice`
+    and the metrics as (sigma, |g|) and one sign mask per delta; it reads
+    nothing of X, M or the weights.  An exact metric that passes gets the
+    shared zero; a residual is built only for one that fails, and for
+    float metrics.
     """
-    B = LieBrackets.from_nice(a)
-    exact = all(isinstance(x, (Fraction, int)) for x in metric.g)
-    _, op = ricci_tensor(B, metric.gram())
-    if not exact:
-        return einstein_residual(op, float(k) / 2.0), False
-    lam = Fraction(k, 2)
-    zeros = len(op) - 1 if lam else len(op)
-    if all(row[i] == lam and row.count(_ZERO) == zeros for i, row in enumerate(op)):
-        return _ZERO, True
-    return einstein_residual(op, lam), True
+    masks = [sum(b << i for i, b in enumerate(d)) for d in deltas]
+    return _einstein_residuals(LieBrackets.from_nice(a), sigma or _identity(a.n), mags,
+                               masks, k / 2)
 
 
 @dataclass
@@ -739,19 +729,8 @@ def _classify(
     _explore(ctx, [], [], tuple(range(len(sy.base.alphas))))
 
     if ctx.winners:
-        certs = []
-        deltas_all = []
-        seen = set()
-        for w in sorted(ctx.winners, key=lambda w: w.eps):
-            X = w.dec.root_X
-            for d in w.deltas:
-                deltas_all.append(d)
-                if d in seen:
-                    continue
-                seen.add(d)
-                certs.append(_certificate(a, X, d, k, sigma, w.dec, tol,
-                                          ctx.warnings, sy.recovery))
-        report = _build_report(deltas_all, sigma)
+        certs = _certificates(a, k, sigma, ctx.winners, tol, ctx.warnings, sy.recovery)
+        report = _build_report([c.delta for c in certs], sigma)
         certs.sort(key=lambda cc: delta_sort_key(cc.delta))
         return ClassificationResult(
             a.name, mode, sigma, k, True, None, "", all(c.exact for c in certs),
@@ -771,19 +750,43 @@ def _classify(
     raise RuntimeError("the search found neither a winner nor a blocker")
 
 
-def _certificate(a, X, delta, k, sigma, dec, tol, warnings, facts) -> EinsteinCertificate:
-    exact_X = dec.root_is_rational
-    metric, freedom = recover_metric(a, X, delta, sigma, facts)
-    residual, exact_metric = _oracle_residual(a, metric, k)
-    exact = exact_X and exact_metric
+def _certificates(a, k, sigma, winners, tol, warnings, facts) -> list[EinsteinCertificate]:
+    """One certificate per distinct sign pattern of the winners, in eps order.
+
+    The oracle runs once per magnitude vector |g|, on the sign patterns of
+    every certificate that has it.
+    """
+    items, groups, seen = [], {}, set()
+    for w in sorted(winners, key=lambda w: w.eps):
+        X = w.dec.root_X
+        _, mags = facts.solve(X)
+        exact = all(isinstance(x, (Fraction, int)) for x in mags)
+        for d in w.deltas:
+            if d in seen:
+                continue
+            seen.add(d)
+            # a float |g| never meets a rational one
+            groups.setdefault((exact, mags), []).append(len(items))
+            items.append((w.dec, *recover_metric(a, X, d, sigma, facts), exact))
+    residuals = [None] * len(items)
+    for (_, mags), idx in groups.items():
+        got = _oracle_residuals(a, sigma, mags, [items[i][1].delta for i in idx], k)
+        for i, r in zip(idx, got):
+            residuals[i] = r
+    return [_certificate(*item, r, k, tol, warnings) for item, r in zip(items, residuals)]
+
+
+def _certificate(dec, metric, freedom, exact_metric, residual, k, tol,
+                 warnings) -> EinsteinCertificate:
+    exact = dec.root_is_rational and exact_metric
     if exact and residual != 0:
         raise AssertionError("exact certificate failed the curvature oracle")
     if not exact and float(abs(residual)) > tol:
         warnings.append(
-            f"numeric certificate for delta={format_delta(delta)} has oracle "
+            f"numeric certificate for delta={format_delta(metric.delta)} has oracle "
             f"residual {float(residual):.3e} above tolerance {tol:g}")
     return EinsteinCertificate(
-        tuple(X), k, delta, metric, freedom, residual, exact, dec.note)
+        tuple(dec.root_X), k, metric.delta, metric, freedom, residual, exact, dec.note)
 
 
 def diagonal_einstein(a: NiceLieAlgebra, k=0, tol: float = DEFAULT_TOL) -> ClassificationResult:

@@ -34,6 +34,19 @@ FAMILIES = {
 }
 
 
+@pytest.fixture
+def cold_caches():
+    """Empty the per-diagram caches and the signature memo, so the test's
+    first classification builds everything."""
+    import nice_einstein.diagram as diagram
+    import nice_einstein.einstein as einstein
+
+    diagram._nice_diagram.cache_clear()
+    einstein._diagram_systems.cache_clear()
+    einstein._recovery_base.cache_clear()
+    einstein._signature_of.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def algebras():
     return {name: parse(s, name=name) for name, s in STRUCTURES.items()}

@@ -15,6 +15,7 @@ from nice_einstein.curvature import (
     DegenerateMetricError,
     LieBrackets,
     _derived_subalgebra_rows,
+    _einstein_residuals,
     _Frame,
     _invert,
     _mat_mul,
@@ -591,21 +592,7 @@ def test_einstein_residual_matches_the_dense_formula():
 
 def _first_certificates():
     """(algebra, first certificate) of every successful catalog classification."""
-    from nice_einstein import diagonal_einstein, parse_permutation, sigma_einstein
-    from nice_einstein.catalog import load_catalog
-
-    out = []
-    for entry in load_catalog():
-        fam = entry.family()
-        for mode in ("diagonal", "sigma"):
-            for rec in entry.expected.get(mode, []):
-                a = fam.substitute({p: F(v) for p, v in rec.get("param", {}).items()})
-                k = F(rec.get("k", "0"))
-                res = (diagonal_einstein(a, k) if mode == "diagonal" else
-                       sigma_einstein(a, parse_permutation(rec["sigma"], a.n), k))
-                if res.success:
-                    out.append((a, res.certificates[0]))
-    return out
+    return [(a, res.certificates[0]) for a, _, res in _catalog_results()]
 
 
 def test_certificate_ricci_matches_the_dense_sums():
@@ -768,12 +755,7 @@ def test_non_symmetric_gram_rejected(algebras, name):
 
 
 # ---------------------------------------------------------------------------
-# Repeated monomial keys: the sign-ring form against the integer sums
-
-
-def _fresh(B):
-    """The same constants on a new LieBrackets, whose memo is empty."""
-    return LieBrackets(B.n, B.c)
+# Sign batches: the sign patterns of one monomial metric, without a Gram matrix
 
 
 def _scalars_of_exact_ricci(monkeypatch):
@@ -793,100 +775,180 @@ def _scalars_of_exact_ricci(monkeypatch):
     return seen
 
 
-def test_one_ring_compile_serves_the_certificates_of_631_6(monkeypatch):
+def _batches(monkeypatch):
+    """The number of masks of each oracle batch the pipeline runs."""
     import nice_einstein.einstein as einstein
+
+    sizes = []
+    batch = einstein._einstein_residuals
+
+    def spy(B, sigma, g, masks, lam):
+        sizes.append(len(masks))
+        return batch(B, sigma, g, masks, lam)
+
+    monkeypatch.setattr(einstein, "_einstein_residuals", spy)
+    return sizes
+
+
+def _gram_residuals(B, sigma, g, masks, lam):
+    """Each mask's residual on the Gram path: `ricci_tensor` on the signed sigma_gram."""
+    exact = all(isinstance(x, (int, F)) for x in g)
+    out = []
+    for m in masks:
+        _, op = ricci_tensor(B, sigma_gram([-x if m >> i & 1 else x for i, x in enumerate(g)], sigma))
+        out.append(einstein_residual(op, lam if exact else float(lam)))
+    return out
+
+
+def test_one_ring_compile_serves_the_certificates_of_631_6(monkeypatch):
     from nice_einstein import diagonal_einstein
 
     a = parse("(0,0,0,e^{12},e^{13},e^{25}+e^{34})")
     seen = _scalars_of_exact_ricci(monkeypatch)
-    calls = []
-
-    def counted(B, gram):
-        calls.append(B)
-        return ricci_tensor(B, gram)
-
-    monkeypatch.setattr(einstein, "ricci_tensor", counted)
+    sizes = _batches(monkeypatch)
     res = diagonal_einstein(a, 0)
-    assert len(res.certificates) == len(calls) == 16
-    assert all(B is calls[0] for B in calls)
+    assert len(res.certificates) == 16 and sizes == [16]
     assert all(c.exact and c.oracle_residual is _ZERO for c in res.certificates)
-    # one integer run, one ring compile, and 14 calls that only evaluate
-    assert dict(seen) == {"int": 1, "_Signed": 1}
+    # one ring compile, evaluated at the 16 masks, and no integer run
+    assert dict(seen) == {"_Signed": 1}
 
 
 def test_abelian_certificates_share_one_ring_compile(monkeypatch):
     from nice_einstein import diagonal_einstein
 
     seen = _scalars_of_exact_ricci(monkeypatch)
+    sizes = _batches(monkeypatch)
     res = diagonal_einstein(parse("(0,0,0,0,0,0,0,0,0,0)"), 0)
-    assert len(res.certificates) == 1024
+    assert len(res.certificates) == 1024 and sizes == [1024]
     assert all(c.exact and c.oracle_residual == 0 for c in res.certificates)
-    assert dict(seen) == {"int": 1, "_Signed": 1}
+    assert dict(seen) == {"_Signed": 1}
 
 
 def test_float_certificates_share_one_ring_compile(monkeypatch):
-    """The 16 float certificates of 8542:15a at a2 = 2: one integer run and one ring compile."""
+    """The 16 float certificates of 8542:15a at a2 = 2: one batch and one ring compile."""
     from nice_einstein import diagonal_einstein
     from nice_einstein.catalog import find_entry
 
     seen = _scalars_of_exact_ricci(monkeypatch)
+    sizes = _batches(monkeypatch)
     res = diagonal_einstein(find_entry("8542:15a").algebra({"a2": F(2)}), 0)
     assert len(res.certificates) == 16 and not any(c.exact for c in res.certificates)
-    assert dict(seen) == {"int": 1, "_Signed": 1}
+    assert sizes == [16] and dict(seen) == {"_Signed": 1}
 
 
 def test_exact_and_float_calls_share_a_key(algebras):
-    """g = 1/2, 3/2, ... and 0.5, 1.5, ...: one key, one form, each call its own type."""
-    B = _fresh(bra(algebras["631:6"]))
-    g = [F(1, 2), F(3, 2), F(-1, 2), F(5, 2), F(3, 2), F(-7, 2)]
-    exact = ricci_tensor(B, diagonal_gram(g))
-    floats = ricci_tensor(B, diagonal_gram([float(x) for x in g]))
-    key, form = B.__dict__["_signed"]
-    assert form is not None and key == tuple((i, abs(2 * x)) for i, x in enumerate(g))
-    assert all(type(x) is F for M in exact for row in M for x in row)
-    assert repr(floats) == repr(rounded(exact))
-    flipped = [-x for x in g]
-    assert (repr(ricci_tensor(B, diagonal_gram([float(x) for x in flipped])))
-            == repr(rounded(ricci_tensor(B, diagonal_gram(flipped)))))
-    assert B.__dict__["_signed"][1] is form
+    """g = 1/2, 3/2, ... and 0.5, 1.5, ...: the same scaled integers, each batch its own type.
+
+    Each residual is the Gram path's, and each float one is the float
+    residual of the rounded exact operator.
+    """
+    B = bra(algebras["631:6"])
+    sigma = tuple(range(1, 7))
+    g = [F(1, 2), F(3, 2), F(1, 2), F(5, 2), F(3, 2), F(7, 2)]
+    floats = [float(x) for x in g]
+    masks = [0, 0b000100, 0b100100, 0b111111, 0b010101]
+    for lam in (F(0), F(-1, 2)):
+        exact = _einstein_residuals(B, sigma, g, masks, lam)
+        assert exact == _gram_residuals(B, sigma, g, masks, lam)
+        assert all(type(x) is F and x for x in exact)
+        got = _einstein_residuals(B, sigma, floats, masks, lam)
+        assert repr(got) == repr(_gram_residuals(B, sigma, floats, masks, lam))
+        for m, r in zip(masks, got):
+            _, op = ricci_tensor(B, diagonal_gram([-x if m >> i & 1 else x for i, x in enumerate(g)]))
+            assert repr(r) == repr(einstein_residual(rounded(op), float(lam)))
 
 
-def test_primed_memo_keeps_validation_and_the_other_paths(families):
-    """After a compile for a sigma key: a non-symmetric G still raises, a float G
-    with the same key evaluates the form, a dense G takes its own path, and the
-    key still evaluates to the integer sums."""
+def test_sign_batch_keeps_validation_and_the_other_paths(families):
+    """A sigma batch agrees mask by mask with one-mask batches and the Gram path; a
+    mask or magnitude that breaks symmetry raises as the Gram path does, a float
+    batch with the same integers matches, and nothing is kept on the brackets."""
     from nice_einstein import parse_permutation
 
-    B = _fresh(bra(families["741:6"].substitute({"lambda": F(1, 2)})))
+    B = bra(families["741:6"].substitute({"lambda": F(1, 2)}))
     sigma = parse_permutation("(23)(45)", 7)
-    g = [F(1), F(2), F(2), F(-3, 2), F(-3, 2), F(1, 3), F(5)]
-    flipped = [-x if i in (1, 2, 6) else x for i, x in enumerate(g)]
-    for h in (g, flipped):
-        assert ricci_tensor(B, sigma_gram(h, sigma)) == ricci_tensor(_fresh(B), sigma_gram(h, sigma))
-    key, form = B.__dict__["_signed"]
-    assert form is not None
+    g = [F(1), F(2), F(2), F(3, 2), F(3, 2), F(1, 3), F(5)]
+    masks = [0, 0b1000110, 0b0011001, 0b1111111]
+    lam = F(0)
+    got = _einstein_residuals(B, sigma, g, masks, lam)
+    assert got == _gram_residuals(B, sigma, g, masks, lam)
+    assert got == [_einstein_residuals(B, sigma, g, [m], lam)[0] for m in masks]
 
-    skew = list(g)
-    skew[1] = -skew[1]      # |h| unchanged, but G[1][2] != G[2][1]
+    split = 0b0000010       # g_2 < 0 < g_3: G[1][2] != G[2][1]
     with pytest.raises(ValueError, match="^metric is not symmetric in row 2$"):
-        ricci_tensor(B, sigma_gram(skew, sigma))
+        _einstein_residuals(B, sigma, g, masks + [split], lam)
+    with pytest.raises(ValueError, match="^metric is not symmetric in row 2$"):
+        ricci_tensor(B, sigma_gram([-x if split >> i & 1 else x for i, x in enumerate(g)], sigma))
+    skew = list(g)
+    skew[2] = F(3)
+    with pytest.raises(ValueError, match="^metric is not symmetric in row 2$"):
+        _einstein_residuals(B, sigma, skew, masks, lam)
+    with pytest.raises(ValueError, match="positive"):
+        _einstein_residuals(B, sigma, [F(0)] + g[1:], masks, lam)
 
-    floats = sigma_gram([float(3 * x) for x in g], sigma)     # 3 g is dyadic: the same key
-    got = ricci_tensor(B, floats)
-    assert repr(got) == repr(ricci_tensor(_fresh(B), floats))
-    exact = ricci_tensor(_fresh(B), sigma_gram([3 * x for x in g], sigma))
-    assert repr(got) == repr(rounded(exact))
-    assert B.__dict__["_signed"] == (key, form)
-    dense = sigma_gram(g, sigma)
-    dense[0][6] = dense[6][0] = F(1, 2)
-    assert ricci_tensor(B, dense) == ricci_tensor(_fresh(B), dense) == dense_ricci(B, dense)
-    assert B.__dict__["_signed"] == (key, form)
+    floats = [float(3 * x) for x in g]      # 3 g is dyadic: the same integers, times 3
+    assert repr(_einstein_residuals(B, sigma, floats, masks, lam)) == repr(
+        _gram_residuals(B, sigma, floats, masks, lam))
+    assert set(B.__dict__) == {"n", "c", "table", "int_table"}
 
-    last = [-x if i in (0, 3, 4) else x for i, x in enumerate(g)]
-    got = ricci_tensor(B, sigma_gram(last, sigma))
-    assert got == ricci_tensor(_fresh(B), sigma_gram(last, sigma))
-    assert all(x is _ZERO for M in got for row in M for x in row if not x)
-    assert B.__dict__["_signed"][1] is form
+
+def _catalog_results():
+    """(algebra, k, result) of every successful catalog classification."""
+    from nice_einstein import diagonal_einstein, parse_permutation, sigma_einstein
+    from nice_einstein.catalog import load_catalog
+
+    out = []
+    for entry in load_catalog():
+        fam = entry.family()
+        for mode in ("diagonal", "sigma"):
+            for rec in entry.expected.get(mode, []):
+                a = fam.substitute({p: F(v) for p, v in rec.get("param", {}).items()})
+                k = F(rec.get("k", "0"))
+                res = (diagonal_einstein(a, k) if mode == "diagonal" else
+                       sigma_einstein(a, parse_permutation(rec["sigma"], a.n), k))
+                if res.success:
+                    out.append((a, k, res))
+    return out
+
+
+def test_every_catalog_certificate_matches_the_gram_path():
+    """Each certificate's oracle_residual and exact, float ones included, are those of
+    `ricci_tensor` on its Gram matrix; every exact one passes with the shared zero."""
+    kinds = {True: 0, False: 0}
+    for a, k, res in _catalog_results():
+        for c in res.certificates:
+            _, op = ricci_tensor(bra(a), c.metric.gram())
+            exact = all(type(x) is F for row in op for x in row)
+            assert c.exact == exact
+            if exact:
+                assert c.oracle_residual is _ZERO == einstein_residual(op, k / 2)
+            else:
+                assert repr(c.oracle_residual) == repr(einstein_residual(op, float(k) / 2))
+            kinds[exact] += 1
+    assert kinds == {True: 574, False: 68}
+
+
+@pytest.mark.parametrize("name, sigma", [("631:6", None), ("831:37", "(45)")])
+def test_a_failing_mask_alone_gets_a_residual(name, sigma):
+    """One batch with the masks of a classification's certificates and one more
+    that is no certificate: only that mask gets a residual, the Gram path's."""
+    from nice_einstein import diagonal_einstein, parse_permutation, sigma_einstein
+    from nice_einstein.catalog import find_entry
+    from nice_einstein.einstein import _oracle_residuals
+
+    a = find_entry(name).algebra()
+    s = parse_permutation(sigma, a.n) if sigma else None
+    res = diagonal_einstein(a, 0) if s is None else sigma_einstein(a, s, 0)
+    mags = tuple(abs(x) for x in res.certificates[0].metric.g)
+    deltas = [c.delta for c in res.certificates if tuple(map(abs, c.metric.g)) == mags]
+    # node 1 is fixed by sigma, so flipping its sign keeps a mask sigma-invariant
+    bad = next(b for b in ((1 - d[0],) + d[1:] for d in deltas) if b not in deltas)
+    deltas.insert(len(deltas) // 2, bad)
+    got = _oracle_residuals(a, s, mags, deltas, F(0))
+    want = _gram_residuals(bra(a), s or tuple(range(1, a.n + 1)), mags,
+                           [sum(b << i for i, b in enumerate(d)) for d in deltas], F(0))
+    assert got == want
+    assert [r != 0 for r in got] == [d == bad for d in deltas]
+    assert all(r is _ZERO for r in got if not r)
 
 
 # ---------------------------------------------------------------------------

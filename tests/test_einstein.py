@@ -413,16 +413,6 @@ def _counting(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
-def _clear_diagram_caches():
-    """Empty the per-diagram caches, so the next classification builds everything."""
-    import nice_einstein.diagram as diagram
-    import nice_einstein.einstein as einstein
-
-    diagram._nice_diagram.cache_clear()
-    einstein._diagram_systems.cache_clear()
-    einstein._recovery_base.cache_clear()
-
-
 def _rescaled(a, s):
     """a in the basis e'_i = s_i e_i, parsed again from its structure string."""
     import dataclasses
@@ -433,13 +423,12 @@ def _rescaled(a, s):
     return parse(to_string(dataclasses.replace(a, c=c)))
 
 
-def test_recovery_facts_built_once_per_diagram(monkeypatch):
+def test_recovery_facts_built_once_per_diagram(monkeypatch, cold_caches):
     import nice_einstein.diagram as diagram
     import nice_einstein.einstein as einstein
     import nice_einstein.linalg as linalg
     from nice_einstein.catalog import find_entry
 
-    _clear_diagram_caches()
     counts = {}
     _counting(monkeypatch, diagram, "validate_nice", counts)
     _counting(monkeypatch, einstein, "kernel_basis", counts)
@@ -592,33 +581,73 @@ def test_exact_certificate_check_fails_on_a_perturbed_metric(monkeypatch, name, 
     from nice_einstein.curvature import LieBrackets, einstein_residual, ricci_tensor
 
     a = find_entry(name).algebra()
-    cert = diagonal_einstein(a, k).certificates[0]
-    assert cert.exact and einstein._oracle_residual(a, cert.metric, F(k)) == (0, True)
-    bad = dataclasses.replace(cert.metric, g=(2 * cert.metric.g[0],) + cert.metric.g[1:])
-    _, op = ricci_tensor(LieBrackets.from_nice(a), bad.gram())
-    want = einstein_residual(op, F(k, 2))
-    got, exact = einstein._oracle_residual(a, bad, F(k))
-    assert type(got) is F and got == want != 0 and exact
-    monkeypatch.setattr(einstein, "recover_metric", lambda *args: (bad, cert.freedom))
-    dec = SimpleNamespace(root_is_rational=True, note="")
+    res = diagonal_einstein(a, k)
+    cert = res.certificates[0]
+    mags = tuple(abs(x) for x in cert.metric.g)
+    assert cert.exact and einstein._oracle_residuals(a, None, mags, [cert.delta], F(k)) == [0]
+    # a perturbed magnitude, and a perturbed mask: each fails with the Gram path's residual
+    flipped = (1 - cert.delta[0],) + cert.delta[1:]
+    assert flipped not in {c.delta for c in res.certificates}
+    dec = SimpleNamespace(root_is_rational=True, root_X=cert.X, note="")
+    for g, delta in (((2 * mags[0],) + mags[1:], cert.delta), (mags, flipped)):
+        bad = dataclasses.replace(
+            cert.metric, g=tuple(-x if d else x for x, d in zip(g, delta)), delta=delta)
+        _, op = ricci_tensor(LieBrackets.from_nice(a), bad.gram())
+        want = einstein_residual(op, F(k, 2))
+        got, = einstein._oracle_residuals(a, None, g, [delta], F(k))
+        assert type(got) is F and got == want != 0
+        with pytest.raises(AssertionError, match="curvature oracle"):
+            einstein._certificate(dec, bad, cert.freedom, True, got, F(k), 1e-9, [])
+    # and the classification raises when recovery hands the oracle a wrong |g|
+    solve = einstein._Recovery.solve
+
+    def perturbed(self, X):
+        signs, mags = solve(self, X)
+        return signs, (2 * mags[0],) + mags[1:]
+    monkeypatch.setattr(einstein._Recovery, "solve", perturbed)
     with pytest.raises(AssertionError, match="curvature oracle"):
-        einstein._certificate(a, cert.X, cert.delta, F(k), None, dec, 1e-9, [], None)
+        diagonal_einstein(a, k)
 
 
 def test_exact_check_compares_every_entry_with_lambda(monkeypatch):
+    """The numerator check against op = lambda id, on given Ricci numerators R:
+    each verdict and residual is that of the Gram path on the same R."""
+    import nice_einstein.curvature as curvature
     import nice_einstein.einstein as einstein
+    from nice_einstein.curvature import LieBrackets, diagonal_gram, einstein_residual, ricci_tensor
 
     a = parse("(0,0,e^{12})")
-    metric = SimpleNamespace(g=(F(1), F(1), F(1)), gram=lambda: None)
     lam = F(-1, 2)
-    # fresh zeros, not the oracle's shared one: they still count as zero
-    cases = [([[lam, F(0), F(0)], [F(0), lam, F(0)], [F(0), F(0), lam]], 0),
-             ([[lam, F(0), F(0)], [F(1, 10), lam, F(0)], [F(0), F(0), lam]], F(1, 10)),
-             ([[lam, F(0), F(0)], [F(0), F(0), F(0)], [F(0), F(0), lam]], F(1, 2))]
-    for op, want in cases:
-        monkeypatch.setattr(einstein, "ricci_tensor", lambda B, G, op=op: (None, op))
-        got = einstein._oracle_residual(a, metric, F(-1))
-        assert got == (want, True) and type(got[0]) is F
+    # g = (1, 1, 1): L = M = det = 1, so op = R / d_den^2 = R / 4
+    cases = [([[-2, 0, 0], [0, -2, 0], [0, 0, -2]], 0),
+             ([[-2, 0, 0], [1, -2, 0], [0, 0, -2]], F(1, 4)),
+             ([[-2, 0, 0], [0, 0, 0], [0, 0, -2]], F(1, 2)),
+             ([[-2, 0, 0], [0, -3, 0], [0, 0, -2]], F(1, 4))]
+    for R, want in cases:
+        monkeypatch.setattr(curvature, "_exact_ricci", lambda f, rows, D, R=R: [list(r) for r in R])
+        got, = einstein._oracle_residuals(a, None, (F(1),) * 3, [(0, 0, 0)], F(-1))
+        _, op = ricci_tensor(LieBrackets.from_nice(a), diagonal_gram([F(1)] * 3))
+        assert got == want == einstein_residual(op, lam) and type(got) is F
+
+
+def test_sigma_signatures_cross_checked_once_per_pattern(monkeypatch, cold_caches):
+    import nice_einstein.einstein as einstein
+    from nice_einstein.catalog import find_entry
+
+    counts = {}
+    _counting(monkeypatch, einstein, "symmetric_signature", counts)
+    a = find_entry("831:37").algebra()
+    sigma = parse_permutation("(45)", a.n)
+    first = sigma_einstein(a, sigma, 0)
+    assert first.success and len(first.signatures.S) == 32
+    assert counts == {"symmetric_signature": 32}
+    # classified again: every (sigma, delta) is known, and nothing is cross-checked
+    counts.clear()
+    assert sigma_einstein(a, sigma, 0) == first and counts == {}
+    # the public function still cross-checks on every call
+    metric = first.certificates[0].metric
+    assert sigma_signature(metric) == sigma_signature(metric)
+    assert counts == {"symmetric_signature": 2}
 
 
 def test_recover_metric_checks_every_sign_pattern_on_a_solved_ray(algebras):
@@ -636,12 +665,11 @@ def test_recover_metric_checks_every_sign_pattern_on_a_solved_ray(algebras):
         recover_metric(a, res.certificates[0].X, bad, facts=facts)
 
 
-def test_l_system_reduced_once_per_diagram(monkeypatch):
+def test_l_system_reduced_once_per_diagram(monkeypatch, cold_caches):
     import nice_einstein.diagram as diagram
     import nice_einstein.einstein as einstein
     from nice_einstein.catalog import find_entry
 
-    _clear_diagram_caches()
     counts = {}
     _counting(monkeypatch, diagram, "validate_nice", counts)
     _counting(monkeypatch, einstein, "F2Reduction", counts)
@@ -673,21 +701,19 @@ def test_l_system_reduced_once_per_diagram(monkeypatch):
     assert len(returned) == 13 and solved[13:] == solved[:13]
 
 
-def test_cold_and_warm_caches_give_equal_records():
+def test_cold_and_warm_caches_give_equal_records(cold_caches):
     from nice_einstein.catalog import find_entry
 
     names = ("631:6", "86532:6", "841:48", "852:30", "741:6", "8654321:19")
-    _clear_diagram_caches()
     cold = [run_entry(find_entry(name), DEFAULT_TOL) for name in names]
     warm = [run_entry(find_entry(name), DEFAULT_TOL) for name in names]
     assert cold == warm and all(chk.ok for checks in cold for chk in checks)
 
 
-def test_each_diagram_sigma_and_k_builds_its_own_systems(monkeypatch):
+def test_each_diagram_sigma_and_k_builds_its_own_systems(monkeypatch, cold_caches):
     import nice_einstein.einstein as einstein
     from nice_einstein.catalog import find_entry
 
-    _clear_diagram_caches()
     counts = {}
     _counting(monkeypatch, einstein, "F2Reduction", counts)
     a = find_entry("86532:6").algebra()
@@ -704,11 +730,10 @@ def test_each_diagram_sigma_and_k_builds_its_own_systems(monkeypatch):
     assert bases[1].aff != bases[2].aff and bases[2].l_system.rows > a.m
 
 
-def test_a_diagram_is_validated_once_and_shared(monkeypatch):
+def test_a_diagram_is_validated_once_and_shared(monkeypatch, cold_caches):
     import nice_einstein.diagram as diagram
     from nice_einstein import NiceDiagram, ParseError
 
-    _clear_diagram_caches()
     counts = {}
     _counting(monkeypatch, diagram, "validate_nice", counts)
     first = parse("(0,0,e^{12},e^{13})")

@@ -21,7 +21,8 @@ from nice_einstein import (
     tilde_c,
 )
 from nice_einstein.catalog import load_catalog
-from nice_einstein.curvature import _ZERO
+from nice_einstein.curvature import (_ZERO, _einstein_residuals, _exact_connection,
+                                     _exact_ricci, _sign_batch, einstein_residual)
 from nice_einstein.diagram import involutions
 from nice_einstein.einstein import _int_scale
 from nice_einstein.linalg import f2_solve_all, kernel_basis
@@ -224,15 +225,22 @@ def sign_runs(draw):
 @given(sign_runs())
 @settings(max_examples=80, deadline=None)
 def test_sign_ring_form_matches_the_integer_sums(case):
-    """A run of sign patterns of one |g| on one LieBrackets: the first takes the
-    integer sums, the rest the sign-ring form; each equals the integer sums on
-    a fresh LieBrackets, entry by entry, with the shared zero."""
+    """A run of sign patterns of one |g| in one oracle batch: its sign-ring form,
+    evaluated at each mask, gives the integer sums of that mask's frame, and so
+    the Gram path's Ricci tensor entry by entry, with the shared zero; each
+    residual at lambda = 0 is the Gram path's."""
     a, sigma, metrics = case
-    base = LieBrackets.from_nice(a)
-    B = LieBrackets(base.n, base.c)
-    for g in metrics:
-        gram = diagonal_gram(g) if sigma is None else sigma_gram(g, sigma)
-        got = ricci_tensor(B, gram)
-        assert got == ricci_tensor(LieBrackets(base.n, base.c), gram)
-        assert all(x is _ZERO for M in got for row in M for x in row if not x)
-    assert B.__dict__["_signed"][1] is not None
+    B = LieBrackets.from_nice(a)
+    perm = sigma or tuple(range(1, a.n + 1))
+    mags = [abs(x) for x in metrics[0]]
+    masks = [sum(1 << i for i, x in enumerate(g) if x < 0) for g in metrics]
+    frame, numerators = _sign_batch(B, perm, mags, masks)
+    grams = [diagonal_gram(g) if sigma is None else sigma_gram(g, sigma) for g in metrics]
+    for mask, R, gram in zip(masks, numerators, grams):
+        f = frame(mask)
+        assert R == _exact_ricci(f, *_exact_connection(f))
+        ric = f.quotients(R, f.d_den * f.d_den)
+        assert ric == ricci_tensor(B, gram)[0]
+        assert all(x is _ZERO for row in ric for x in row if not x)
+    assert _einstein_residuals(B, perm, mags, masks, F(0)) == [
+        einstein_residual(ricci_tensor(B, gram)[1], F(0)) for gram in grams]

@@ -555,7 +555,7 @@ def test_failing_constant_constraint_empties_the_result():
     assert [o.eps for o in feasible_orthants(line, parity=[(0b11, 1)])] == [(0, 1), (1, 0)]
 
 
-def test_l_prunes_the_search_and_keeps_the_verdict(monkeypatch):
+def test_l_prunes_the_search_and_keeps_the_verdict(monkeypatch, cold_caches):
     # 8654321:19 (diagonal, k = 0): the one leaf has 24 feasible orthants,
     # none attainable mod 2, so none is enumerated and L still decides.
     import nice_einstein.einstein as einstein
