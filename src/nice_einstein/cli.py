@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -75,6 +76,17 @@ def _rational(text: str, what: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad {what} {text!r}, expected a rational number") from None
+
+
+def _tolerance(text: str) -> float:
+    """The --tol value: a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise ParseError(f"bad --tol {text!r}, expected a finite number >= 0")
+    return tol
 
 
 def _load_family(text: str, name=None) -> AlgebraFamily:
@@ -245,14 +257,11 @@ def cmd_info(args) -> int:
     fd = fundamental_domain(alg)
     print(f"rank over Q: {fd.rank_q}   rank mod 2: {fd.rank_f2}"
           + ("   (mod-2 surjective)" if fd.rank_f2 == alg.m else ""))
-    kerM = kernel_basis(M)
-    print(f"ker M (diagonal derivations), dim {len(kerM)}:")
-    for v in kerM:
-        print("   (" + ", ".join(map(str, v)) + ")")
-    kert = kernel_basis(M.transpose())
-    print(f"ker tM, dim {len(kert)}:")
-    for v in kert:
-        print("   (" + ", ".join(map(str, v)) + ")")
+    for label, A in (("ker M (diagonal derivations)", M), ("ker tM", M.transpose())):
+        ker = kernel_basis(A)
+        print(f"{label}, dim {len(ker)}:")
+        for v in ker:
+            print("   (" + ", ".join(map(str, v)) + ")")
     w = nonzero_trace_derivation_witness(alg)
     print("nonzero-trace diagonal derivation: "
           + ("none" if w is None else "(" + ", ".join(map(str, w)) + ")"))
@@ -277,6 +286,7 @@ def cmd_einstein(args) -> int:
     fam = _load_family(args.input, args.name)
     params = _params_of(args, fam)
     k = _rational(args.k, "--k")
+    tol = _tolerance(args.tol)
     sigma = parse_permutation(args.sigma, fam.n) if args.sigma else None
     t0 = time.time()
 
@@ -285,7 +295,7 @@ def cmd_einstein(args) -> int:
         if work.params() != [args.solve_param]:
             raise ParseError(f"--solve-param {args.solve_param} must name the one unresolved "
                              f"parameter; unresolved: {', '.join(work.params()) or 'none'}")
-        sols = parameter_solve(work, sigma, k, args.tol)
+        sols = parameter_solve(work, sigma, k, tol)
         if args.out == "text":   # the records carry each value in `params`
             print(f"solved {args.solve_param}: "
                   + ("{ " + ", ".join(str(s) for s, _ in sols) + " }" if sols else "none"))
@@ -296,10 +306,10 @@ def cmd_einstein(args) -> int:
 
     alg = fam.substitute(params)
     if args.mode == "diagonal":
-        results = [diagonal_einstein(alg, k, args.tol)]
+        results = [diagonal_einstein(alg, k, tol)]
     else:
         sigmas = [sigma] if sigma else [p for p, _ in involutions(alg.diagram)]
-        results = [sigma_einstein(alg, s, k, args.tol) for s in sigmas]
+        results = [sigma_einstein(alg, s, k, tol) for s in sigmas]
     if results or args.out != "text":
         _emit_records([result_record(r, params) for r in results], args.out)
     else:
@@ -444,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solve-param", dest="solve_param", metavar="NAME",
                    help="solve for the named family parameter instead of fixing it")
     p.add_argument("--out", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    p.add_argument("--tol", default=str(DEFAULT_TOL),
                    help="verification tolerance for numeric certificates")
     p.add_argument("--timings", action="store_true", help="print elapsed time to stderr")
     p.set_defaults(func=cmd_einstein)

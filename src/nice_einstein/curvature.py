@@ -22,7 +22,9 @@ rational of float(x) (a binary float is a dyadic rational, read by
 the constants are scaled to integers by the lcm of their denominators.
 The result type follows the nonzero inputs: Fractions when every one is an
 int or a Fraction, else for each entry the float nearest its exact value
-(an int / int division, which rounds correctly), zeros as 0.0.
+(an int / int division, which rounds correctly), zeros as 0.0.  The two
+curvature norms are not on it yet: on a float G they multiply the rounded
+connection in floats and invert h by float Gauss-Jordan.
 
 det and adjugate of G are read off when G is monomial (one nonzero
 h_i = G[i][p(i)] per row, as for every diagonal and sigma-diagonal metric:

@@ -222,18 +222,10 @@ def halved_signatures(S) -> list[SignVec]:
 
 def sigma_signature(metric: SigmaMetric) -> tuple[int, int]:
     """(p, q) of a sigma-diagonal metric; cross-checked on the Gram matrix."""
-    sigma = metric.sigma
-    n = len(sigma)
-    t = sum(1 for i in range(1, n + 1) if sigma[i - 1] > i)
-    p = t
-    q = t
-    for i in range(1, n + 1):
-        if sigma[i - 1] == i:
-            if metric.delta[i - 1]:
-                q += 1
-            else:
-                p += 1
-    if all(isinstance(x, Fraction) or isinstance(x, int) for x in metric.g):
+    t = sum(1 for i, s in enumerate(metric.sigma, 1) if s > i)
+    fixed = [d for i, (s, d) in enumerate(zip(metric.sigma, metric.delta), 1) if s == i]
+    p, q = t + fixed.count(0), t + sum(fixed)
+    if all(isinstance(x, (Fraction, int)) for x in metric.g):
         check = symmetric_signature(metric.gram())
         if check != (p, q):
             raise AssertionError("signature cross-check failed")
@@ -325,12 +317,13 @@ class _Recovery:
     def solve(self, X: Sequence) -> tuple[Optional[SignVec], tuple]:
         """(logsign of X_I / weight_I, |g_v| for each node v) for ray X.
 
-        The signs are None when X is not rational.  The magnitudes are exact
-        through the Smith form when X is rational and no fractional power
-        arises, floats from the log-space fit otherwise.  The answer is kept
-        per X, so the sign patterns delta of one X share one rhs and logsign.
-        The magnitudes depend only on |X| and are kept per |X| as well, so
-        rays that differ only in sign share one multiplicative solve.
+        The signs are None when X is not rational.  The magnitudes are the
+        Smith form's read-off `exponents`: exact when every exponent is an
+        integer, else |g_j| = prod_b b^(a_bj) evaluated once in floats.  A
+        float X (or a rational one off the image) takes the same map,
+        `log_map`, to log|X_I / weight_I| in floats.  The answer is kept per
+        X, and the magnitudes per |X|: rays that differ only in sign share
+        one read-off.
         """
         rational = all(isinstance(x, (Fraction, int)) for x in X)
         key = (rational, tuple(X))  # a float X never meets a rational one's entry
@@ -342,10 +335,18 @@ class _Recovery:
         ray = (rational, tuple(abs(x) for x in X))
         mags = self.by_ray.get(ray)
         if mags is None:
-            if rational:
-                mags = self.base.system.solve([abs(r) for r in rhs])
-            if mags is None:
-                mags = _log_solve(self.base.rows, X, self.weights)
+            system = self.base.system
+            powers = system.exponents(rhs) if rational else None
+            if powers is None:
+                logs = [math.log(abs(float(x))) - math.log(abs(float(w)))
+                        for x, w in zip(X, self.weights)]
+                mags = [math.exp(sum(float(a) * y for a, y in zip(row, logs)))
+                        for row in system.log_map]
+            else:  # an integer power of Fraction(b) is a Fraction, any other a float
+                exact = all(a.denominator == 1 for _, a_b in powers for a in a_b)
+                mags = [math.prod((Fraction(b) ** a_b[j] for b, a_b in powers),
+                                  start=Fraction(1) if exact else 1.0)
+                        for j in range(len(system.log_map))]
             mags = self.by_ray[ray] = tuple(mags[o] for o in self.base.orbit)
         out = self.by_X[key] = (signs, mags)
         return out
@@ -361,8 +362,9 @@ def recover_metric(
     """Metric with the given X and sign pattern, plus its gauge freedom.
 
     Solves prod_j g_j^(M_Ij) = X_I / c_I^2 (or X_I/(c_I c~_I) for sigma)
-    multiplicatively; exact through the Smith form when X is rational and no
-    fractional powers arise, in log space (floats) otherwise.  `facts` are
+    multiplicatively through the Smith form, in its gauge: exact when X is
+    rational and no fractional powers arise, else the same solution
+    evaluated in floats (`_Recovery.solve`).  `facts` are
     the classification's `_Recovery` of (a, sigma); built here when omitted.
     The mod-2 condition M2 delta = logsign(X / weights) is checked for every
     delta when X is rational.
@@ -406,19 +408,6 @@ def _difference_rows(pairs, size: int) -> list[list[Fraction]]:
         row[p], row[q] = Fraction(1), Fraction(-1)
         rows.append(row)
     return rows
-
-
-def _log_solve(rows, X, weights) -> tuple[float, ...]:
-    """Least-squares log-space fit of |g| on the columns of `rows` (floats)."""
-    import numpy as np
-
-    A = np.array([[float(x) for x in row] for row in rows])
-    b = np.array([
-        math.log(abs(float(x))) - math.log(abs(float(w)))
-        for x, w in zip(X, weights)
-    ])
-    w, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return tuple(float(m) for m in np.exp(w))
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +695,8 @@ def _classify(
     sigma: Optional[Permutation],
     tol: float,
 ) -> ClassificationResult:
+    if not tol >= 0:  # NaN as well
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     mode = "diagonal" if sigma is None else "sigma"
     sy = _build_systems(a, k, sigma)
     aff = sy.base.aff
@@ -838,6 +829,8 @@ def parameter_solve(
     (families Einstein for every parameter value) contribute no isolated
     values.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     k = Fraction(k)
     params = family.params()
     if len(params) != 1:

@@ -10,7 +10,9 @@ one Gauss-Jordan loop on Python ints, with Bareiss's exact divisions.
 entry at the end; the curvature oracle runs it on [G | I] for its
 adjugate.  Reductions that serve many right-hand sides are prepared
 once: `F2Reduction` keeps the row operations of one GF(2) reduction, and
-`MultiplicativeSystem` keeps the Smith form of one multiplicative system.
+`MultiplicativeSystem` keeps the Smith form of one multiplicative system,
+whose solutions it reads off as rational exponents of a coprime base; a
+caller that needs a fractional power evaluates it.
 Strict sign feasibility is Fourier-Motzkin elimination from the last
 variable down, kept incrementally in primitive integer rows
 (`StrictSystem`), so that a search over sign patterns adds and removes one
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from itertools import chain, product
 from typing import Iterable, Optional, Sequence
@@ -576,41 +578,23 @@ def smith_normal_form(
         U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
-        for row in A:
+        for row in (*A, *V):
             row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
 
     t = 0
     while t < min(nr, nc):
-        # Find a pivot: nonzero entry of minimal absolute value in the block.
-        pivot = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    pivot = (i, j)
+        # Pivot: the first nonzero entry of least absolute value in the block,
+        # swapped to (t, t) and made positive.
+        pivot = min(((abs(A[i][j]), i, j) for i in range(t, nr) for j in range(t, nc)
+                     if A[i][j]), default=None)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        _, i, j = pivot
+        A[t], A[i], U[t], U[i] = A[i], A[t], U[i], U[t]
+        for row in (*A, *V):
+            row[t], row[j] = row[j], row[t]
         if A[t][t] < 0:
-            negate_row(t)
+            A[t], U[t] = [-a for a in A[t]], [-a for a in U[t]]
         dirty = False
         for i in range(t + 1, nr):
             if A[i][t] != 0:
@@ -627,14 +611,8 @@ def smith_normal_form(
         if dirty:
             continue
         # Enforce divisibility: A[t][t] must divide the remaining block.
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if A[i][j] % A[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, nr)
+                         if any(A[i][j] % A[t][t] for j in range(t + 1, nc))), None)
         if offender is not None:
             row_op(t, offender, -1)  # add offending row to pivot row
             continue
@@ -707,57 +685,67 @@ class MultiplicativeSystem:
     """prod_j g_j^(M_ij) = rhs_i over (Q*)^n, prepared once for the integer matrix M.
 
     M has n = `cols` columns.  Holds what does not depend on rhs: the Smith
-    form U M V = D.  A system without rows solves to g = 1.
+    form U M V = D and `log_map` = V D^+ U, which takes log|rhs| to log|g|
+    (kept in integers over d_r, a multiple of every d_i).  A system without
+    rows solves to g = 1.
     """
 
     def __init__(self, M: Sequence[Sequence[int]], cols: int):
         self.M = [[int(x) for x in row] for row in M]
         self._U, S, self._V = smith_normal_form(self.M, cols)
         self._diag = [S[i][i] for i in range(min(len(S), len(self._V))) if S[i][i]]
+        self._den = self._diag[-1] if self._diag else 1
+        DU = [[self._den // d * u for u in row] for row, d in zip(self._U, self._diag)]
+        self._map = [[sum(x * row[c] for x, row in zip(v, DU)) for c in range(len(self.M))]
+                     for v in self._V]
+        self.log_map = tuple(tuple(Fraction(x, self._den) for x in row) for row in self._map)
+
+    def exponents(self, rhs: Sequence[Fraction]) -> Optional[list[tuple[int, VecQ]]]:
+        """[(b, a_b)]: |g_j| = prod_b b^(a_bj) solves the system for |rhs|, or None.
+
+        Q_{>0} is free on the coprime base of |rhs|, so the system splits
+        into one linear system per base element b on the exponents e_b of b
+        in |rhs|: solvable iff U e_b vanishes past the rank, by the rational
+        a_b = `log_map` e_b.  None means no real solution.
+        """
+        rhs = [Fraction(x) for x in rhs]
+        if any(x == 0 for x in rhs):
+            return None
+        out = []
+        for b in _coprime_base(chain.from_iterable(
+                (abs(x.numerator), x.denominator) for x in rhs)):
+            e = [_valuation(x.numerator, b) - _valuation(x.denominator, b) for x in rhs]
+            if any(sum(map(mul, row, e)) for row in self._U[len(self._diag):]):
+                return None
+            out.append((b, tuple(Fraction(sum(map(mul, row, e)), self._den)
+                                 for row in self._map)))
+        return out
 
     def solve(self, rhs: Sequence[Fraction]) -> Optional[VecQ]:
         """One g with prod_j g_j^(M_ij) = rhs_i for all i, or None.
 
         U and V are automorphisms of (Q*)^n, so with w = rhs^U and g = y^V
         the system reads y_i^(d_i) = w_i: every w_i past the rank must be 1
-        and every other one needs a rational d_i-th root.  Q* = {+-1} x Q_{>0}
-        and Q_{>0} is free on the coprime base of the right-hand sides, so
-        this is read off in exponents.  None means no rational solution.
+        and every other one needs a rational d_i-th root.  Q* = {+-1} x Q_{>0};
+        the signs are solved mod 2 and the magnitudes are `exponents`, which
+        must all be integers.  None means no rational solution.
         """
         rhs = [Fraction(x) for x in rhs]
-        if any(x == 0 for x in rhs):
-            return None
         U, V, diag = self._U, self._V, self._diag
         r = len(diag)
         # Signs, mod 2: a negative w_i has a d_i-th root only for odd d_i.
         w = [sum(u for u, x in zip(row, rhs) if x < 0) & 1 for row in U]
         if any(w[r:]) or any(s and d % 2 == 0 for s, d in zip(w, diag)):
             return None
+        powers = self.exponents(rhs)
+        if powers is None or any(a.denominator != 1 for _, a_b in powers for a in a_b):
+            return None
         g = [Fraction(-1 if sum(map(mul, v, w[:r])) & 1 else 1) for v in V]
-        # Magnitudes, one base element b at a time: the exponents of w in b.
-        for b in _coprime_base(chain.from_iterable(
-                (abs(x.numerator), x.denominator) for x in rhs)):
-            e = [_valuation(x.numerator, b) - _valuation(x.denominator, b) for x in rhs]
-            w = [sum(map(mul, row, e)) for row in U]
-            if any(w[r:]) or any(s % d for s, d in zip(w, diag)):
-                return None
-            y = [s // d for s, d in zip(w, diag)]
-            for j, v in enumerate(V):
-                a = sum(map(mul, v, y))
-                if a:
-                    g[j] *= Fraction(b) ** a
-        # Exact recheck, in integers: prod_j g_j^(M_ij) = num / den.
-        for row, q in zip(self.M, rhs):
-            num = den = 1
-            for x, e in zip(g, row):
-                if e > 0:
-                    num *= x.numerator ** e
-                    den *= x.denominator ** e
-                elif e < 0:
-                    num *= x.denominator ** -e
-                    den *= x.numerator ** -e
-            if num * q.denominator != den * q.numerator:
-                raise AssertionError("multiplicative solve failed recheck")
+        for b, a_b in powers:
+            g = [x * Fraction(b) ** a for x, a in zip(g, a_b)]
+        if any(prod((x ** e for x, e in zip(g, row)), start=Fraction(1)) != q
+               for row, q in zip(self.M, rhs)):
+            raise AssertionError("multiplicative solve failed recheck")
         return tuple(g)
 
 

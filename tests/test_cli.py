@@ -352,6 +352,23 @@ def test_malformed_input_is_an_error_not_a_traceback(capsys, argv, message):
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "abc", "-1", "inf", "-inf", ""])
+def test_einstein_tol_must_be_a_finite_number_at_least_zero(capsys, tol):
+    # nan would switch the numeric-certificate check off, and -1 flag every one
+    code = main(["einstein", "8531:60a", "--k", "1", f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: bad --tol {tol!r}, expected a finite number >= 0\n"
+
+
+@pytest.mark.parametrize("tol, code", [("1e-9", 0), ("0", 3), ("1e-30", 3)])
+def test_einstein_tol_gates_the_float_certificates(capsys, tol, code):
+    assert main(["einstein", "8531:60a", "--k", "1", "--tol", tol]) == code
+    out = capsys.readouterr().out
+    assert ("above tolerance" in out) == (code == 3)
+
+
 def test_catalog_list(capsys):
     code, out = run_cli(capsys, "catalog", "list", "--filter", "63*")
     assert code == 0
@@ -471,8 +488,10 @@ def _catalog_einstein_argvs():
 
 
 # sha256 over argv, exit code and stdout of each run whose certificates are
-# all exact; float certificates print fitted metrics, so they are left out.
+# all exact, and of the other runs, whose float metrics are evaluated from
+# the Smith form's exponents.
 EXACT_CATALOG_SHA256 = "f076676d7d915b5a9dcd199c2da005170c720b7a028c95b69bb849833b2fe652"
+FLOAT_CATALOG_SHA256 = "a1db5ca6c9e355182464dd4dee81c0502777953f66ded783d71e8aeb953117e3"
 
 
 def test_exact_catalog_einstein_json_is_pinned(capsys):
@@ -480,17 +499,18 @@ def test_exact_catalog_einstein_json_is_pinned(capsys):
 
     argvs = _catalog_einstein_argvs()
     assert (len(argvs), sum("--solve-param" in a for a in argvs)) == (88, 8)
-    digest = hashlib.sha256()
+    exact, floats = hashlib.sha256(), hashlib.sha256()
     kept = 0
     for argv in argvs:
         code, out = run_cli(capsys, *argv)
         recs = json.loads(out)
         recs = recs if isinstance(recs, list) else [recs]
-        if all(c["exact"] for r in recs for c in r["certificates"]):
-            kept += 1
-            digest.update(f"{' '.join(argv)}\n[exit {code}]\n{out}".encode())
+        is_exact = all(c["exact"] for r in recs for c in r["certificates"])
+        kept += is_exact
+        (exact if is_exact else floats).update(f"{' '.join(argv)}\n[exit {code}]\n{out}".encode())
     assert kept == 82
-    assert digest.hexdigest() == EXACT_CATALOG_SHA256
+    assert exact.hexdigest() == EXACT_CATALOG_SHA256
+    assert floats.hexdigest() == FLOAT_CATALOG_SHA256
 
 
 def _readme_cli_argvs():
@@ -526,6 +546,22 @@ def test_readme_library_example_runs():
     assert res.success and res.exact
     assert res.certificates[0].oracle_residual == 0
     assert names["alg"].n == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["einstein", "8542:15a", "--param", "a2=2", "--k", "0", "--out", "json"],
+    ["catalog", "run", "--filter", "85*"],
+])
+def test_float_certificates_need_no_numpy(argv):
+    # float metrics are read off the Smith form: a blocked numpy import is never tried
+    src = Path(nice_einstein.__file__).resolve().parents[1]
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "from nice_einstein.cli import main\n"
+              f"sys.exit(main({argv!r}))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -452,16 +452,15 @@ def test_exact_magnitudes_solved_once_per_ray(monkeypatch):
     from nice_einstein.catalog import find_entry
 
     counts = {}
-    _counting(monkeypatch, einstein.MultiplicativeSystem, "solve", counts)
-    _counting(monkeypatch, einstein, "_log_solve", counts)
+    _counting(monkeypatch, einstein.MultiplicativeSystem, "exponents", counts)
     _counting(monkeypatch, einstein, "recover_metric", counts)
     # 32 certificates over the rays X and -X: only the signs differ, so the
-    # magnitudes are solved once
+    # magnitudes are read off the Smith form once
     res = diagonal_einstein(find_entry("841:48").algebra({"a2": F(2)}), 0)
     assert res.success and len(res.certificates) == 32
     assert len({c.X for c in res.certificates}) == 2
     assert len({tuple(map(abs, c.X)) for c in res.certificates}) == 1
-    assert counts == {"solve": 1, "recover_metric": 32}
+    assert counts == {"exponents": 1, "recover_metric": 32}
 
 
 def test_sigma_weights_computed_once_per_classification(monkeypatch):
@@ -539,16 +538,60 @@ def test_float_magnitudes_fitted_once_per_ray(monkeypatch):
     from nice_einstein.catalog import find_entry
 
     counts = {}
-    _counting(monkeypatch, einstein.MultiplicativeSystem, "solve", counts)
-    _counting(monkeypatch, einstein, "_log_solve", counts)
+    _counting(monkeypatch, einstein.MultiplicativeSystem, "exponents", counts)
     _counting(monkeypatch, einstein, "recover_metric", counts)
-    # exact X, but the Smith form needs fractional powers: the log-space fit,
-    # once for every sign variant of the ray
+    # exact X, but the Smith form needs fractional powers: one read-off,
+    # evaluated in floats, for every sign variant of the ray
     res = diagonal_einstein(find_entry("8542:15a").algebra({"a2": F(2)}), 0)
     assert res.success and len(res.certificates) == 16
     assert not any(c.exact for c in res.certificates)
     assert len({tuple(map(abs, c.X)) for c in res.certificates}) == 1
-    assert counts == {"solve": 1, "_log_solve": 1, "recover_metric": 16}
+    assert counts == {"exponents": 1, "recover_metric": 16}
+
+
+@pytest.mark.parametrize("a2, radicals", [
+    (F(2), ("1", "2**(-1/2)", "1", "2**(-1/2)", "1/2", "2**(-1/2)", "1/2", "2**(-1/2)")),
+    (F(1, 2), ("1/2", "2**(-1/2)", "1/2", "2**(1/2)", "1", "2**(-1/2)", "1/2", "2**(-1/2)")),
+])
+def test_radical_metrics_are_their_radicals_in_floats(a2, radicals):
+    import math
+
+    import sympy
+
+    from nice_einstein.catalog import find_entry
+    from nice_einstein.einstein import _Recovery
+
+    a = find_entry("8542:15a").algebra({"a2": a2})
+    res = diagonal_einstein(a, 0)
+    assert res.success and not any(c.exact for c in res.certificates)
+    # the radicals solve prod_j |g_j|^(M_Ij) = |X_I| / c_I^2 exactly
+    r = [sympy.sympify(x) for x in radicals]
+    facts = _Recovery.of(a, None)
+    X = res.certificates[0].X
+    for row, x, w in zip(facts.base.rows, X, facts.weights):
+        assert sympy.prod([g ** e for g, e in zip(r, row)]) == sympy.Rational(str(abs(x) / w))
+    for cert in res.certificates:
+        for g, want in zip(cert.metric.g, r):
+            assert abs(abs(g) - sympy.N(want, 40)) <= math.ulp(g)
+    assert abs(res.certificates[0].metric.g[1]) == 2 ** -0.5
+
+
+def test_float_rays_take_the_exact_rays_gauge():
+    # the float route through log|X / weights| meets the exact read-off
+    seen = 0
+    for entry in load_catalog():
+        for rec in entry.expected.get("diagonal", []):
+            if rec.get("solve_param"):
+                continue
+            a = entry.algebra({n: F(v) for n, v in rec.get("param", {}).items()})
+            for cert in diagonal_einstein(a, F(rec.get("k", "0"))).certificates:
+                if not cert.exact:
+                    continue
+                metric, _ = recover_metric(a, [float(x) for x in cert.X], cert.delta)
+                assert all(type(x) is float for x in metric.g)
+                assert metric.g == pytest.approx(tuple(map(float, cert.metric.g)), rel=1e-12)
+                seen += 1
+    assert seen == 415
 
 
 def test_signs_and_magnitudes_solved_once_per_ray(monkeypatch):
@@ -563,13 +606,13 @@ def test_signs_and_magnitudes_solved_once_per_ray(monkeypatch):
     facts = _Recovery.of(a, None)
     counts = {}
     _counting(monkeypatch, einstein, "logsign", counts)
-    _counting(monkeypatch, einstein.MultiplicativeSystem, "solve", counts)
+    _counting(monkeypatch, einstein.MultiplicativeSystem, "exponents", counts)
     for cert in res.certificates:
         assert recover_metric(a, cert.X, cert.delta, facts=facts) == (
             cert.metric, cert.freedom)
-    # one rhs and logsign per X, one multiplicative solve per |X|
+    # one rhs and logsign per X, one Smith read-off per |X|
     assert len(rays) == len(facts.by_X) == counts["logsign"] == 2
-    assert len(facts.by_ray) == counts["solve"] == len({tuple(map(abs, X)) for X in rays})
+    assert len(facts.by_ray) == counts["exponents"] == len({tuple(map(abs, X)) for X in rays})
 
 
 @pytest.mark.parametrize("name, k", [("631:6", 0), ("842:121a", 1)])
