@@ -57,6 +57,7 @@ from .einstein import (
 from .linalg import kernel_basis
 
 SCHEMA_VERSION = 1
+MAX_EXPONENT = 1000     # largest |e| of a decimal number 1.5e-3 in a rational option
 
 CSV_COLUMNS = ["name", "mode", "k", "outcome", "half_S", "sigma", "p", "q"]
 
@@ -71,11 +72,19 @@ def _read_input_file(text: str) -> str:
 
 
 def _rational(text: str, what: str) -> Fraction:
-    """The rational number `text` of the option `what`."""
+    """The rational number `text` of the option `what`.
+
+    A decimal exponent past MAX_EXPONENT is refused before `Fraction`
+    expands it to a power of 10.
+    """
+    bad = f"bad {what} {text!r}, expected a rational number"
+    _, e, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
+        if not e or abs(int(exponent)) <= MAX_EXPONENT:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad {what} {text!r}, expected a rational number") from None
+        raise ParseError(bad) from None
+    raise ParseError(f"{bad} with a decimal exponent of at most {MAX_EXPONENT}")
 
 
 def _tolerance(text: str) -> float:

@@ -320,10 +320,10 @@ class _Recovery:
         The signs are None when X is not rational.  The magnitudes are the
         Smith form's read-off `exponents`: exact when every exponent is an
         integer, else |g_j| = prod_b b^(a_bj) evaluated once in floats.  A
-        float X (or a rational one off the image) takes the same map,
-        `log_map`, to log|X_I / weight_I| in floats.  The answer is kept per
-        X, and the magnitudes per |X|: rays that differ only in sign share
-        one read-off.
+        float X takes the same map, `log_map`, to log|X_I / weight_I| in
+        floats.  A rational X off the image of the system has no real
+        solution, and raises ValueError.  The answer is kept per X, and the
+        magnitudes per |X|: rays that differ only in sign share one read-off.
         """
         rational = all(isinstance(x, (Fraction, int)) for x in X)
         key = (rational, tuple(X))  # a float X never meets a rational one's entry
@@ -337,6 +337,9 @@ class _Recovery:
         if mags is None:
             system = self.base.system
             powers = system.exponents(rhs) if rational else None
+            if rational and powers is None:
+                raise ValueError("no real metric gives this X: |X / weights| is off "
+                                 "the image of the multiplicative system")
             if powers is None:
                 logs = [math.log(abs(float(x))) - math.log(abs(float(w)))
                         for x, w in zip(X, self.weights)]
@@ -364,7 +367,8 @@ def recover_metric(
     Solves prod_j g_j^(M_Ij) = X_I / c_I^2 (or X_I/(c_I c~_I) for sigma)
     multiplicatively through the Smith form, in its gauge: exact when X is
     rational and no fractional powers arise, else the same solution
-    evaluated in floats (`_Recovery.solve`).  `facts` are
+    evaluated in floats (`_Recovery.solve`); a rational X that no metric
+    gives raises ValueError.  `facts` are
     the classification's `_Recovery` of (a, sigma); built here when omitted.
     The mod-2 condition M2 delta = logsign(X / weights) is checked for every
     delta when X is rational.

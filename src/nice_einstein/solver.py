@@ -3,16 +3,18 @@
 Internal machinery for the Einstein pipeline.  The sign-feasibility layer
 and everything it reports is exact.  The polynomial condition is exact too:
 one lex Groebner basis of the system with cleared denominators and a
-Rabinowitsch variable, in sympy's sparse ring over QQ (generators built over
-ZZ), decides it, and its real points are listed exactly in the univariate
-ring QQ[v], through the radical when no linear form puts the basis in
-shape position.  When the set is a cone and every exponent row sums to 0
-(the k = 0 systems), the system is scale invariant and is solved on the
-gauge slice X_pin = 1 instead: it is invariant under X -> -X too, so an
-orthant with X_pin < 0 is decided as its antipode on that slice.  The same
-basis, with the family parameter as one more variable, gives the candidate
-parameter values (`parameter_roots`).  One memo per search holds each
-cone's slice, cut once, and each basis, built once.
+Rabinowitsch variable decides it.  The basis comes from a Buchberger of its
+own on primitive integer polynomials with packed monomials (`_buchberger`)
+and is read as monic elements of sympy's sparse ring over QQ; its real
+points are listed exactly in the univariate ring QQ[v] (sympy's factoring
+and real-root isolation), through the radical when no linear form puts the
+basis in shape position.  When the set is a cone and every exponent row
+sums to 0 (the k = 0 systems), the system is scale invariant and is solved
+on the gauge slice X_pin = 1 instead: it is invariant under X -> -X too, so
+an orthant with X_pin < 0 is decided as its antipode on that slice.  The
+same basis, with the family parameter as one more variable, gives the
+candidate parameter values (`parameter_roots`).  One memo per search holds
+each cone's slice, cut once, and each basis, built once.
 
 The mod-2 sign condition L prunes the orthant search instead of filtering
 its output: `feasible_orthants` takes L as parity constraints on the sign
@@ -30,8 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm, prod
+from functools import cached_property, reduce
+from math import gcd, lcm, prod
+from operator import or_
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -336,16 +339,16 @@ def gauge_slice(S: AffineSet) -> tuple[int, AffineSet]:
 
 
 # ---------------------------------------------------------------------------
-# The cleared P system and its lex Groebner basis, in sympy's sparse ring
+# The cleared P system and its lex Groebner basis, read in sympy's sparse ring
 
 
-def _ring(names: Sequence[str], integral: bool = False):
-    """sympy's sparse polynomial ring QQ[names], or ZZ[names], in lex order."""
-    from sympy.polys.domains import QQ, ZZ
+def _ring(names: Sequence[str]):
+    """sympy's sparse polynomial ring QQ[names] in lex order."""
+    from sympy.polys.domains import QQ
     from sympy.polys.orderings import lex
     from sympy.polys.rings import ring
 
-    return ring(list(names), ZZ if integral else QQ, lex)[0]
+    return ring(list(names), QQ, lex)[0]
 
 
 def _qq(x):  # a Fraction or int into QQ, by numerator and denominator
@@ -360,10 +363,28 @@ def _frac(r) -> Fraction:  # from QQ
 
 
 def _groebner(polys: list) -> list:
-    """Reduced lex Groebner basis of the nonzero `polys`, elements of one ring."""
-    from sympy.polys.groebnertools import groebner
+    """Reduced lex Groebner basis of the nonzero `polys`, elements of one ring over QQ."""
+    R = polys[0].ring
+    pack = _Packing(R.ngens)
+    f = []
+    for p in polys:
+        if p:
+            den = lcm(*(int(k.denominator) for k in p.values()))
+            f.append(_primitive({pack.pack(m): int(k.numerator) * (den // int(k.denominator))
+                                 for m, k in p.items()}))
+    return _reduced_basis(f, R)
 
-    return groebner([f for f in polys if f], polys[0].ring)
+
+def _reduced_basis(f: list[dict], Q) -> list:
+    """`_buchberger(f)` as monic elements of the ring Q over QQ, f over its generators."""
+    from sympy.polys.domains import QQ
+
+    pack = _Packing(Q.ngens)
+    out = []
+    for h in _buchberger(f, pack):
+        lc = h[max(h)]
+        out.append(Q.from_dict({pack.unpack(m): QQ(k, lc) for m, k in h.items()}))
+    return out
 
 
 @dataclass
@@ -401,48 +422,56 @@ def _p_basis(S: AffineSet, signs: Sequence[int], exponents: Sequence[Sequence[in
     coordinate, the right-hand sides are instead prod_j c_j(u)^(2 a_ij)
     for c_j(u) = const_j + slope_j * u; u is one more generator, last, and
     the c_j(u) of the used coordinates join the Rabinowitsch product.
-    Equations that vanish identically are dropped.
+    The basis is in sympy's ring QQ[names] (`_p_system`, `_reduced_basis`).
+    """
+    names, polys = _p_system(S, signs, exponents, rhs, c)
+    return _reduced_basis(polys, _ring(names))
 
-    The generators are built over ZZ from Y_j = e * X_j (`AffineSet._integral`)
+
+def _p_system(S: AffineSet, signs: Sequence[int], exponents: Sequence[Sequence[int]],
+              rhs: Sequence[Fraction] = (), c: Optional[Sequence[tuple]] = None
+              ) -> tuple[list[str], list[dict]]:
+    """(generator names, the generators) of `_p_basis`'s ideal, primitive over ZZ.
+
+    The generators are built from Y_j = e * X_j (`AffineSet._integral`)
     and C_j = d_j * c_j(u), each a nonzero integer multiple of the rational
-    one, and converted to QQ once.  Buchberger makes every input monic
-    first, so its run and the reduced basis are those of the rational
-    generators.
+    one, as {packed monomial: int} (`_Packing`).  Equations that vanish
+    identically are dropped.
     """
     p = S.dim
     names = ["z", *(f"t{i}" for i in range(p)), *(["u"] if c is not None else [])]
-    R = _ring(names, integral=True)
-    z, ts, u = R.gens[0], R.gens[1:1 + p], R.gens[-1]
+    pack = _Packing(len(names))
+    z, ts, u = pack.gen(0), [pack.gen(1 + i) for i in range(p)], pack.gen(len(names) - 1)
     e, consts, rows = S._integral
-    Y = [sum((k * t for k, t in zip(row, ts) if k), R(const))
-         for const, row in zip(consts, rows)]
+    Y = [_linear(const, zip(ts, row)) for const, row in zip(consts, rows)]
     d = C = None
     if c is not None:
         d = [lcm(Fraction(k0).denominator, Fraction(k1).denominator) for k0, k1 in c]
-        C = [R(int(k0 * dj)) + int(k1 * dj) * u for (k0, k1), dj in zip(c, d)]
+        C = [_linear(int(k0 * dj), [(u, int(k1 * dj))]) for (k0, k1), dj in zip(c, d)]
     used = [j for j in range(S.ambient_dim) if any(a_row[j] for a_row in exponents)]
     polys = []
     for i, a_row in enumerate(exponents):
         # prod X^a+ * prod c^(2a-) = sides[0] / dens[0], prod X^a- * prod c^(2a+) likewise
-        sides, dens = [R.one, R.one], [1, 1]
+        sides, dens = [{0: 1}, {0: 1}], [1, 1]
         for j, aj in enumerate(a_row):
             if aj:
                 k = aj < 0
-                sides[k] *= Y[j] ** abs(aj)
+                sides[k] = _mul(sides[k], _pow(Y[j], abs(aj), pack), pack)
                 dens[k] *= e ** abs(aj)
                 if C is not None:
-                    sides[not k] *= C[j] ** (2 * abs(aj))
+                    sides[not k] = _mul(sides[not k], _pow(C[j], 2 * abs(aj), pack), pack)
                     dens[not k] *= d[j] ** (2 * abs(aj))
         r = Fraction(1) if c is not None else Fraction(rhs[i])
         # sides[0] / dens[0] - signs_i * r * sides[1] / dens[1], times L
         L = lcm(dens[0], r.denominator * dens[1])
-        polys.append(sides[0] * (L // dens[0])
-                     - sides[1] * (signs[i] * r.numerator * L // (r.denominator * dens[1])))
+        polys.append(_combine(sides[0], L // dens[0], sides[1],
+                              -signs[i] * r.numerator * L // (r.denominator * dens[1])))
     # z * prod X_j (* c_j(u)) - 1, times e^|used| (* prod d_j)
-    nonzero = z * prod(Y[j] if C is None else Y[j] * C[j] for j in used)
-    polys.append(nonzero - prod(e if d is None else e * d[j] for j in used))
-    Q = _ring(names)
-    return _groebner([f.set_ring(Q) for f in polys])
+    nonzero = {z: 1}
+    for j in used:
+        nonzero = _mul(nonzero, Y[j] if C is None else _mul(Y[j], C[j], pack), pack)
+    polys.append(_combine(nonzero, 1, {0: 1}, -prod(e if d is None else e * d[j] for j in used)))
+    return names, [_primitive(f) for f in polys if f]
 
 
 def _is_zero_dimensional(G: list) -> bool:
@@ -643,3 +672,284 @@ def _cut_points(G: list, S: AffineSet, want: tuple[int, ...],
         return []
 
     return walk(G, frozenset())
+
+
+# ---------------------------------------------------------------------------
+# Integer polynomials with packed monomials, and their lex Buchberger
+
+_FIELD = 16     # bits per generator in a packed monomial, the top bit a guard
+
+
+class _Packing:
+    """Exponent vectors over n generators packed into one int.
+
+    Generator i takes the field of _FIELD bits at (n - 1 - i) * _FIELD, so
+    the first generator is on top and lex order is the order of the ints.
+    An exponent stays below its field's top bit, the guard.  So a sum of
+    two monomials never carries across a field; it is their product, and it
+    sets a guard bit iff an exponent is too large (`check`).  A difference
+    b - a never borrows across a field unless an exponent of it goes below
+    0, and that sets the guard bit of the lowest field that does; so b - a
+    is the quotient when a divides b and has a guard bit set otherwise.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.guard = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(n))
+
+    def pack(self, m: Sequence[int]) -> int:
+        a = 0
+        for e in m:
+            if not 0 <= e < 1 << (_FIELD - 1):
+                raise OverflowError(f"exponent {e} does not fit a {_FIELD}-bit field")
+            a = a << _FIELD | e
+        return a
+
+    def unpack(self, a: int) -> tuple[int, ...]:
+        mask = (1 << _FIELD) - 1
+        return tuple(a >> (_FIELD * i) & mask for i in reversed(range(self.n)))
+
+    def gen(self, i: int) -> int:
+        return 1 << _FIELD * (self.n - 1 - i)
+
+    def check(self, products) -> None:
+        """Raise OverflowError when a product (a sum of two monomials) has an
+        exponent past its field."""
+        if reduce(or_, products, 0) & self.guard:
+            raise OverflowError(f"a monomial exponent reached 2^{_FIELD - 1}")
+
+    def divides(self, a: int, b: int) -> bool:
+        return not (b - a) & self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        ge = ((a | self.guard) - b) & self.guard      # guard bit: a_i >= b_i
+        mask = ge | (ge - (ge >> (_FIELD - 1)))
+        return (a & mask) | (b & ~mask)
+
+
+def _primitive(h: dict) -> dict:
+    """h without its content, with a positive leading coefficient."""
+    g = gcd(*h.values())
+    if h[max(h)] < 0:
+        g = -g
+    return h if g == 1 else {m: k // g for m, k in h.items()}
+
+
+def _linear(const: int, terms) -> dict:
+    """const + sum k * m over (packed monomial m, k) in terms, as a polynomial."""
+    f = {m: k for m, k in terms if k}
+    if const:
+        f[0] = const
+    return f
+
+
+def _combine(a: dict, x: int, b: dict, y: int) -> dict:
+    """x * a + y * b."""
+    out = {m: x * k for m, k in a.items()}
+    for m, k in b.items():
+        out[m] = out.get(m, 0) + y * k
+    return {m: k for m, k in out.items() if k}
+
+
+def _shift(a: dict, m: int, pack: _Packing) -> dict:
+    """The monomial m times a."""
+    out = {n + m: k for n, k in a.items()}
+    pack.check(out)
+    return out
+
+
+def _mul(a: dict, b: dict, pack: _Packing) -> dict:
+    out: dict = {}
+    for m, x in a.items():
+        for n, y in b.items():
+            out[m + n] = out.get(m + n, 0) + x * y
+    pack.check(out)
+    return {m: k for m, k in out.items() if k}
+
+
+def _pow(a: dict, k: int, pack: _Packing) -> dict:
+    out = a
+    for _ in range(k - 1):
+        out = _mul(out, a, pack)
+    return out
+
+
+def _rem(f: dict, G: Sequence[tuple[dict, int]], pack: _Packing) -> dict:
+    """A positive integer multiple of the remainder of f on division by G.
+
+    G holds (g, leading monomial of g) pairs, tried in order.  The division
+    of sympy's `PolyElement.rem`: the leading term of f is cancelled by the
+    first g whose leading monomial divides it, or moved to the remainder.
+    Fraction-free: f and the remainder are scaled by lc(g) / gcd instead of
+    dividing g by its leading coefficient.
+    """
+    guard = pack.guard
+    f, r = dict(f), {}
+    while f:
+        lt = max(f)
+        c = f[lt]
+        for g, lm in G:
+            m = lt - lm
+            if not m & guard:       # lm divides lt, m the quotient (`_Packing`)
+                lc = g[lm]
+                d = gcd(c, lc)
+                s, c = lc // d, c // d
+                if s != 1:
+                    f = {k: s * v for k, v in f.items()}
+                    r = {k: s * v for k, v in r.items()}
+                get = f.get
+                products = 0
+                for mg, cg in g.items():
+                    m1 = mg + m
+                    products |= m1
+                    c1 = get(m1, 0) - c * cg
+                    if c1:
+                        f[m1] = c1
+                    else:
+                        del f[m1]
+                pack.check((products,))
+                break
+        else:
+            r[lt] = c
+            del f[lt]
+    return r
+
+
+def _spoly(p1: dict, lm1: int, p2: dict, lm2: int, pack: _Packing) -> dict:
+    """A nonzero integer multiple of the S-polynomial of p1 and p2."""
+    L = pack.lcm(lm1, lm2)
+    c1, c2 = p1[lm1], p2[lm2]
+    d = gcd(c1, c2)
+    return _combine(_shift(p1, L - lm1, pack), c2 // d, _shift(p2, L - lm2, pack), -(c1 // d))
+
+
+def _buchberger(f: list[dict], pack: _Packing) -> list[dict]:
+    """Reduced lex Groebner basis of the primitive integer polynomials f.
+
+    A port of sympy's `groebnertools._buchberger`, GROEBNERNEWS2 of Becker
+    and Weispfenning, *Groebner Bases* (1993), p. 232, with the
+    Gebauer-Moeller pair criteria (`update`), normal selection, an initial
+    interreduction and a final reduction.  Where sympy makes each new
+    polynomial monic, this one keeps it primitive with a positive leading
+    coefficient (`_primitive`), a canonical multiple of the monic one; so
+    the run is sympy's, and each element of the reduced basis, returned in
+    descending order of leading monomials, a multiple of sympy's.
+    """
+    lcm_ = pack.lcm
+    divides = pack.divides
+
+    def select(P):
+        # normal selection strategy
+        # select the pair with minimum LCM(LM(f), LM(g))
+        return min(P, key=lambda pair: lcm_(LM[pair[0]], LM[pair[1]]))
+
+    def normal(g, J):
+        h = _rem(g, [(f[j], LM[j]) for j in J], pack)
+        if not h:
+            return None
+        h = _primitive(h)
+        key = frozenset(h.items())
+        if key not in I:
+            I[key] = len(f)
+            f.append(h)
+            LM.append(max(h))
+        return I[key]
+
+    def update(G, B, ih):
+        # update G using the set of critical pairs B and h
+        # [BW] page 230
+        mh = LM[ih]
+
+        # filter new pairs (h, g), g in G
+        C = G.copy()
+        D = set()
+
+        while C:
+            # select a pair (h, g) by popping an element from C
+            ig = C.pop()
+            mg = LM[ig]
+            LCMhg = lcm_(mh, mg)
+
+            def lcm_divides(ip):
+                # LCM(LM(h), LM(p)) divides LCM(LM(h), LM(g))
+                return divides(lcm_(mh, LM[ip]), LCMhg)
+
+            # HT(h) and HT(g) disjoint: mh*mg == LCMhg
+            if mh + mg == LCMhg or (
+                    not any(lcm_divides(ipx) for ipx in C) and
+                    not any(lcm_divides(pr[1]) for pr in D)):
+                D.add((ih, ig))
+
+        E = set()
+
+        while D:
+            # select h, g from D (h the same as above)
+            ih, ig = D.pop()
+            mg = LM[ig]
+            if mh + mg != lcm_(mh, mg):
+                E.add((ih, ig))
+
+        # filter old pairs
+        B_new = set()
+
+        while B:
+            # select g1, g2 from B (-> CP)
+            ig1, ig2 = B.pop()
+            mg1, mg2 = LM[ig1], LM[ig2]
+            LCM12 = lcm_(mg1, mg2)
+
+            # if HT(h) does not divide lcm(HT(g1), HT(g2))
+            if not divides(mh, LCM12) or lcm_(mg1, mh) == LCM12 or lcm_(mg2, mh) == LCM12:
+                B_new.add((ig1, ig2))
+
+        B_new |= E
+
+        # filter polynomials
+        G_new = {ig for ig in G if not divides(mh, LM[ig])}
+        G_new.add(ih)
+        return G_new, B_new
+
+    if not f:
+        return []
+
+    # replace f with a reduced list of initial polynomials; see [BW] page 203
+    f1 = f[:]
+    while True:
+        f = f1[:]
+        f1 = []
+        for i, p in enumerate(f):
+            r = _rem(p, [(q, max(q)) for q in f[:i]], pack)
+            if r:
+                f1.append(_primitive(r))
+        if f == f1:
+            break
+
+    I = {frozenset(h.items()): i for i, h in enumerate(f)}     # ip = I[p]; p = f[ip]
+    LM = [max(h) for h in f]
+    F = set(range(len(f)))   # set of indices of polynomials
+    G = set()                # set of indices of intermediate would-be Groebner basis
+    CP = set()               # set of pairs of indices of critical pairs
+
+    # algorithm GROEBNERNEWS2 in [BW] page 232
+    while F:
+        # select p with minimum monomial according to the monomial ordering
+        ih = min(F, key=LM.__getitem__)
+        F.remove(ih)
+        G, CP = update(G, CP, ih)
+
+    while CP:
+        ig1, ig2 = select(CP)
+        CP.remove((ig1, ig2))
+        h = _spoly(f[ig1], LM[ig1], f[ig2], LM[ig2], pack)
+        # ordering divisors is on average more efficient [Cox] page 111
+        ih = normal(h, sorted(G, key=LM.__getitem__))
+        if ih is not None:
+            G, CP = update(G, CP, ih)
+
+    # now G is a Groebner basis; reduce it
+    Gr = set()
+    for ig in G:
+        ih = normal(f[ig], G - {ig})
+        if ih is not None:
+            Gr.add(ih)
+    return [f[ig] for ig in sorted(Gr, key=LM.__getitem__, reverse=True)]

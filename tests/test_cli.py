@@ -343,6 +343,12 @@ def test_einstein_rejects_inconsistent_options(capsys, argv, message):
      "--param lambda is given more than once"),
     (["catalog", "list", "--filter", "zz*"], "no catalog entries match 'zz*'"),
     (["catalog", "run", "--filter", "zz*"], "no catalog entries match 'zz*'"),
+    # Fraction would expand 10**e first
+    (["einstein", "631:6", "--k", "1e1001"],
+     "bad --k '1e1001', expected a rational number with a decimal exponent of at most 1000"),
+    (["validate", "741:6", "--param", "lambda=2.5E-99999999"],
+     "bad --param lambda '2.5E-99999999', expected a rational number with a decimal exponent"),
+    (["verify", "631:6", "--metric", "1,1,1,1,1,1e99999999"], "bad --metric entry '1e99999999'"),
 ])
 def test_malformed_input_is_an_error_not_a_traceback(capsys, argv, message):
     code = main(argv)
@@ -350,6 +356,21 @@ def test_malformed_input_is_an_error_not_a_traceback(capsys, argv, message):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+def test_huge_decimal_exponent_exits_at_once():
+    src = Path(nice_einstein.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "nice_einstein.cli", "einstein", "631:6", "--k", "1e99999999"],
+        capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: bad --k '1e99999999'") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("k, code", [("1e1000", 2), ("-25e-1000", 2), ("5e-1", 2), ("0e0", 0)])
+def test_decimal_exponents_up_to_the_bound_are_read(capsys, k, code):
+    assert main(["einstein", "631:6", f"--k={k}"]) == code
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("tol", ["nan", "abc", "-1", "inf", "-inf", ""])

@@ -250,6 +250,19 @@ def test_recover_metric_rejects_bad_signs(algebras):
         recover_metric(a, X, parse_delta("1", 6))
 
 
+def test_recover_metric_refuses_a_rational_X_off_the_image(algebras):
+    # Tripling X_1 of a certificate keeps the signs but leaves the image of
+    # the multiplicative system: no metric gives that X.
+    a = algebras["631:6"]
+    cert = diagonal_einstein(a, 0).certificates[0]
+    X = (3 * cert.X[0], *cert.X[1:])
+    with pytest.raises(ValueError, match="off the image"):
+        recover_metric(a, X, cert.delta)
+    # a float X is read in floats, through the same map
+    metric, _ = recover_metric(a, tuple(map(float, cert.X)), cert.delta)
+    assert metric.g == tuple(map(float, cert.metric.g))
+
+
 def test_recover_metric_abelian():
     a = parse("(0,0,0)")
     metric, freedom = recover_metric(a, (), parse_delta("2", 3))

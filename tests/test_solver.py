@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 from itertools import product
 from typing import Optional
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from nice_einstein.linalg import (AffineSet, EnumerationCapExceeded, StrictSystem,
                                   _int_scale, in_orthant, orthant_witness, vec_q)
-from nice_einstein.solver import (ORTHANT_CAP, PDecision, _cut_points, _eliminant_roots,
-                                  _is_zero_dimensional, _p_basis, _real_points,
+from nice_einstein.solver import (_FIELD, ORTHANT_CAP, PDecision, _cut_points,
+                                  _eliminant_roots, _groebner, _is_zero_dimensional,
+                                  _p_basis, _p_system, _Packing, _real_points, _ring,
                                   abs_monomial, decide_condition_p, feasible_orthants,
                                   gauge_slice, parameter_roots)
 
@@ -396,6 +398,98 @@ def test_cut_walk_recurses_until_zero_dimensional(monkeypatch):
                             root_is_rational=True, note="hyperplane cut")
     # the surface, the curve after one cut, the points after two
     assert zero_dim[:3] == [False, False, True]
+
+
+# ---------------------------------------------------------------------------
+# The integer Buchberger against sympy's, and its packed monomials
+
+_EXPONENT = st.one_of(st.integers(0, 3), st.integers(0, (1 << (_FIELD - 1)) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    *(st.tuples(*(_EXPONENT,) * n),) * 2)))
+def test_packed_monomials_match_tuple_arithmetic(pair):
+    a, b = pair
+    pack = _Packing(len(a))
+    pa, pb = pack.pack(a), pack.pack(b)
+    assert pack.unpack(pa) == a and pack.unpack(pb) == b
+    assert (pa < pb) == (a < b)                 # lex, the first generator on top
+    assert [pack.unpack(pack.gen(i)) for i in range(len(a))] == [
+        tuple(int(i == j) for j in range(len(a))) for i in range(len(a))]
+    product = tuple(x + y for x, y in zip(a, b))
+    if max(product) < 1 << (_FIELD - 1):
+        pack.check([pa + pb])
+        assert pack.unpack(pa + pb) == product
+    else:
+        with pytest.raises(OverflowError):
+            pack.check([pa, pa + pb])
+    divides = all(x <= y for x, y in zip(a, b))
+    assert pack.divides(pa, pb) == divides
+    if divides:
+        assert pack.unpack(pb - pa) == tuple(y - x for x, y in zip(a, b))
+    assert pack.unpack(pack.lcm(pa, pb)) == tuple(map(max, a, b))
+
+
+def test_exponents_past_the_field_raise():
+    pack = _Packing(2)
+    with pytest.raises(OverflowError):
+        pack.pack((0, 1 << (_FIELD - 1)))
+    # the S-polynomial of x^2 - y^top and x*y - 1 needs y^(top + 1), and so
+    # does x*y - 1 reduced by x - y^top
+    R = _ring(["x", "y"])
+    x, y = R.gens
+    top = (1 << (_FIELD - 1)) - 1
+    for polys in ([x ** 2 - y ** top, x * y - 1], [x - y ** top, x * y - 1]):
+        with pytest.raises(OverflowError):
+            _groebner(polys)
+
+
+def _check_against_sympy(polys):
+    """_groebner(polys), after checking it against sympy's Buchberger term by term."""
+    from sympy.polys.groebnertools import groebner
+
+    G = _groebner(polys)
+    want = groebner([f for f in polys if f], polys[0].ring)
+    assert [g.ring for g in G] == [g.ring for g in want]
+    assert [sorted(g.items()) for g in G] == [sorted(g.items()) for g in want]
+    return G
+
+
+def test_integer_buchberger_matches_sympy(monkeypatch):
+    # The P generators of random systems, with and without a family
+    # parameter, on affine sets and gauge slices, are checked against
+    # sympy, and each must give _p_basis's basis; so must every basis that
+    # _separated, _radical and _cut_points build on the way.
+    import nice_einstein.solver as solver
+
+    rng = random.Random(2718)
+    cases = [_small_p_system(rng, i % 2 == 1) for i in range(200)]
+    while len(cases) < 360:
+        case = _mirror_case(rng, ("rhs", "c", "c-points")[len(cases) % 3])
+        if case is not None:
+            cone, exponents, signs, rhs, c = case
+            cases.append((gauge_slice(cone)[1], signs, exponents, rhs, c))
+    inconsistent = 0
+    for S, signs, exponents, rhs, c in cases:
+        names, polys = _p_system(S, signs, exponents, rhs, c)
+        R, unpack = _ring(names), _Packing(len(names)).unpack
+        G = _check_against_sympy([R.from_dict({unpack(m): k for m, k in f.items()})
+                                  for f in polys])
+        assert [sorted(g.items()) for g in G] == [
+            sorted(g.items()) for g in _p_basis(S, signs, exponents, rhs, c)]
+        inconsistent += G == [1]
+    assert 20 <= inconsistent <= len(cases) - 20
+    callers = set()
+
+    def checked(polys):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return _check_against_sympy(polys)
+
+    monkeypatch.setattr(solver, "_groebner", checked)
+    test_fat_point_is_decided_exactly()
+    test_cut_walk_recurses_until_zero_dimensional(monkeypatch)
+    assert callers == {"_separated", "_radical", "walk"}     # walk: _cut_points
 
 
 # ---------------------------------------------------------------------------
