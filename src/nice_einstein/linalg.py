@@ -145,6 +145,14 @@ class AffineSet:
                 tuple(tuple(int(b[j] * e) for b in self.basis)
                       for j in range(self.ambient_dim)))
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.particular, self.basis))
+
+    def __hash__(self) -> int:
+        # the dataclass's own hash, computed once: sets key the P memo
+        return self._hash
+
     def zero_coords(self) -> tuple[int, ...]:
         """Coordinates that vanish identically on the set."""
         return tuple(j for j in range(self.ambient_dim)

@@ -6,12 +6,15 @@ one lex Groebner basis of the system with cleared denominators and a
 Rabinowitsch variable decides it.  The basis comes from a Buchberger of its
 own on primitive integer polynomials with packed monomials (`_buchberger`)
 and is read as monic elements of sympy's sparse ring over QQ; its real
-points are listed exactly in the univariate ring QQ[v] (sympy's factoring
-and real-root isolation), through the radical when no linear form puts the
-basis in shape position.  When the set is a cone and every exponent row
-sums to 0 (the k = 0 systems), the system is scale invariant and is solved
-on the gauge slice X_pin = 1 instead: it is invariant under X -> -X too, so
-an orthant with X_pin < 0 is decided as its antipode on that slice.  The
+points are listed exactly, through the radical when no linear form puts
+the basis in shape position.  The rational ones come from the eliminant's
+integer coefficients by p-adic lifting (`_rational_roots`), with no
+factoring; what is left is factored, and its real roots isolated in the
+univariate ring QQ[v] (sympy), only when it has a real root.  When the set
+is a cone and every exponent row sums to 0 (the k = 0 systems), the system
+is scale invariant and is solved on the gauge slice X_pin = 1 instead: it
+is invariant under X -> -X too, so an orthant with X_pin < 0 is decided as
+its antipode on that slice.  The
 same basis, with the family parameter as one more variable, gives the
 candidate parameter values (`parameter_roots`).  One memo per search holds
 each cone's slice, cut once, and each basis, built once.
@@ -32,8 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from math import gcd, lcm, prod
+from functools import cache, cached_property, reduce
+from math import gcd, isqrt, lcm, prod
 from operator import or_
 from typing import Optional, Sequence
 
@@ -49,6 +52,7 @@ from .linalg import (
 
 ORTHANT_CAP = 1 << 20
 CUT_LIMIT = 64
+PRIME_BOUND = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +347,12 @@ def gauge_slice(S: AffineSet) -> tuple[int, AffineSet]:
 
 
 def _ring(names: Sequence[str]):
-    """sympy's sparse polynomial ring QQ[names] in lex order."""
+    """sympy's sparse polynomial ring QQ[names] in lex order, one per name tuple."""
+    return _ring_of(tuple(names))
+
+
+@cache
+def _ring_of(names: tuple[str, ...]):
     from sympy.polys.domains import QQ
     from sympy.polys.orderings import lex
     from sympy.polys.rings import ring
@@ -492,16 +501,25 @@ def _eliminant_roots(G: list, lo: Optional[Fraction], hi: Optional[Fraction]) ->
 
     Empty when G is {1} or when the ideal meets Q[last] only in 0.
     """
-    f = _in_v(G[-1])
-    if f is None or f.is_ground:
+    f = _dense_in_v(G[-1])
+    if f is None:
         return []
-    out = []
-    for q, _ in f.factor_list()[1]:
-        if q.degree() == 1:
-            r = _frac(-q(0) / q.LC)
-            if (lo is None or r > lo) and (hi is None or r < hi):
-                out.append(r)
-    return sorted(out)
+    return [r for r in _rational_roots(f)[0]
+            if (lo is None or r > lo) and (hi is None or r < hi)]
+
+
+def _dense_in_v(terms: dict) -> Optional[list[int]]:
+    """{monomial: QQ} as dense integer coefficients in the last generator,
+    leading first and times the lcm of the denominators; None when another
+    generator occurs."""
+    if any(any(m[:-1]) for m in terms):
+        return None
+    n = max(m[-1] for m in terms)
+    den = lcm(*(int(k.denominator) for k in terms.values()))
+    f = [0] * (n + 1)
+    for m, k in terms.items():
+        f[n - m[-1]] = int(k.numerator) * (den // int(k.denominator))
+    return f
 
 
 @dataclass(frozen=True)
@@ -524,9 +542,12 @@ def _real_points(G: list, S: AffineSet) -> list[_RealPoint]:
     the N points, sum_i j^i (P_i - Q_i) is a nonzero polynomial of degree
     < p in j, so one of 1 + (p-1) N(N-1)/2 forms separates them all, and
     a radical ideal with a separating last generator is in shape position
-    (the Shape Lemma); past that bound RuntimeError is raised.  An
-    irrational point carries the exact signs of X and the nearest doubles
-    to its coordinates.
+    (the Shape Lemma); past that bound RuntimeError is raised.  The
+    rational points are the rational roots of f (`_rational_roots`).  The
+    square-free rest of f, with them divided out, is factored only when it
+    has a real root (a Sturm count); each of its real roots is an
+    irrational point, which carries the exact signs of X and the nearest
+    doubles to its coordinates (`_IsolatedRoot`).
     """
     p = S.dim
     shape = _shape(G) or _separated(G, range(1, p + 1))
@@ -540,27 +561,29 @@ def _real_points(G: list, S: AffineSet) -> list[_RealPoint]:
             raise RuntimeError("no linear form separates the points of a radical ideal")
     f, tpolys = shape
     tpolys = tpolys[:p]
-    R1 = f.ring
-    Xpolys = [sum((tp * _qq(b[j]) for tp, b in zip(tpolys, S.basis)), R1(_qq(S.particular[j])))
-              for j in range(S.ambient_dim)]
+    roots, rest = _rational_roots(f)
     out = []
-    for q, _ in f.factor_list()[1]:
-        if q.degree() == 1:
-            r = -q(0) / q.LC
-            X = S.point(tuple(_frac(tp(r)) for tp in tpolys))
-            out.append(_RealPoint(X, True, tuple((x > 0) - (x < 0) for x in X), float(r)))
-            continue
-        # q is irreducible of degree >= 2: all its real roots are irrational
-        for a, b in R1.dup_isolate_real_roots_sqf(q):
-            tf = [_float_at(tp, q, a, b) for tp in tpolys]
-            X = []
-            for j in range(S.ambient_dim):   # float sums in a fixed order
-                x = float(S.particular[j])
-                for tfi, bv in zip(tf, S.basis):
-                    x += float(bv[j]) * tfi
-                X.append(x)
-            signs = tuple(_sign_at_root(h, q, a, b) for h in Xpolys)
-            out.append(_RealPoint(tuple(X), False, signs, _float_at(R1.gens[0], q, a, b)))
+    for r in roots:
+        X = S.point(tuple(_frac(tp(_qq(r))) for tp in tpolys))
+        out.append(_RealPoint(X, True, tuple((x > 0) - (x < 0) for x in X), float(r)))
+    R1 = _ring("v")
+    rest = R1.from_list(rest)
+    if not rest.is_ground and R1.dup_count_real_roots(rest):
+        Xpolys = [sum((tp * _qq(b[j]) for tp, b in zip(tpolys, S.basis)), R1(_qq(S.particular[j])))
+                  for j in range(S.ambient_dim)]
+        # rest has no rational root: its irreducible factors have degree >= 2
+        for q, _ in rest.factor_list()[1]:
+            for a, b in R1.dup_isolate_real_roots_sqf(q):
+                root = _IsolatedRoot(q, a, b)
+                tf = [root.float_of(tp) for tp in tpolys]
+                X = []
+                for j in range(S.ambient_dim):   # float sums in a fixed order
+                    x = float(S.particular[j])
+                    for tfi, bv in zip(tf, S.basis):
+                        x += float(bv[j]) * tfi
+                    X.append(x)
+                signs = tuple(root.sign_of(h) for h in Xpolys)
+                out.append(_RealPoint(tuple(X), False, signs, root.float_of(R1.gens[0])))
     out.sort(key=lambda pt: pt.value_float)
     return out
 
@@ -594,13 +617,14 @@ def _radical(G: list) -> tuple[list, int]:
 
 
 def _shape(G: list):
-    """(f, [g_i]) in QQ[v] when G = [c_i (x_i - g_i(v))]..., f(v) with v its last generator.
+    """(f, [g_i]) when G = [c_i (x_i - g_i(v))]..., f(v) with v its last generator.
 
-    None when G is not of that form.
+    f is dense over ZZ (`_dense_in_v`), the g_i in QQ[v].  None when G is
+    not of that form.
     """
     n = G[0].ring.ngens
-    f = _in_v(G[-1]) if len(G) == n else None
-    if f is None or f.is_ground:
+    f = _dense_in_v(G[-1]) if len(G) == n else None
+    if f is None or len(f) == 1:
         return None
     tpolys = []
     for i, g in enumerate(G[:-1]):
@@ -611,30 +635,45 @@ def _shape(G: list):
             return None
         tpolys.append(tp)
     # t0, ... without z, then v: the last t, or the separating form
-    return f, tpolys[1:] + [f.ring.gens[0]]
+    return f, tpolys[1:] + [_ring("v").gens[0]]
 
 
-def _sign_at_root(h, q, a, b) -> int:
-    """Sign of h at the root of the irreducible q isolated by (a, b)."""
-    h = h % q
-    if not h:
-        return 0
-    while q.ring.dup_count_real_roots(h, a, b):
-        a, b = q.ring.dup_refine_real_root(q, a, b, eps=(b - a) / 1024)
-    return 1 if h(a) > 0 else -1
+class _IsolatedRoot:
+    """The real root of the irreducible q in QQ[v] isolated by (a, b).
 
-
-def _float_at(h, q, a, b) -> float:
-    """h at the root of the irreducible q isolated by (a, b), as the nearest double.
-
-    Refines until h is monotone on (a, b) and both ends round alike, which
-    ends: h mod q is constant, or irrational at the root with h' nonzero.
+    Every query refines the same interval further, from where the last one
+    left it; its answer depends on the root alone.
     """
-    h = h % q
-    dh = h.diff(h.ring.gens[0])
-    while q.ring.dup_count_real_roots(dh, a, b) or float(h(a)) != float(h(b)):
-        a, b = q.ring.dup_refine_real_root(q, a, b, eps=(b - a) / 1024)
-    return float(h(a))
+
+    def __init__(self, q, a, b):
+        self.q, self.a, self.b = q, a, b
+
+    def _refine(self) -> None:
+        self.a, self.b = self.q.ring.dup_refine_real_root(
+            self.q, self.a, self.b, eps=(self.b - self.a) / 1024)
+
+    def sign_of(self, h) -> int:
+        """The exact sign of h at the root."""
+        h = h % self.q
+        if not h:
+            return 0
+        while h.ring.dup_count_real_roots(h, self.a, self.b):
+            self._refine()
+        return 1 if h(self.a) > 0 else -1
+
+    def float_of(self, h) -> float:
+        """h at the root, as the nearest double.
+
+        Refines until h is monotone on (a, b) and both ends round alike,
+        which ends: h mod q is constant, or irrational at the root with h'
+        nonzero.
+        """
+        h = h % self.q
+        dh = h.diff(h.ring.gens[0])
+        while (h.ring.dup_count_real_roots(dh, self.a, self.b)
+               or float(h(self.a)) != float(h(self.b))):
+            self._refine()
+        return float(h(self.a))
 
 
 def _cut_points(G: list, S: AffineSet, want: tuple[int, ...],
@@ -672,6 +711,107 @@ def _cut_points(G: list, S: AffineSet, want: tuple[int, ...],
         return []
 
     return walk(G, frozenset())
+
+
+# ---------------------------------------------------------------------------
+# Rational roots of dense integer polynomials, by p-adic lifting
+#
+# A dense polynomial is a list of ints, leading coefficient first.
+
+
+def _rational_roots(f: Sequence[int]) -> tuple[list[Fraction], list[int]]:
+    """(the distinct rational roots of f, ascending; the square-free part of
+    f with them divided out).
+
+    The factor v^k of f gives the root 0 and goes first; the rest g is made
+    square-free.  Its roots are found by p-adic expansion (Loos, SIAM J.
+    Comput. 12, 1983; von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, ch. 15), with no factoring.  P is the first odd prime that does
+    not divide lc = lc(g) and at which every root of g mod P is simple.  Each
+    root mod P is lifted by Newton-Hensel iteration until P^k > 2 (|lc| +
+    max |g_i|), which bounds |lc * alpha| for every root alpha (Cauchy), and
+    y = lc * lift, read as a symmetric residue mod P^k, gives y / lc, kept
+    when g(y / lc) = 0 exactly.  This finds every rational root: p/q in
+    lowest terms has q | lc, so P does not divide q, p/q is a root mod P,
+    simple by the choice of P, and its unique lift is p/q.  Raises
+    RuntimeError when no prime below PRIME_BOUND serves.
+    """
+    g = list(f)
+    roots = []
+    if not g[-1]:
+        roots.append(Fraction(0))
+        while not g[-1]:
+            g.pop()
+    if len(g) == 1:
+        return roots, g
+    from sympy.polys.domains import ZZ
+    from sympy.polys.sqfreetools import dup_sqf_part
+
+    g = [int(k) for k in dup_sqf_part(g, ZZ)]
+    lc = g[0]
+    dg = _diff(g)
+    for P in _odd_primes():
+        if lc % P:
+            mod = [k % P for k in g]
+            modular = [r for r in range(P) if not _eval(mod, r, P)]
+            if all(_eval(dg, r, P) for r in modular):
+                break
+    else:
+        raise RuntimeError(f"no odd prime below {PRIME_BOUND} keeps the roots of "
+                           f"a degree-{len(g) - 1} polynomial simple")
+    bound = 2 * (abs(lc) + max(map(abs, g)))
+    rest = g
+    for r in modular:
+        M = P
+        while M <= bound:
+            M *= M
+            r = (r - _eval(g, r, M) * pow(_eval(dg, r, M), -1, M)) % M
+        y = lc * r % M
+        if 2 * y > M:
+            y -= M
+        if not _eval_homogeneous(g, y, lc):
+            roots.append(Fraction(y, lc))
+            rest = _divide_linear(rest, roots[-1])
+    return sorted(roots), rest
+
+
+def _odd_primes():
+    """The odd primes below PRIME_BOUND, ascending."""
+    for P in range(3, PRIME_BOUND, 2):
+        if all(P % d for d in range(3, isqrt(P) + 1, 2)):
+            yield P
+
+
+def _eval(g: Sequence[int], x: int, M: int) -> int:
+    """g(x) mod M."""
+    y = 0
+    for k in g:
+        y = (y * x + k) % M
+    return y
+
+
+def _eval_homogeneous(g: Sequence[int], y: int, d: int) -> int:
+    """d^deg(g) * g(y / d)."""
+    h, w = g[0], 1
+    for k in g[1:]:
+        w *= d
+        h = h * y + k * w
+    return h
+
+
+def _diff(g: Sequence[int]) -> list[int]:
+    n = len(g) - 1
+    return [k * (n - i) for i, k in enumerate(g[:-1])]
+
+
+def _divide_linear(g: Sequence[int], r: Fraction) -> list[int]:
+    """g / (q v - p) for r = p/q a root of g, exactly (synthetic division)."""
+    p, q = r.numerator, r.denominator
+    out, h = [], 0
+    for k in g[:-1]:
+        h = (k + p * h) // q
+        out.append(h)
+    return out
 
 
 # ---------------------------------------------------------------------------

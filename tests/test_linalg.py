@@ -153,6 +153,21 @@ def strict_sign_witness(S, eps):
     return X
 
 
+def test_equal_affine_sets_meet_as_dict_keys():
+    # The hash is kept once per set, and is the dataclass's own value:
+    # equal sets built from ints, strings, unreduced fractions or a solve
+    # land on one key.
+    M = MatQ.from_rows([[2, 4]])
+    solved = solve_affine(M, [1])
+    built = AffineSet(vec_q(["1/2", 0]), (vec_q([F(-4, 2), "1"]),))
+    assert solved == built
+    memo = {solved: "solved"}
+    assert memo[built] == "solved" and memo[AffineSet(tuple(built.particular),
+                                                          tuple(built.basis))] == "solved"
+    assert hash(built) == hash(solved) == hash((built.particular, built.basis))
+    assert AffineSet(built.particular, (vec_q([2, -1]),)) not in memo
+
+
 def test_strict_sign_631_6(algebras):
     M, _ = root_matrix(algebras["631:6"].diagram)
     S = solve_affine(M.transpose(), [F(0)] * 6)

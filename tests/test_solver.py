@@ -2,6 +2,7 @@ import random
 import sys
 from fractions import Fraction as F
 from itertools import product
+from math import isqrt, prod
 from typing import Optional
 
 import pytest
@@ -12,7 +13,8 @@ from nice_einstein.linalg import (AffineSet, EnumerationCapExceeded, StrictSyste
                                   _int_scale, in_orthant, orthant_witness, vec_q)
 from nice_einstein.solver import (_FIELD, ORTHANT_CAP, PDecision, _cut_points,
                                   _eliminant_roots, _groebner, _is_zero_dimensional,
-                                  _p_basis, _p_system, _Packing, _real_points, _ring,
+                                  _p_basis, _p_system, _Packing, _qq, _rational_roots,
+                                  _real_points, _ring,
                                   abs_monomial, decide_condition_p, feasible_orthants,
                                   gauge_slice, parameter_roots)
 
@@ -490,6 +492,187 @@ def test_integer_buchberger_matches_sympy(monkeypatch):
     test_fat_point_is_decided_exactly()
     test_cut_walk_recurses_until_zero_dimensional(monkeypatch)
     assert callers == {"_separated", "_radical", "walk"}     # walk: _cut_points
+
+
+# ---------------------------------------------------------------------------
+# Rational roots by p-adic lifting against sympy's factoring
+
+
+def _rational_roots_by_factoring(f: list[int]) -> list[F]:
+    """The roots of the linear factors in sympy's factor_list of f."""
+    roots = []
+    for q, _ in _ring(["v"]).from_list(f).factor_list()[1]:
+        if q.degree() == 1:
+            r = -q(0) / q.LC
+            roots.append(F(int(r.numerator), int(r.denominator)))
+    return sorted(roots)
+
+
+def _first_roots(n: int) -> list[int]:
+    """(v - 0)(v - 1) ... (v - n + 1), dense."""
+    R = _ring(["v"])
+    return [int(k) for k in prod((R.gens[0] - i for i in range(n)), start=R.one).to_dense()]
+
+
+def _seeded_polynomials(rng: random.Random, count: int) -> list[list[int]]:
+    """Products of linear factors with multiplicities, powers of v and
+    irreducible quadratics, with 15-, 60- and 200-bit coefficients and
+    leading coefficients divisible by 3, 5 and 7."""
+    R = _ring(["v"])
+    v = R.gens[0]
+    out = [_first_roots(14)]
+    while len(out) < count:
+        bits = (15, 15, 60, 200)[len(out) % 4]
+        f = R(rng.choice((1, -1, 3, 5, 7, 15, 35, 105)))
+        f *= v ** rng.choice((0, 0, 1, 2))
+        for _ in range(rng.randint(0, 3)):
+            q = rng.choice((1, 2, 3, 5, 7, 9, 25, 49, rng.randint(1, 2 ** bits)))
+            f *= (q * v - rng.randint(-2 ** bits, 2 ** bits)) ** rng.choice((1, 1, 1, 2, 3))
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            a = rng.randint(1, 2 ** bits)
+            b = rng.randint(-2 ** bits, 2 ** bits)
+            c = rng.randint(-2 ** bits, 2 ** bits)
+            if b * b - 4 * a * c >= 0 and isqrt(b * b - 4 * a * c) ** 2 == b * b - 4 * a * c:
+                continue            # reducible
+            f *= a * v ** 2 + b * v + c
+        if f.degree() >= 1:
+            out.append([int(k) for k in f.to_dense()])
+    return out
+
+
+def test_rational_roots_match_the_linear_factors():
+    # Every rational root is found once, none is made up, and what is left
+    # is the square-free part with the roots divided out, with no rational
+    # root.
+    R = _ring(["v"])
+    v = R.gens[0]
+    seen = {"real quadratic": 0, "complex quadratic": 0, "multiple root": 0, "root 0": 0}
+    for f in _seeded_polynomials(random.Random(4141), 1500):
+        roots, rest = _rational_roots(f)
+        assert roots == _rational_roots_by_factoring(f)
+        sqf = R.from_list(f).sqf_part()
+        # so rest has no rational root: sqf has no double one
+        assert (R.from_list(rest) * prod((v - _qq(r) for r in roots), start=R.one)).monic() == sqf
+        if len(rest) == 3:
+            real = R.dup_count_real_roots(R.from_list(rest))
+            seen["real quadratic" if real else "complex quadratic"] += 1
+        seen["multiple root"] += sqf.degree() < len(f) - 1 and bool(roots)
+        seen["root 0"] += F(0) in roots
+    assert min(seen.values()) >= 50
+    assert _rational_roots(_first_roots(14)) == (list(map(F, range(14))), [1])
+
+
+def test_no_usable_prime_below_the_bound_raises(monkeypatch):
+    # Past the root 0, the roots 1, ..., 13 collide mod 3, 5, 7 and 11 and
+    # are distinct mod 13; a bound of 13 leaves no prime to lift from.
+    import nice_einstein.solver as solver
+
+    f = _first_roots(14)
+    monkeypatch.setattr(solver, "PRIME_BOUND", 14)
+    assert _rational_roots(f)[0] == list(map(F, range(14)))
+    monkeypatch.setattr(solver, "PRIME_BOUND", 13)
+    with pytest.raises(RuntimeError, match="no odd prime below 13"):
+        _rational_roots(f)
+
+
+def test_one_ring_per_name_tuple():
+    assert _ring(["z", "t0"]) is _ring(("z", "t0"))
+    assert _ring(["z", "t0"]) is not _ring(["t0", "z"])
+
+
+def _real_points_by_factoring(G, S):
+    """The factor_list loop that `_real_points` replaced, verbatim but for
+    the dense f, with its refinement of each coordinate from the coarse
+    isolating interval."""
+    from nice_einstein.solver import _RealPoint, _frac, _radical, _separated, _shape
+
+    def sign_at_root(h, q, a, b):
+        h = h % q
+        if not h:
+            return 0
+        while q.ring.dup_count_real_roots(h, a, b):
+            a, b = q.ring.dup_refine_real_root(q, a, b, eps=(b - a) / 1024)
+        return 1 if h(a) > 0 else -1
+
+    def float_at(h, q, a, b):
+        h = h % q
+        dh = h.diff(h.ring.gens[0])
+        while q.ring.dup_count_real_roots(dh, a, b) or float(h(a)) != float(h(b)):
+            a, b = q.ring.dup_refine_real_root(q, a, b, eps=(b - a) / 1024)
+        return float(h(a))
+
+    p = S.dim
+    shape = _shape(G) or _separated(G, range(1, p + 1))
+    if shape is None:
+        G, N = _radical(G)
+        for j in range(2, 3 + (p - 1) * N * (N - 1) // 2):
+            shape = _separated(G, [j ** i for i in range(p)])
+            if shape is not None:
+                break
+        else:
+            raise RuntimeError("no linear form separates the points of a radical ideal")
+    f, tpolys = shape
+    tpolys = tpolys[:p]
+    R1 = _ring(["v"])
+    f = R1.from_list(f)         # `_shape` gives f dense over ZZ
+    Xpolys = [sum((tp * _qq(b[j]) for tp, b in zip(tpolys, S.basis)), R1(_qq(S.particular[j])))
+              for j in range(S.ambient_dim)]
+    out = []
+    for q, _ in f.factor_list()[1]:
+        if q.degree() == 1:
+            r = -q(0) / q.LC
+            X = S.point(tuple(_frac(tp(r)) for tp in tpolys))
+            out.append(_RealPoint(X, True, tuple((x > 0) - (x < 0) for x in X), float(r)))
+            continue
+        for a, b in R1.dup_isolate_real_roots_sqf(q):
+            tf = [float_at(tp, q, a, b) for tp in tpolys]
+            X = []
+            for j in range(S.ambient_dim):
+                x = float(S.particular[j])
+                for tfi, bv in zip(tf, S.basis):
+                    x += float(bv[j]) * tfi
+                X.append(x)
+            signs = tuple(sign_at_root(h, q, a, b) for h in Xpolys)
+            out.append(_RealPoint(tuple(X), False, signs, float_at(R1.gens[0], q, a, b)))
+    out.sort(key=lambda pt: pt.value_float)
+    return out
+
+
+def test_decisions_match_the_factoring_loop(monkeypatch):
+    # Seeded systems, every feasible orthant: many of the points are
+    # irrational, and each decision is the factoring loop's, repr for repr.
+    import nice_einstein.solver as solver
+
+    def decisions():
+        rng = random.Random(17)
+        out = []
+        for _ in range(40):
+            S, _, exponents, rhs, _ = _small_p_system(rng, False)
+            memo = {}
+            out += [decide_condition_p(S, o.eps, o.witness_t, exponents, rhs, memo)
+                    for o in feasible_orthants(S)]
+        return out
+
+    got = decisions()
+    monkeypatch.setattr(solver, "_real_points", _real_points_by_factoring)
+    want = decisions()
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert sum(d.solvable and not d.root_is_rational for d in got) >= 40
+    assert sum(d.solvable and d.root_is_rational for d in got) >= 20
+
+
+def test_catalog_run_factors_no_polynomial(monkeypatch, cold_caches):
+    # Every catalog eliminant's points are rational: none reaches factor_list.
+    from sympy.polys.rings import PolyElement
+
+    from nice_einstein.cli import main
+
+    calls = []
+    factor_list = PolyElement.factor_list
+    monkeypatch.setattr(PolyElement, "factor_list",
+                        lambda f: calls.append(f) or factor_list(f))
+    assert main(["catalog", "run"]) == 0
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
